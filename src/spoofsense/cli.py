@@ -105,7 +105,9 @@ def _extract_one(row, feature, cfg, out_dir):
         return row.utt_id, "%s: %s" % (type(e).__name__, e)
 
 
-def cmd_extract(args):
+def cmd_extract(args, parser):
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1, got %d" % args.jobs)
     cfg = load_config(args.config)
     manifest = load_manifest(args.manifest)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -321,7 +323,7 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         if args.command == "extract":
-            return cmd_extract(args)
+            return cmd_extract(args, parser)
         if args.command == "pairs":
             return cmd_pairs(args)
         if args.command == "train-cm":

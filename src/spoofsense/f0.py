@@ -71,20 +71,26 @@ def _nccf(frames, kmin, kmax):
     return lags, out
 
 
-def _pick_peak(lags, row, kmin, kmax, ratio):
-    """Smallest-lag local maximum within ratio of the global best."""
-    band = slice(1, len(lags) - 1)  # interior of the padded lag range
-    interior = row[band]
-    is_max = (interior >= row[:-2]) & (interior >= row[2:])
-    in_band = (lags[band] >= kmin) & (lags[band] <= kmax)
-    best = np.max(interior[in_band])
-    cand = np.flatnonzero(is_max & in_band & (interior >= ratio * best))
-    if len(cand) == 0:
-        cand = np.flatnonzero(in_band & (interior == best))
-    i = cand[0] + 1  # back to padded-row indexing
-    a, b, c = row[i - 1], row[i], row[i + 1]
+def _pick_peak(lags, nccf, kmin, kmax, ratio):
+    """Per row: smallest-lag local maximum within ratio of the row's best.
+
+    Returns (lag, peak) arrays with the parabolically refined lag of the
+    chosen peak and its NCCF value.  An empty [kmin, kmax] band raises
+    ValueError from the max over it.
+    """
+    interior = nccf[:, 1:-1]  # interior of the padded lag range
+    is_max = (interior >= nccf[:, :-2]) & (interior >= nccf[:, 2:])
+    in_band = (lags[1:-1] >= kmin) & (lags[1:-1] <= kmax)
+    best = np.max(interior[:, in_band], axis=1, keepdims=True)
+    cand = is_max & in_band & (interior >= ratio * best)
+    fallback = in_band & (interior == best)
+    first = np.where(cand.any(axis=1), cand.argmax(axis=1), fallback.argmax(axis=1))
+    rows = np.arange(len(nccf))
+    i = first + 1  # back to padded-row indexing
+    a, b, c = nccf[rows, i - 1], nccf[rows, i], nccf[rows, i + 1]
     den = a + c - 2.0 * b
-    delta = 0.0 if den == 0.0 else np.clip((a - c) / (2.0 * den), -0.5, 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(den == 0.0, 0.0, np.clip((a - c) / (2.0 * den), -0.5, 0.5))
     return lags[i] + delta, b
 
 
@@ -116,13 +122,12 @@ def estimate_f0(buf, cfg=None):
     energy = np.sum(frames**2, axis=1)
 
     values = np.zeros(series.num_frames)
-    for i in range(series.num_frames):
-        if energy[i] == 0.0:
-            continue
-        lag, peak = _pick_peak(lags, nccf[i], kmin, kmax, cfg.subharmonic_ratio)
-        if peak < cfg.voicing_threshold:
-            continue
-        values[i] = np.clip(sr / lag, cfg.floor, cfg.ceil)
+    live = np.flatnonzero(energy != 0.0)  # zero-energy frames stay unvoiced
+    if len(live):  # all silent: nothing to pick, even from an empty lag band
+        lag, peak = _pick_peak(lags, nccf[live], kmin, kmax, cfg.subharmonic_ratio)
+        values[live] = np.where(
+            peak < cfg.voicing_threshold, 0.0, np.clip(sr / lag, cfg.floor, cfg.ceil)
+        )
     return F0Contour(values=values, hop=cfg.hop, floor=cfg.floor, ceil=cfg.ceil)
 
 

@@ -167,14 +167,13 @@ def mel_filterbank(n_mels, n_fft, sample_rate, fmin, fmax):
     """Triangular filters on the HTK mel scale, anchored to FFT bin indices."""
     pts = _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2))
     bins = np.floor((n_fft + 1) * pts / sample_rate).astype(int)
-    fb = np.zeros((n_mels, n_fft // 2 + 1))
-    for m in range(1, n_mels + 1):
-        lo, mid, hi = bins[m - 1], bins[m], bins[m + 1]
-        for k in range(lo, mid):
-            fb[m - 1, k] = (k - lo) / max(1, mid - lo)
-        for k in range(mid, hi):
-            fb[m - 1, k] = (hi - k) / max(1, hi - mid)
-    return fb
+    if bins[-1] > n_fft // 2 + 1:
+        raise ValueError("fmax %g lies beyond the %d-point FFT's top bin" % (fmax, n_fft))
+    k = np.arange(n_fft // 2 + 1)
+    lo, mid, hi = bins[:-2, None], bins[1:-1, None], bins[2:, None]
+    rise = (k - lo) / np.maximum(1, mid - lo)
+    fall = (hi - k) / np.maximum(1, hi - mid)
+    return np.where((k >= lo) & (k < mid), rise, np.where((k >= mid) & (k < hi), fall, 0.0))
 
 
 def delta(m, window=2):
@@ -233,15 +232,14 @@ def spectral_envelope(buf, contour, cfg=None, meta=""):
     logp = np.log(power + LOG_EPS)
     ceps = np.fft.irfft(logp, cfg.n_fft, axis=1)
 
-    out = np.empty_like(logp)
-    half = cfg.n_fft // 2
-    for i in range(frames.shape[0]):
-        f0 = contour.values[i]
-        q_sec = cfg.voiced_fraction / f0 if f0 > 0 else cfg.unvoiced_quefrency
-        cut = int(np.clip(round(q_sec * sr), 1, half))
-        c = ceps[i].copy()
-        c[cut : cfg.n_fft - cut + 1] = 0.0
-        out[i] = np.fft.rfft(c).real
+    f0 = contour.values[:, None]
+    with np.errstate(divide="ignore"):
+        q_sec = np.where(f0 > 0, cfg.voiced_fraction / f0, cfg.unvoiced_quefrency)
+    # np.round, like round(), takes halves to even
+    cut = np.clip(np.round(q_sec * sr), 1, cfg.n_fft // 2)
+    q = np.arange(cfg.n_fft)
+    ceps[(q >= cut) & (q <= cfg.n_fft - cut)] = 0.0
+    out = np.fft.rfft(ceps, axis=1).real
     return FeatureMatrix(kind="sp", data=np.exp(out), hop=contour.hop, meta=meta)
 
 
@@ -264,32 +262,42 @@ def band_aperiodicity(buf, contour, cfg=None, meta=""):
     power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
     freqs = np.arange(cfg.n_fft // 2 + 1) * (sr / cfg.n_fft)
     edges = band_edges(cfg.n_bands, sr / 2.0)
-    bands = []
-    for b in range(cfg.n_bands):
-        top = freqs <= edges[b + 1] if b == cfg.n_bands - 1 else freqs < edges[b + 1]
-        bands.append((freqs >= edges[b]) & top)
+    # bands are contiguous bin ranges [lo, hi); only the last one is closed
+    lo = np.searchsorted(freqs, edges[:-1], side="left")
+    hi = np.searchsorted(freqs, edges[1:], side="left")
+    hi[-1] = np.searchsorted(freqs, edges[-1], side="right")
     notch_hw = 2.0 * sr / frame_len  # main-lobe half-width of the hann window
 
     out = np.ones((frames.shape[0], cfg.n_bands))
-    for i in range(frames.shape[0]):
-        f0 = contour.values[i]
-        if f0 <= 0:
-            continue
-        p = power[i]
-        # k = 0 included: a periodic cycle with nonzero mean puts a line at DC
-        harmonics = np.arange(0, int(np.floor((sr / 2.0) / f0)) + 1) * f0
-        harmonic_bins = np.zeros(len(freqs), dtype=bool)
-        for h in harmonics:
-            harmonic_bins |= np.abs(freqs - h) <= notch_hw
-        for b, band in enumerate(bands):
-            total = np.sum(p[band])
-            if total <= 0.0:
-                out[i, b] = 1.0
-                continue
-            noise_bins = band & ~harmonic_bins
-            if not np.any(noise_bins):
-                out[i, b] = 0.0  # harmonics blanket the band; nothing to measure
-                continue
-            residual = np.mean(p[noise_bins]) * np.count_nonzero(band)
-            out[i, b] = np.clip(residual / total, 0.0, 1.0)
+    voiced = np.flatnonzero(contour.values > 0)
+    f0 = contour.values[voiced, None]
+    top = np.floor((sr / 2.0) / f0)  # highest harmonic number below Nyquist
+    for b in range(cfg.n_bands):
+        p = power[voiced, lo[b] : hi[b]]
+        total = p.sum(axis=1)
+        f = freqs[lo[b] : hi[b]]
+        nearest = np.round(f / f0)
+        harmonic = np.zeros(p.shape, dtype=bool)
+        # The harmonic in [0, top] closest to a bin is `nearest` or, when
+        # that is top + 1, the one below; every other harmonic is over f0
+        # farther away.  So testing nearest +-1 marks the same bins as a scan
+        # over all harmonics, rounding ties of f / f0 included.  k = 0
+        # counts: a periodic cycle with nonzero mean puts a line at DC.
+        for d in (-1, 0, 1):
+            k = nearest + d
+            harmonic |= (k >= 0) & (k <= top) & (np.abs(f - k * f0) <= notch_hw)
+        noise = ~harmonic
+        count = noise.sum(axis=1)
+        # no noise bins: harmonics blanket the band, nothing to measure, ap 0
+        res = np.zeros(len(voiced))
+        measured = (count > 0) & (total > 0.0)
+        # rows grouped by noise-bin count, so that each row's noise bins are
+        # summed as one contiguous run, in the pairwise order np.mean uses
+        for n in np.unique(count[measured]):
+            rows = np.flatnonzero(measured & (count == n))
+            noise_sum = p[rows][noise[rows]].reshape(len(rows), n).sum(axis=1)
+            residual = noise_sum / n * (hi[b] - lo[b])
+            res[rows] = np.clip(residual / total[rows], 0.0, 1.0)
+        res[total <= 0.0] = 1.0
+        out[voiced, b] = res
     return FeatureMatrix(kind="ap", data=out, hop=contour.hop, meta=meta)

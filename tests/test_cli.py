@@ -73,6 +73,15 @@ def test_extract_usage_errors(workspace):
     assert run("no-such-command") == 2
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_extract_rejects_jobs_below_one(workspace, tmp_path, jobs, capsys):
+    out = tmp_path / "feats"
+    assert run("extract", "--manifest", workspace / "manifest.tsv",
+               "--feature", "f0", "--out-dir", out, "--jobs", jobs) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_score_eval_pipeline(workspace, tmp_path):
     feats = workspace / "feats"
     model = tmp_path / "cm.mdl"

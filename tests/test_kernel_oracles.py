@@ -1,0 +1,338 @@
+"""Bit-exact parity of the vectorised DSP kernels with their per-frame loops.
+
+The loop versions below are the original implementations of the F0 peak
+pick, band aperiodicity, the spectral envelope and the mel filterbank,
+kept verbatim as oracles.  The vectorised code must reproduce them exactly
+in float64 (np.array_equal, no tolerance), because every .ssft feature file
+is derived from these arrays.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import SR, machine_buf, natural_buf
+from spoofsense.audio import AudioBuffer, frame_signal, resample
+from spoofsense.errors import InputTooShort
+from spoofsense.f0 import F0Config, F0Contour, _nccf, estimate_f0
+from spoofsense.spectral import (
+    LOG_EPS,
+    ApConfig,
+    EnvelopeConfig,
+    _contour_frames,
+    _hz_to_mel,
+    _mel_to_hz,
+    band_aperiodicity,
+    band_edges,
+    mel_filterbank,
+    spectral_envelope,
+)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def _pick_peak_loop(lags, row, kmin, kmax, ratio):
+    """Smallest-lag local maximum within ratio of the global best."""
+    band = slice(1, len(lags) - 1)  # interior of the padded lag range
+    interior = row[band]
+    is_max = (interior >= row[:-2]) & (interior >= row[2:])
+    in_band = (lags[band] >= kmin) & (lags[band] <= kmax)
+    best = np.max(interior[in_band])
+    cand = np.flatnonzero(is_max & in_band & (interior >= ratio * best))
+    if len(cand) == 0:
+        cand = np.flatnonzero(in_band & (interior == best))
+    i = cand[0] + 1  # back to padded-row indexing
+    a, b, c = row[i - 1], row[i], row[i + 1]
+    den = a + c - 2.0 * b
+    delta = 0.0 if den == 0.0 else np.clip((a - c) / (2.0 * den), -0.5, 0.5)
+    return lags[i] + delta, b
+
+
+def estimate_f0_loop(buf, cfg=None):
+    cfg = cfg or F0Config()
+    sr = buf.sample_rate
+    if not (0 < cfg.floor < cfg.ceil <= sr / 2):
+        raise ValueError("need 0 < floor < ceil <= Nyquist")
+    if len(buf) < 2 * sr / cfg.floor:
+        raise InputTooShort(
+            "need at least two periods of the floor frequency (%d samples)"
+            % int(np.ceil(2 * sr / cfg.floor))
+        )
+
+    frame_len = int(round(3 * sr / cfg.floor))
+    hop = int(round(cfg.hop * sr))
+    series = frame_signal(buf, frame_len, hop)
+    if series.num_frames == 0:
+        raise InputTooShort("shorter than one analysis window (%d samples)" % frame_len)
+
+    frames = series.frames - series.frames.mean(axis=1, keepdims=True)
+    kmin = int(np.ceil(sr / cfg.ceil))
+    kmax = int(np.floor(sr / cfg.floor))
+    if kmin < 2:
+        raise ValueError("ceil too close to the sample rate")
+
+    lags, nccf = _nccf(frames, kmin, kmax)
+    energy = np.sum(frames**2, axis=1)
+
+    values = np.zeros(series.num_frames)
+    for i in range(series.num_frames):
+        if energy[i] == 0.0:
+            continue
+        lag, peak = _pick_peak_loop(lags, nccf[i], kmin, kmax, cfg.subharmonic_ratio)
+        if peak < cfg.voicing_threshold:
+            continue
+        values[i] = np.clip(sr / lag, cfg.floor, cfg.ceil)
+    return values
+
+
+def spectral_envelope_loop(buf, contour, cfg=None):
+    cfg = cfg or EnvelopeConfig()
+    frames, _, _ = _contour_frames(buf, contour, cfg.n_fft)
+    sr = buf.sample_rate
+    power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
+    logp = np.log(power + LOG_EPS)
+    ceps = np.fft.irfft(logp, cfg.n_fft, axis=1)
+
+    out = np.empty_like(logp)
+    half = cfg.n_fft // 2
+    for i in range(frames.shape[0]):
+        f0 = contour.values[i]
+        q_sec = cfg.voiced_fraction / f0 if f0 > 0 else cfg.unvoiced_quefrency
+        cut = int(np.clip(round(q_sec * sr), 1, half))
+        c = ceps[i].copy()
+        c[cut : cfg.n_fft - cut + 1] = 0.0
+        out[i] = np.fft.rfft(c).real
+    return np.exp(out)
+
+
+def band_aperiodicity_loop(buf, contour, cfg=None):
+    cfg = cfg or ApConfig()
+    frames, frame_len, _ = _contour_frames(buf, contour, cfg.n_fft)
+    sr = buf.sample_rate
+    power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
+    freqs = np.arange(cfg.n_fft // 2 + 1) * (sr / cfg.n_fft)
+    edges = band_edges(cfg.n_bands, sr / 2.0)
+    bands = []
+    for b in range(cfg.n_bands):
+        top = freqs <= edges[b + 1] if b == cfg.n_bands - 1 else freqs < edges[b + 1]
+        bands.append((freqs >= edges[b]) & top)
+    notch_hw = 2.0 * sr / frame_len  # main-lobe half-width of the hann window
+
+    out = np.ones((frames.shape[0], cfg.n_bands))
+    for i in range(frames.shape[0]):
+        f0 = contour.values[i]
+        if f0 <= 0:
+            continue
+        p = power[i]
+        # k = 0 included: a periodic cycle with nonzero mean puts a line at DC
+        harmonics = np.arange(0, int(np.floor((sr / 2.0) / f0)) + 1) * f0
+        harmonic_bins = np.zeros(len(freqs), dtype=bool)
+        for h in harmonics:
+            harmonic_bins |= np.abs(freqs - h) <= notch_hw
+        for b, band in enumerate(bands):
+            total = np.sum(p[band])
+            if total <= 0.0:
+                out[i, b] = 1.0
+                continue
+            noise_bins = band & ~harmonic_bins
+            if not np.any(noise_bins):
+                out[i, b] = 0.0  # harmonics blanket the band; nothing to measure
+                continue
+            residual = np.mean(p[noise_bins]) * np.count_nonzero(band)
+            out[i, b] = np.clip(residual / total, 0.0, 1.0)
+    return out
+
+
+def mel_filterbank_loop(n_mels, n_fft, sample_rate, fmin, fmax):
+    pts = _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2))
+    bins = np.floor((n_fft + 1) * pts / sample_rate).astype(int)
+    fb = np.zeros((n_mels, n_fft // 2 + 1))
+    for m in range(1, n_mels + 1):
+        lo, mid, hi = bins[m - 1], bins[m], bins[m + 1]
+        for k in range(lo, mid):
+            fb[m - 1, k] = (k - lo) / max(1, mid - lo)
+        for k in range(mid, hi):
+            fb[m - 1, k] = (hi - k) / max(1, hi - mid)
+    return fb
+
+
+# ----------------------------------------------------------------- inputs
+
+
+def _with_silence(buf, start=0.4, dur=0.2):
+    x = buf.samples.copy()
+    a = int(start * buf.sample_rate)
+    x[a : a + int(dur * buf.sample_rate)] = 0.0
+    return AudioBuffer(x, buf.sample_rate)
+
+
+# native 16 kHz and resampled voices over F0 82-295 Hz, one with an
+# interior 0.2 s silence, plus stationary machine tones
+CORPUS = {
+    "nat82": natural_buf(82, seed=1, dur=1.3),
+    "nat140_22k": resample(natural_buf(140, seed=2, dur=1.0, sr=22050), SR),
+    "nat210_gap": _with_silence(natural_buf(210, seed=3, dur=1.2)),
+    "nat295_44k": resample(natural_buf(295, seed=4, dur=0.8, sr=44100), SR),
+    "mach120": machine_buf(120, dur=0.9),
+    "mach260_44k": resample(machine_buf(260, dur=0.7, sr=44100), SR),
+}
+F0_CONFIGS = [F0Config(), F0Config(floor=60.0, ceil=400.0), F0Config(floor=100.0, ceil=350.0)]
+
+
+def _assert_kernels_match(buf, contour, ap_cfg=None, env_cfg=None):
+    assert np.array_equal(
+        band_aperiodicity(buf, contour, ap_cfg).data,
+        band_aperiodicity_loop(buf, contour, ap_cfg),
+    )
+    assert np.array_equal(
+        spectral_envelope(buf, contour, env_cfg).data,
+        spectral_envelope_loop(buf, contour, env_cfg),
+    )
+
+
+# ------------------------------------------------------------------ tests
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("f0_cfg", F0_CONFIGS, ids=["default", "60-400", "100-350"])
+def test_estimate_f0_matches_loop(name, f0_cfg):
+    buf = CORPUS[name]
+    got = estimate_f0(buf, f0_cfg).values
+    assert np.array_equal(got, estimate_f0_loop(buf, f0_cfg))
+    assert np.any(got > 0)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("f0_cfg", F0_CONFIGS, ids=["default", "60-400", "100-350"])
+def test_ap_and_sp_match_loop(name, f0_cfg):
+    buf = CORPUS[name]
+    _assert_kernels_match(buf, estimate_f0(buf, f0_cfg))
+
+
+@pytest.mark.parametrize(
+    "ap_cfg, env_cfg",
+    [
+        (ApConfig(n_bands=1), None),
+        (ApConfig(n_bands=8), None),
+        (ApConfig(n_fft=2048), EnvelopeConfig(n_fft=2048)),
+        (ApConfig(n_bands=8, n_fft=2048), EnvelopeConfig(n_fft=2048, voiced_fraction=0.5)),
+    ],
+    ids=["1band", "8bands", "nfft2048", "8bands-nfft2048"],
+)
+def test_ap_and_sp_match_loop_non_default(ap_cfg, env_cfg):
+    for name in ("nat82", "nat210_gap", "mach260_44k"):
+        buf = CORPUS[name]
+        _assert_kernels_match(buf, estimate_f0(buf), ap_cfg, env_cfg)
+
+
+def test_all_zero_buffer():
+    buf = AudioBuffer(np.zeros(SR), SR)
+    c = estimate_f0(buf)
+    assert np.array_equal(c.values, estimate_f0_loop(buf))
+    assert np.all(c.values == 0.0)
+    _assert_kernels_match(buf, c)
+    # no frame has energy, so no peak is picked, even from an empty lag band
+    empty_band = F0Config(floor=485.0, ceil=490.0)
+    assert np.array_equal(estimate_f0(buf, empty_band).values, estimate_f0_loop(buf, empty_band))
+
+
+def test_all_unvoiced_contour():
+    buf = CORPUS["nat140_22k"]
+    c = F0Contour(np.zeros(len(estimate_f0(buf))), hop=0.005, floor=75.0, ceil=500.0)
+    ap = band_aperiodicity(buf, c).data
+    assert np.all(ap == 1.0)
+    _assert_kernels_match(buf, c)
+    unvoiced_cut = int(round(EnvelopeConfig().unvoiced_quefrency * SR))
+    voiced = F0Contour(np.full(len(c), 0.8 / (unvoiced_cut / SR)), 0.005, 75.0, 500.0)
+    # same cut voiced or not, so the same envelope: the unvoiced lifter is used
+    assert np.array_equal(spectral_envelope(buf, c).data, spectral_envelope(buf, voiced).data)
+
+
+@pytest.mark.parametrize("f0", [12.0, 20.0, 33.0, 49.0])
+def test_f0_below_notch_halfwidth(f0):
+    """notch_hw is 50 Hz at the default floor; with an F0 below it several
+    harmonics lie within the notch of one bin, not just its nearest."""
+    buf = CORPUS["mach120"]
+    n = len(estimate_f0(buf))
+    vals = np.where(np.arange(n) % 3 == 0, 0.0, f0 * (1 + 0.01 * np.sin(np.arange(n))))
+    _assert_kernels_match(buf, F0Contour(vals, hop=0.005, floor=75.0, ceil=500.0))
+
+
+def test_empty_lag_band_raises_like_loop():
+    buf = CORPUS["mach120"]
+    cfg = F0Config(floor=485.0, ceil=490.0)  # kmin 33 > kmax 32 at 16 kHz
+    with pytest.raises(ValueError) as want:
+        estimate_f0_loop(buf, cfg)
+    with pytest.raises(ValueError) as got:
+        estimate_f0(buf, cfg)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "n_mels, n_fft, sr, fmin, fmax",
+    [
+        (26, 512, 16000, 0.0, 8000.0),
+        (40, 1024, 16000, 133.0, 6855.0),
+        (13, 255, 16000, 0.0, 8000.0),
+        (80, 512, 16000, 0.0, 8000.0),  # filters narrower than a bin
+        (26, 512, 16000, 0.0, 8020.0),  # top edge on the last bin + 1
+    ],
+)
+def test_mel_filterbank_matches_loop(n_mels, n_fft, sr, fmin, fmax):
+    assert np.array_equal(
+        mel_filterbank(n_mels, n_fft, sr, fmin, fmax),
+        mel_filterbank_loop(n_mels, n_fft, sr, fmin, fmax),
+    )
+
+
+def test_mel_filterbank_beyond_top_bin():
+    # the loop indexed past the last bin; the broadcast version says why
+    with pytest.raises(IndexError):
+        mel_filterbank_loop(26, 512, 16000, 0.0, 8050.0)
+    with pytest.raises(ValueError, match="top bin"):
+        mel_filterbank(26, 512, 16000, 0.0, 8050.0)
+
+
+@given(
+    n_mels=st.integers(1, 60),
+    n_fft=st.integers(8, 1100),
+    fmin=st.floats(0.0, 3000.0),
+    span=st.floats(10.0, 6000.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_mel_filterbank_matches_loop_property(n_mels, n_fft, fmin, span):
+    fmax = min(fmin + span, 8000.0)
+    assert np.array_equal(
+        mel_filterbank(n_mels, n_fft, SR, fmin, fmax),
+        mel_filterbank_loop(n_mels, n_fft, SR, fmin, fmax),
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1400, 6000),
+    kind=st.sampled_from(["noise", "harmonic", "sparse"]),
+    unvoiced_share=st.floats(0.0, 1.0),
+    f0_lo=st.floats(15.0, 400.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_kernels_match_loop_property(seed, n, kind, unvoiced_share, f0_lo):
+    r = np.random.default_rng(seed)
+    if kind == "noise":
+        x = r.uniform(-1, 1, n)
+    elif kind == "harmonic":
+        t = np.arange(n) / SR
+        x = 0.4 * np.sin(2 * np.pi * r.uniform(70, 450) * t) + 0.05 * r.normal(size=n)
+    else:  # mostly exact zeros: zero-energy and all-zero-band frames
+        x = np.where(r.uniform(size=n) < 0.02, r.uniform(-1, 1, n), 0.0)
+        x[: n // 2] = 0.0
+    buf = AudioBuffer(np.clip(x, -1, 1), SR)
+    tracked = estimate_f0(buf)
+    assert np.array_equal(tracked.values, estimate_f0_loop(buf))
+    _assert_kernels_match(buf, tracked)
+
+    # hand-built contour on the same framing, F0 down to below notch_hw
+    vals = r.uniform(f0_lo, f0_lo * 1.5, len(tracked))
+    vals[r.uniform(size=len(vals)) < unvoiced_share] = 0.0
+    _assert_kernels_match(buf, F0Contour(vals, hop=0.005, floor=75.0, ceil=500.0))
