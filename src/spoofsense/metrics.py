@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, IllPosedCostModel, ParseError
+from .errors import DegenerateLabels, IllPosedCostModel
+from .tsv import isin, raise_first, read_columns
 
 POSITIVE_LABELS = frozenset(("target", "bonafide"))
 NEGATIVE_LABELS = frozenset(("nontarget", "spoof"))
@@ -140,32 +141,64 @@ class GroupReport:
     min_tdcf: float = None
 
 
+@dataclass(frozen=True)
+class ScoreTable:
+    """A parsed score file as columns, one entry per row in file order.
+
+    Iterating yields the rows as (trial_id, group, is_positive, score).
+    """
+
+    trial_ids: list
+    groups: list
+    positive: np.ndarray  # bool
+    scores: np.ndarray  # float64
+
+    def __len__(self):
+        return len(self.scores)
+
+    def __iter__(self):
+        return zip(self.trial_ids, self.groups, self.positive.tolist(), self.scores.tolist())
+
+
+def _parse_floats(texts):
+    """float() of each text as float64, and a mask of the texts it rejects."""
+    try:
+        return np.fromiter(map(float, texts), np.float64, len(texts)), np.zeros(len(texts), bool)
+    except ValueError:
+        pass
+    values, rejected = np.full(len(texts), np.nan), np.zeros(len(texts), bool)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = float(text)
+        except ValueError:
+            rejected[i] = True
+    return values, rejected
+
+
 def parse_scorefile(path):
-    """Rows of (trial_id, group, is_positive, score); group '-' = ungrouped."""
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError("expected 4 tab-separated fields", line=lineno)
-            trial_id, group, label, score_text = parts
-            if label in POSITIVE_LABELS:
-                is_pos = True
-            elif label in NEGATIVE_LABELS:
-                is_pos = False
-            else:
-                raise ParseError("unknown label %r" % label, line=lineno)
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ParseError("bad score %r" % score_text, line=lineno) from None
-            if not np.isfinite(score):
-                raise ParseError("non-finite score", line=lineno)
-            rows.append((trial_id, group, is_pos, score))
-    return rows
+    """ScoreTable of a trial_id<TAB>group<TAB>label<TAB>score file.
+
+    Group '-' marks ungrouped rows; 'ALL' is reserved for the pooled report
+    row.  A faulty line raises ParseError for the first such line, checked
+    in the order field count, label, score, finiteness, group name.
+    """
+    ids, groups, positive, scores = [], [], [np.zeros(0, bool)], [np.zeros(0)]
+    for linenos, (trial_id, group, label, score_text) in read_columns(
+        path, 4, "expected 4 tab-separated fields"
+    ):
+        pos = isin(label, POSITIVE_LABELS)
+        values, rejected = _parse_floats(score_text)
+        raise_first(linenos, [
+            (~(pos | isin(label, NEGATIVE_LABELS)), lambda i: "unknown label %r" % label[i]),
+            (rejected, lambda i: "bad score %r" % score_text[i]),
+            (~np.isfinite(values), lambda i: "non-finite score"),
+            (isin(group, {"ALL"}), lambda i: "group name 'ALL' is reserved for the pooled row"),
+        ])
+        ids += trial_id
+        groups += group
+        positive.append(pos)
+        scores.append(values)
+    return ScoreTable(ids, groups, np.concatenate(positive), np.concatenate(scores))
 
 
 def evaluate_scorefile(path, mode="eer", cost=None, method="midpoint"):
@@ -173,21 +206,25 @@ def evaluate_scorefile(path, mode="eer", cost=None, method="midpoint"):
 
     Ungrouped rows (group '-') are shared into every named group, mirroring
     protocols where one bonafide set is reused against each attack; the ALL
-    row pools everything.
+    row pools everything.  A group's trials are its own rows, then the
+    shared ones, each in file order.
     """
     if mode not in ("eer", "tdcf"):
         raise ValueError("mode must be 'eer' or 'tdcf'")
     if mode == "tdcf" and cost is None:
         raise ValueError("tdcf mode needs a CostModel")
-    rows = parse_scorefile(path)
-    named = sorted({g for _, g, _, _ in rows if g != "-"})
-    shared = [r for r in rows if r[1] == "-"]
+    table = parse_scorefile(path)
+    code = {g: k for k, g in enumerate(sorted(set(table.groups) | {"-"}))}
+    codes = np.fromiter(map(code.__getitem__, table.groups), np.intp, len(table))
+    shared = np.flatnonzero(codes == code.pop("-"))
     reports = []
-    for group in named + ["ALL"]:
-        members = rows if group == "ALL" else [r for r in rows if r[1] == group] + shared
-        labels = np.array([r[2] for r in members], dtype=bool)
-        scores = np.array([r[3] for r in members], dtype=np.float64)
-        s = ScoreSet(scores=scores, labels=labels)
+    for group in list(code) + ["ALL"]:
+        if group == "ALL":
+            members = slice(None)
+        else:
+            members = np.concatenate([np.flatnonzero(codes == code[group]), shared])
+        labels = table.positive[members]
+        s = ScoreSet(scores=table.scores[members], labels=labels)
         e = eer(s, method=method)
         td = min_tdcf(s, cost).min_tdcf_norm if mode == "tdcf" else None
         reports.append(

@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     ZeroVector,
 )
+from .tsv import isin, raise_first, read_columns
 
 ROLES = frozenset(
     ("target-real", "impersonator-real", "impersonation", "bonafide", "spoof")
@@ -243,20 +244,12 @@ def save_trials(path, ts):
 
 def load_trials(path):
     pairs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError("expected 4 fields", line=lineno)
-            a, b, label, cat = parts
-            if label not in ("positive", "negative"):
-                raise ParseError("unknown label %r" % label, line=lineno)
-            if cat not in CATEGORIES:
-                raise ParseError("unknown category %r" % cat, line=lineno)
-            pairs.append(TrialPair(a, b, label=label, category=cat))
+    for linenos, (a, b, label, cat) in read_columns(path, 4, "expected 4 fields"):
+        raise_first(linenos, [
+            (~isin(label, ("positive", "negative")), lambda i: "unknown label %r" % label[i]),
+            (~isin(cat, CATEGORIES), lambda i: "unknown category %r" % cat[i]),
+        ])
+        pairs += map(TrialPair, a, b, label, cat)
     return TrialSet(pairs=pairs)
 
 
@@ -306,9 +299,22 @@ def save_embeddings(path, emb):
             fh.write("%s\t%s\n" % (utt, " ".join("%.12g" % v for v in emb.vectors[utt])))
 
 
+def _rescaled(v):
+    """v as float64, scaled by a power of two so that its largest |element| is in [0.5, 1).
+
+    The scaling is exact and cancels in a cosine, so normal-range vectors score
+    bit for bit as unscaled; it keeps the squared norm of a tiny vector (say
+    [0, 1.5e-161]) from underflowing into subnormals and losing precision.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        return v
+    return np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
+
+
 def cosine_score(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = _rescaled(a)
+    b = _rescaled(b)
     if a.shape != b.shape:
         raise DimMismatch("vectors of dim %d vs %d" % (a.size, b.size))
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
@@ -325,40 +331,95 @@ class ScoredTrial:
     score: float
 
 
+@dataclass(frozen=True)
+class ScoredTrials:
+    """Scored trials as columns, in trial order; iterating yields ScoredTrial."""
+
+    trial_ids: list
+    groups: list
+    labels: list
+    scores: np.ndarray  # float64
+
+    def __len__(self):
+        return len(self.scores)
+
+    def __iter__(self):
+        return map(ScoredTrial, self.trial_ids, self.groups, self.labels, self.scores.tolist())
+
+
+CHUNK_PAIRS = 4096  # pairs per stacked matmul: bounds the gathered (pairs x dim) copies
+
+
+def _cosines(vectors, norms, ia, ib):
+    """cosine_score of vectors[ia[k]] and vectors[ib[k]] for every k.
+
+    The dot products come from one stacked (1 x d) @ (d x 1) matmul per
+    chunk of pairs, which numpy computes with the dot kernel np.dot uses,
+    so every score equals cosine_score's bit for bit (tests hold the two
+    equal).  np.einsum sums in another order and is not exact.
+    """
+    out = np.empty(len(ia))
+    for start in range(0, len(ia), CHUNK_PAIRS):
+        i, j = ia[start:start + CHUNK_PAIRS], ib[start:start + CHUNK_PAIRS]
+        dots = np.matmul(vectors[i][:, None, :], vectors[j][:, :, None])[:, 0, 0]
+        out[start:start + CHUNK_PAIRS] = np.clip(dots / (norms[i] * norms[j]), -1.0, 1.0)
+    return out
+
+
 def score_trials(ts, emb):
-    """One cosine score per pair.
+    """ScoredTrials: one cosine score per pair.
 
     Negative categories keep their category as the score-file group;
     positive pairs get the shared group '-' so that every attack
     category is evaluated against the common pool of genuine pairs.
+    Embedding vectors are 1-D; the first pair with a missing embedding,
+    vectors of different dims or a zero vector raises.
     """
-    out = []
-    for p in ts.pairs:
-        for utt in (p.utt_a, p.utt_b):
+    pairs = ts.pairs
+    utt_a = [p.utt_a for p in pairs]
+    utt_b = [p.utt_b for p in pairs]
+    names = list(dict.fromkeys(utt_a + utt_b))
+    row = dict(zip(names, itertools.count()))
+    ia = np.fromiter(map(row.__getitem__, utt_a), np.intp, len(pairs))
+    ib = np.fromiter(map(row.__getitem__, utt_b), np.intp, len(pairs))
+
+    # a missing embedding reads as an empty vector, so its pairs count as faulty
+    vectors = [_rescaled(emb.vectors.get(u, ())) for u in names]
+    norms = np.array([np.linalg.norm(v) for v in vectors])
+    ids_of_shape = {}
+    shape_id = np.array(
+        [ids_of_shape.setdefault(v.shape, len(ids_of_shape)) for v in vectors], dtype=np.intp
+    )
+    faulty = np.flatnonzero(
+        (shape_id[ia] != shape_id[ib]) | (norms[ia] == 0.0) | (norms[ib] == 0.0)
+    )
+    if faulty.size:
+        k = faulty[0]
+        for utt in (utt_a[k], utt_b[k]):
             if utt not in emb.vectors:
                 raise MissingEmbedding(utt)
-        positive = p.label == "positive"
-        out.append(
-            ScoredTrial(
-                trial_id="%s:%s" % (p.utt_a, p.utt_b),
-                group="-" if positive else p.category,
-                label="target" if positive else "nontarget",
-                score=cosine_score(emb.vectors[p.utt_a], emb.vectors[p.utt_b]),
-            )
+        cosine_score(vectors[ia[k]], vectors[ib[k]])  # raises DimMismatch or ZeroVector
+
+    scores = np.empty(len(pairs))
+    for sid in np.unique(shape_id):  # one vector shape unless emb mixes dims
+        own = shape_id == sid
+        local = np.cumsum(own) - 1  # utterance -> row of this shape's matrix
+        sel = np.flatnonzero(own[ia])
+        scores[sel] = _cosines(
+            np.stack(list(itertools.compress(vectors, own))),
+            norms[own], local[ia[sel]], local[ib[sel]],
         )
-    return out
 
-
-def to_scoreset(scored):
-    from .metrics import ScoreSet
-
-    return ScoreSet(
-        scores=np.array([t.score for t in scored], dtype=np.float64),
-        labels=np.array([t.label == "target" for t in scored], dtype=bool),
+    positive = [p.label == "positive" for p in pairs]
+    return ScoredTrials(
+        trial_ids=list(map("%s:%s".__mod__, zip(utt_a, utt_b))),
+        groups=["-" if pos else p.category for p, pos in zip(pairs, positive)],
+        labels=["target" if pos else "nontarget" for pos in positive],
+        scores=scores,
     )
 
 
 def write_scorefile(path, scored):
+    rows = zip(scored.trial_ids, scored.groups, scored.labels, scored.scores.tolist())
     with open(path, "w") as fh:
-        for t in scored:
-            fh.write("%s\t%s\t%s\t%.12g\n" % (t.trial_id, t.group, t.label, t.score))
+        fh.writelines(map("%s\t%s\t%s\t%.12g\n".__mod__, rows))

@@ -1,0 +1,520 @@
+"""Exact parity of the columnar score-file and trial code with its row loops.
+
+The loop versions below are the original parse_scorefile,
+evaluate_scorefile, load_trials, score_trials and write_scorefile, kept
+verbatim (apart from their names) as oracles.  The columnar code must give
+equal rows, GroupReports compared with ==, byte-equal score, trial and
+report files, and on a faulty input the same exception class, message and
+line.
+"""
+
+import io
+import itertools
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spoofsense.errors import DimMismatch, MissingEmbedding, ParseError, ZeroVector
+from spoofsense.metrics import (
+    NEGATIVE_LABELS,
+    POSITIVE_LABELS,
+    CostModel,
+    GroupReport,
+    ScoreSet,
+    eer,
+    evaluate_scorefile,
+    min_tdcf,
+    parse_scorefile,
+    write_report,
+)
+from spoofsense.trials import (
+    CATEGORIES,
+    CHUNK_PAIRS,
+    Embeddings,
+    ScoredTrial,
+    TrialPair,
+    TrialSet,
+    cosine_score,
+    load_trials,
+    save_trials,
+    score_trials,
+    write_scorefile,
+)
+from spoofsense.tsv import BLOCK_LINES
+
+COST = CostModel(
+    p_target=0.9405,
+    p_nontarget=0.0095,
+    p_spoof=0.05,
+    c_miss_asv=1.0,
+    c_fa_asv=10.0,
+    c_miss_cm=1.0,
+    c_fa_cm=10.0,
+    p_miss_asv=0.05,
+    p_fa_asv=0.01,
+    p_miss_spoof_asv=0.45,
+)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def parse_scorefile_loop(path):
+    """Rows of (trial_id, group, is_positive, score); group '-' = ungrouped."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise ParseError("expected 4 tab-separated fields", line=lineno)
+            trial_id, group, label, score_text = parts
+            if label in POSITIVE_LABELS:
+                is_pos = True
+            elif label in NEGATIVE_LABELS:
+                is_pos = False
+            else:
+                raise ParseError("unknown label %r" % label, line=lineno)
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise ParseError("bad score %r" % score_text, line=lineno) from None
+            if not np.isfinite(score):
+                raise ParseError("non-finite score", line=lineno)
+            rows.append((trial_id, group, is_pos, score))
+    return rows
+
+
+def evaluate_scorefile_loop(path, mode="eer", cost=None, method="midpoint"):
+    """Per-group and pooled metrics.
+
+    Ungrouped rows (group '-') are shared into every named group, mirroring
+    protocols where one bonafide set is reused against each attack; the ALL
+    row pools everything.
+    """
+    if mode not in ("eer", "tdcf"):
+        raise ValueError("mode must be 'eer' or 'tdcf'")
+    if mode == "tdcf" and cost is None:
+        raise ValueError("tdcf mode needs a CostModel")
+    rows = parse_scorefile_loop(path)
+    named = sorted({g for _, g, _, _ in rows if g != "-"})
+    shared = [r for r in rows if r[1] == "-"]
+    reports = []
+    for group in named + ["ALL"]:
+        members = rows if group == "ALL" else [r for r in rows if r[1] == group] + shared
+        labels = np.array([r[2] for r in members], dtype=bool)
+        scores = np.array([r[3] for r in members], dtype=np.float64)
+        s = ScoreSet(scores=scores, labels=labels)
+        e = eer(s, method=method)
+        td = min_tdcf(s, cost).min_tdcf_norm if mode == "tdcf" else None
+        reports.append(
+            GroupReport(
+                group=group,
+                n_pos=int(labels.sum()),
+                n_neg=int((~labels).sum()),
+                eer=e.eer,
+                threshold=e.threshold,
+                min_tdcf=td,
+            )
+        )
+    return reports
+
+
+def load_trials_loop(path):
+    pairs = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise ParseError("expected 4 fields", line=lineno)
+            a, b, label, cat = parts
+            if label not in ("positive", "negative"):
+                raise ParseError("unknown label %r" % label, line=lineno)
+            if cat not in CATEGORIES:
+                raise ParseError("unknown category %r" % cat, line=lineno)
+            pairs.append(TrialPair(a, b, label=label, category=cat))
+    return TrialSet(pairs=pairs)
+
+
+def score_trials_loop(ts, emb):
+    """One cosine score per pair.
+
+    Negative categories keep their category as the score-file group;
+    positive pairs get the shared group '-' so that every attack
+    category is evaluated against the common pool of genuine pairs.
+    """
+    out = []
+    for p in ts.pairs:
+        for utt in (p.utt_a, p.utt_b):
+            if utt not in emb.vectors:
+                raise MissingEmbedding(utt)
+        positive = p.label == "positive"
+        out.append(
+            ScoredTrial(
+                trial_id="%s:%s" % (p.utt_a, p.utt_b),
+                group="-" if positive else p.category,
+                label="target" if positive else "nontarget",
+                score=cosine_score(emb.vectors[p.utt_a], emb.vectors[p.utt_b]),
+            )
+        )
+    return out
+
+
+def write_scorefile_loop(path, scored):
+    with open(path, "w") as fh:
+        for t in scored:
+            fh.write("%s\t%s\t%s\t%.12g\n" % (t.trial_id, t.group, t.label, t.score))
+
+
+# ---------------------------------------------------------------- helpers
+
+
+def outcome(fn, *args, **kwargs):
+    """("ok", result) or ("raised", class, message, line) of one call."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except Exception as e:  # parity covers every exception, not one class
+        return ("raised", type(e), str(e), getattr(e, "line", None))
+
+
+def exact(rows):
+    """Score-file rows with floats as hex, so -0.0 and 0.0 differ."""
+    return [(t, g, p, s.hex()) for t, g, p, s in rows]
+
+
+def report_bytes(reports):
+    fh = io.StringIO()
+    write_report(reports, fh)
+    return fh.getvalue()
+
+
+def write_text(path, lines, newline="\n", trailing=True):
+    """Write lines joined by newline verbatim (no newline translation)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(newline.join(lines) + (newline if trailing else ""))
+
+
+def assert_same_outcome(new, old):
+    if old[0] == "raised":
+        assert new == old
+    else:
+        assert new[0] == "ok"
+
+
+def check_scorefile(path):
+    """The columnar parse and evaluation against the loops on one file."""
+    old = outcome(parse_scorefile_loop, path)
+    new = outcome(parse_scorefile, path)
+    assert_same_outcome(new, old)
+    if old[0] == "ok":
+        assert exact(new[1]) == exact(old[1])
+        assert len(new[1]) == len(old[1])
+    for kwargs in ({}, {"method": "interp"}, {"mode": "tdcf", "cost": COST}):
+        old = outcome(evaluate_scorefile_loop, path, **kwargs)
+        new = outcome(evaluate_scorefile, path, **kwargs)
+        assert_same_outcome(new, old)
+        if old[0] == "ok":
+            assert new[1] == old[1]
+            assert report_bytes(new[1]) == report_bytes(old[1])
+
+
+def check_trials(path, tmpdir):
+    old = outcome(load_trials_loop, path)
+    new = outcome(load_trials, path)
+    assert_same_outcome(new, old)
+    if old[0] == "ok":
+        assert new[1].pairs == old[1].pairs
+        save_trials(os.path.join(tmpdir, "old.tsv"), old[1])
+        save_trials(os.path.join(tmpdir, "new.tsv"), new[1])
+        assert read_bytes(tmpdir, "new.tsv") == read_bytes(tmpdir, "old.tsv")
+
+
+def check_scoring(ts, emb, tmpdir):
+    old = outcome(score_trials_loop, ts, emb)
+    new = outcome(score_trials, ts, emb)
+    assert_same_outcome(new, old)
+    if old[0] == "ok":
+        assert len(new[1]) == len(old[1])
+        assert list(new[1]) == old[1]
+        write_scorefile_loop(os.path.join(tmpdir, "old.scores"), old[1])
+        write_scorefile(os.path.join(tmpdir, "new.scores"), new[1])
+        assert read_bytes(tmpdir, "new.scores") == read_bytes(tmpdir, "old.scores")
+    return new
+
+
+def read_bytes(tmpdir, name):
+    with open(os.path.join(tmpdir, name), "rb") as fh:
+        return fh.read()
+
+
+# ---------------------------------------------------------------- score files
+
+# ties, signed zeros and values the sweep must order exactly
+TIED = [-1.5, -0.0, 0.0, 0.25, 1.0, 2.0]
+LABELS = ["target", "bonafide", "nontarget", "spoof"]
+FORMATS = [repr, "%.6f".__mod__, "%g".__mod__, "%.3e".__mod__, " {} ".format]
+BLANKS = ["", " ", "\t", "  \t "]
+
+score_value = st.one_of(
+    st.sampled_from(TIED), st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+)
+score_row = st.tuples(
+    st.sampled_from(["-", "A01", "A02", " B "]),
+    st.sampled_from(LABELS),
+    score_value,
+    st.sampled_from(FORMATS),
+)
+
+
+def score_lines(rows, blanks):
+    """trial_id<TAB>group<TAB>label<TAB>score lines with blank lines spliced in."""
+    lines = ["t%d\t%s\t%s\t%s" % (i, g, lab, fmt(v)) for i, (g, lab, v, fmt) in enumerate(rows)]
+    for pos, blank in sorted(blanks, reverse=True):
+        lines.insert(min(pos, len(lines)), blank)
+    return lines
+
+
+@given(
+    rows=st.lists(score_row, max_size=30),
+    blanks=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(BLANKS)), max_size=4),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    trailing=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_scorefile_matches_loops(rows, blanks, newline, trailing):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "s.tsv")
+        write_text(path, score_lines(rows, blanks), newline, trailing)
+        check_scorefile(path)
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        ["-"],  # only the shared pool: the report is the ALL row alone
+        ["A01"],  # one named group, no shared pool
+        ["-", "A01"],  # one named group with a shared pool
+        ["-", "A01", "A02", "B"],
+    ],
+)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_scorefile_shapes_match_loops(tmp_path, groups, newline):
+    rng = np.random.default_rng(len(groups))
+    rows = [
+        (groups[i % len(groups)], LABELS[i // len(groups) % 4], TIED[rng.integers(len(TIED))], repr)
+        for i in range(40)
+    ]
+    blanks = [(0, ""), (7, "   "), (20, "\t"), (40, "")]
+    path = tmp_path / "s.tsv"
+    write_text(path, score_lines(rows, blanks), newline)
+    check_scorefile(path)
+    assert [r.group for r in evaluate_scorefile(path)] == sorted(set(groups) - {"-"}) + ["ALL"]
+
+
+# a faulty line of each kind, as the loop checks them: field count, label,
+# score text, finiteness
+SCORE_FAULTS = {
+    "fields": "bad\tA01\ttarget",
+    "label": "bad\tA01\tbogus\t1.0",
+    "score": "bad\tA01\tspoof\tone",
+    "nonfinite": "bad\tA01\tspoof\t1e999",
+}
+
+
+def faulty_file(good, faults, n=12):
+    """n lines, every 50th blank, with faults {position: line} inserted after blank lines."""
+    lines = [" " if i % 50 == 49 else good(i) for i in range(n)]
+    for pos in sorted(faults, reverse=True):
+        lines[pos:pos] = ["", "  ", faults[pos]]
+    return lines
+
+
+def good_score_line(i):
+    return "t%d\t%s\t%s\t%g" % (i, "-" if i % 3 == 0 else "A01", LABELS[i % 4], i * 0.5 - 2)
+
+
+@pytest.mark.parametrize("kind", sorted(SCORE_FAULTS))
+@pytest.mark.parametrize("pos", [0, 6, 12, BLOCK_LINES + 5])
+def test_scorefile_fault_parity(tmp_path, kind, pos):
+    path = tmp_path / "s.tsv"
+    lines = faulty_file(good_score_line, {pos: SCORE_FAULTS[kind]}, n=max(12, pos))
+    write_text(path, lines)
+    check_scorefile(path)
+    with pytest.raises(ParseError) as e:
+        parse_scorefile(path)
+    assert e.value.line == lines.index(SCORE_FAULTS[kind]) + 1
+
+
+@pytest.mark.parametrize(
+    "first,second", list(itertools.permutations(sorted(SCORE_FAULTS), 2))
+)
+def test_scorefile_two_faults_parity(tmp_path, first, second):
+    path = tmp_path / "s.tsv"
+    write_text(path, faulty_file(good_score_line, {3: SCORE_FAULTS[first], 8: SCORE_FAULTS[second]}))
+    check_scorefile(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "bad\tA01\tbogus\tone",  # label before score text
+        "bad\tA01\tbogus\tinf",  # label before finiteness
+        "bad\tA01\tspoof\tnan\textra",  # field count first
+    ],
+)
+def test_scorefile_faults_on_one_line_parity(tmp_path, line):
+    path = tmp_path / "s.tsv"
+    write_text(path, faulty_file(good_score_line, {5: line}))
+    check_scorefile(path)
+
+
+@given(
+    rows=st.lists(score_row, min_size=1, max_size=20),
+    fault=st.sampled_from(sorted(SCORE_FAULTS)),
+    at=st.integers(0, 20),
+)
+@settings(max_examples=25, deadline=None)
+def test_scorefile_random_fault_parity(rows, fault, at):
+    lines = score_lines(rows, [])
+    lines.insert(min(at, len(lines)), SCORE_FAULTS[fault])
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "s.tsv")
+        write_text(path, lines)
+        check_scorefile(path)
+
+
+# ---------------------------------------------------------------- trial lists
+
+TRIAL_FAULTS = {
+    "fields": "a\tb\tpositive",
+    "label": "a\tb\tsame\tR",
+    "category": "a\tb\tnegative\tXYZ",
+}
+
+
+def good_trial_line(i):
+    cat = CATEGORIES[i % len(CATEGORIES)]
+    return "u%d\tu%d\t%s\t%s" % (i, i + 1, "positive" if cat in ("R", "IAB") else "negative", cat)
+
+
+@given(
+    n=st.integers(0, 25),
+    blanks=st.lists(st.tuples(st.integers(0, 25), st.sampled_from(BLANKS)), max_size=4),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    fault=st.one_of(st.none(), st.tuples(st.integers(0, 25), st.sampled_from(sorted(TRIAL_FAULTS)))),
+)
+@settings(max_examples=30, deadline=None)
+def test_trials_match_loop(n, blanks, newline, fault):
+    lines = [good_trial_line(i) for i in range(n)]
+    if fault is not None:
+        lines.insert(min(fault[0], len(lines)), TRIAL_FAULTS[fault[1]])
+    for pos, blank in sorted(blanks, reverse=True):
+        lines.insert(min(pos, len(lines)), blank)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.tsv")
+        write_text(path, lines, newline)
+        check_trials(path, d)
+
+
+@pytest.mark.parametrize("kind", sorted(TRIAL_FAULTS))
+@pytest.mark.parametrize("pos", [0, 6, 12, BLOCK_LINES + 5])
+def test_trials_fault_parity(tmp_path, kind, pos):
+    path = tmp_path / "t.tsv"
+    lines = faulty_file(good_trial_line, {pos: TRIAL_FAULTS[kind]}, n=max(12, pos))
+    write_text(path, lines)
+    check_trials(path, tmp_path)
+    with pytest.raises(ParseError) as e:
+        load_trials(path)
+    assert e.value.line == lines.index(TRIAL_FAULTS[kind]) + 1
+
+
+# ---------------------------------------------------------------- scoring
+
+
+def all_pairs(utts, seed):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for a, b in itertools.combinations(sorted(utts), 2):
+        cat = CATEGORIES[rng.integers(len(CATEGORIES))]
+        pairs.append(TrialPair(a, b, "positive" if cat in ("R", "IAB") else "negative", cat))
+    return TrialSet(pairs=pairs)
+
+
+@given(
+    dim=st.integers(1, 70),
+    n=st.integers(2, 9),
+    seed=st.integers(0, 2**16),
+    coarse=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_scoring_matches_loop(dim, n, seed, coarse):
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+    if coarse:  # repeated vectors and small integers: ties and exact +-1 cosines
+        vecs = np.round(vecs[rng.integers(0, n, n)])
+    emb = Embeddings(dim=dim, vectors={"u%d" % i: v.copy() for i, v in enumerate(vecs)})
+    with tempfile.TemporaryDirectory() as d:
+        check_scoring(all_pairs(emb.vectors, seed), emb, d)
+
+
+def test_scoring_past_one_chunk_with_mixed_dims(tmp_path):
+    """Two vector lengths (each pair within one) and more pairs than a chunk."""
+    rng = np.random.default_rng(3)
+    vectors = {"a%03d" % i: rng.normal(size=64) for i in range(100)}
+    vectors.update({"b%02d" % i: rng.normal(size=7) for i in range(30)})
+    pairs = all_pairs([u for u in vectors if u[0] == "a"], 1).pairs
+    pairs += all_pairs([u for u in vectors if u[0] == "b"], 2).pairs
+    ts = TrialSet(pairs=sorted(pairs, key=lambda p: (p.utt_a, p.utt_b)))
+    assert len(ts) > CHUNK_PAIRS
+    new = check_scoring(ts, Embeddings(dim=64, vectors=vectors), tmp_path)
+    assert new[0] == "ok"
+
+
+SCORING_FAULTS = {
+    "missing": ("m0", "zz"),  # zz has no embedding
+    "dim": ("d0", "d1"),  # 3 vs 4 values
+    "zero": ("z0", "z1"),  # z1 is all zeros
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(sorted(SCORING_FAULTS))))
+def test_scoring_first_fault_fires(tmp_path, order):
+    vectors = {
+        "m0": np.array([1.0, 2.0, 3.0]),
+        "d0": np.array([1.0, 0.0, 0.0]),
+        "d1": np.array([1.0, 0.0, 0.0, 1.0]),
+        "z0": np.array([0.0, 1.0, 0.0]),
+        "z1": np.zeros(3),
+        "g0": np.array([1.0, 1.0, 0.0]),
+        "g1": np.array([0.0, 1.0, 1.0]),
+    }
+    pairs = [TrialPair("g0", "g1", "positive", "R")]
+    for kind in order:
+        pairs += [TrialPair(*SCORING_FAULTS[kind], "negative", "RI"), pairs[0]]
+    new = check_scoring(TrialSet(pairs=pairs), Embeddings(dim=3, vectors=vectors), tmp_path)
+    want = {"missing": MissingEmbedding, "dim": DimMismatch, "zero": ZeroVector}[order[0]]
+    assert new[:2] == ("raised", want)
+
+
+@pytest.mark.parametrize(
+    "a,b,want",
+    [
+        ("zz", "z1", MissingEmbedding),  # missing before a zero vector
+        ("z1", "zz", MissingEmbedding),  # on either side of the pair
+        ("z1", "d1", DimMismatch),  # dims before a zero vector
+        ("d1", "z1", DimMismatch),
+    ],
+)
+def test_scoring_faults_in_one_pair(tmp_path, a, b, want):
+    vectors = {"z1": np.zeros(3), "d1": np.ones(4)}
+    ts = TrialSet(pairs=[TrialPair(a, b, "negative", "TI")])
+    new = check_scoring(ts, Embeddings(dim=3, vectors=vectors), tmp_path)
+    assert new[:2] == ("raised", want)

@@ -205,6 +205,18 @@ def test_parse_scorefile_errors(tmp_path):
         parse_scorefile(p)
 
 
+def test_group_named_all_is_rejected(tmp_path):
+    """ALL names the pooled report row, so a score-file group may not use it."""
+    p = tmp_path / "s.tsv"
+    p.write_text("t1\tA\ttarget\t1.0\n\nt2\tALL\tspoof\t0.5\nt3\tA\tspoof\t0.2\n")
+    with pytest.raises(ParseError) as e:
+        parse_scorefile(p)
+    assert e.value.line == 3
+    with pytest.raises(ParseError) as e:
+        evaluate_scorefile(p)
+    assert e.value.line == 3
+
+
 def test_evaluate_groups_and_pooling(tmp_path):
     p = tmp_path / "s.tsv"
     lines = ["p%d\t-\tbonafide\t%g" % (i, 1 + 0.1 * i) for i in range(4)]

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import write_manifest
 from spoofsense.errors import (
@@ -195,6 +195,7 @@ def test_cosine_examples():
     alpha=st.floats(0.001, 1000),
     beta=st.floats(0.001, 1000),
 )
+@example(a=[0.0, 1.5181935082953402e-161], alpha=0.5, beta=1.0)  # squared norm underflows
 @settings(max_examples=60, deadline=None)
 def test_cosine_scale_invariance(a, alpha, beta):
     a = np.array(a)
