@@ -14,25 +14,16 @@ import numpy as np
 
 from .audio import read_wav, resample
 from .config import load_config
-from .entropy import pse_report, utterance_pse
+from .entropy import pse_report
 from .errors import (
     EmptyDataset,
     InputTooShort,
     MissingFeatureFile,
     SpoofsenseError,
 )
-from .f0 import estimate_f0
 from .metrics import evaluate_scorefile, write_report
 from .mlp import init_model, load_model, save_model, score, train
-from .perturbation import utterance_perturbation
-from .spectral import (
-    FeatureMatrix,
-    KIND_DIMS,
-    band_aperiodicity,
-    mfcc,
-    spectral_envelope,
-    stft_spectrogram,
-)
+from .spectral import KINDS
 from .store import read_feature, write_feature
 from .trials import (
     build_all_pairs,
@@ -45,10 +36,6 @@ from .trials import (
     score_trials,
     write_scorefile,
 )
-
-FEATURES = ("stft", "mfcc", "sp", "ap", "f0", "jitter-shimmer", "pse")
-# single row per utterance; everything else is frame-level and mean-pooled
-UTTERANCE_LEVEL = ("jitter-shimmer", "pse")
 
 CLASS_OF_ROLE = {
     "bonafide": 0,
@@ -64,33 +51,6 @@ def _load_audio(row, cfg):
     return resample(read_wav(row.path), cfg.sample_rate)
 
 
-def compute_feature(buf, feature, cfg):
-    if feature == "stft":
-        return stft_spectrogram(buf, cfg.stft())
-    if feature == "mfcc":
-        return mfcc(buf, cfg.mfcc())
-    if feature == "f0":
-        contour = estimate_f0(buf, cfg.f0())
-        return FeatureMatrix(
-            kind="f0", data=contour.values[:, None], hop=contour.hop
-        )
-    if feature == "sp":
-        return spectral_envelope(buf, estimate_f0(buf, cfg.f0()), cfg.envelope())
-    if feature == "ap":
-        return band_aperiodicity(buf, estimate_f0(buf, cfg.f0()), cfg.ap())
-    if feature == "jitter-shimmer":
-        p = utterance_perturbation(buf, cfg.f0())
-        return FeatureMatrix(
-            kind="jitter-shimmer",
-            data=np.array([[p.jitter_local, p.shimmer_local]]),
-            hop=0.0,
-        )
-    if feature == "pse":
-        v = utterance_pse(buf, cfg.f0())
-        return FeatureMatrix(kind="pse", data=np.array([[v]]), hop=0.0)
-    raise ValueError("unknown feature %r" % feature)
-
-
 def _feature_path(out_dir, utt_id, feature):
     return os.path.join(out_dir, "%s.%s.ssft" % (utt_id, feature))
 
@@ -98,7 +58,7 @@ def _feature_path(out_dir, utt_id, feature):
 def _extract_one(row, feature, cfg, out_dir):
     """Worker for one utterance; returns (utt_id, error message or None)."""
     try:
-        m = compute_feature(_load_audio(row, cfg), feature, cfg)
+        m = KINDS[feature].compute(_load_audio(row, cfg), cfg)
         write_feature(_feature_path(out_dir, row.utt_id, feature), m)
         return row.utt_id, None
     except (SpoofsenseError, OSError, ValueError) as e:
@@ -135,7 +95,7 @@ def cmd_extract(args, parser):
     return 0
 
 
-def cmd_pairs(args):
+def cmd_pairs(args, parser):
     manifest = load_manifest(args.manifest)
     if args.category == "all":
         ts = build_all_pairs(manifest)
@@ -158,7 +118,7 @@ def _pooled_vector(utt_id, kinds, feature_dir):
         m = read_feature(path)
         if m.num_frames == 0:
             raise InputTooShort("0-frame feature file %s" % path)
-        parts.append(m.data[0] if kind in UTTERANCE_LEVEL else m.data.mean(axis=0))
+        parts.append(m.data[0] if KINDS[kind].utterance_level else m.data.mean(axis=0))
     return np.concatenate(parts)
 
 
@@ -167,8 +127,8 @@ def _parse_kinds(parser, spec_str):
     if not kinds:
         parser.error("--features must name at least one feature kind")
     for k in kinds:
-        if k not in FEATURES:
-            parser.error("unknown feature kind %r (choose from %s)" % (k, ", ".join(FEATURES)))
+        if k not in KINDS:
+            parser.error("unknown feature kind %r (choose from %s)" % (k, ", ".join(KINDS)))
     return kinds
 
 
@@ -221,7 +181,7 @@ def cmd_score_cm(args, parser):
     return 0
 
 
-def cmd_score_asv(args):
+def cmd_score_asv(args, parser):
     ts = load_trials(args.pairs)
     emb = load_embeddings(args.embeddings)
     scored = score_trials(ts, emb)
@@ -245,7 +205,7 @@ def cmd_eval(args, parser):
     return 0
 
 
-def cmd_pse_report(args):
+def cmd_pse_report(args, parser):
     cfg = load_config(args.config)
     manifest = load_manifest(args.manifest)
     summary = pse_report(
@@ -265,8 +225,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     ext = sub.add_parser("extract", help="extract one feature kind over a manifest")
+    ext.set_defaults(run=cmd_extract)
     ext.add_argument("--manifest", required=True)
-    ext.add_argument("--feature", required=True, choices=FEATURES)
+    ext.add_argument("--feature", required=True, choices=KINDS)
     ext.add_argument("--out-dir", required=True)
     ext.add_argument("--config", default=None)
     ext.add_argument("--jobs", type=int, default=1)
@@ -274,6 +235,7 @@ def build_parser():
                      help="log per-utterance failures but exit 0")
 
     pr = sub.add_parser("pairs", help="build speaker trial pairs from a manifest")
+    pr.set_defaults(run=cmd_pairs)
     pr.add_argument("--manifest", required=True)
     pr.add_argument("--category", required=True,
                     choices=("R", "RI", "IAB", "TI", "IRAB", "IRT", "all"))
@@ -282,6 +244,7 @@ def build_parser():
     pr.add_argument("--seed", type=int, default=0)
 
     tr = sub.add_parser("train-cm", help="train the countermeasure MLP")
+    tr.set_defaults(run=cmd_train_cm)
     tr.add_argument("--features", required=True,
                     help="comma-separated feature kinds, e.g. jitter-shimmer,pse")
     tr.add_argument("--manifest", required=True)
@@ -290,6 +253,7 @@ def build_parser():
     tr.add_argument("--config", default=None)
 
     sc = sub.add_parser("score-cm", help="score utterances with a trained model")
+    sc.set_defaults(run=cmd_score_cm)
     sc.add_argument("--model", required=True)
     sc.add_argument("--manifest", required=True)
     sc.add_argument("--features", required=True)
@@ -297,17 +261,20 @@ def build_parser():
     sc.add_argument("--out-scores", required=True)
 
     sa = sub.add_parser("score-asv", help="cosine-score trial pairs from embeddings")
+    sa.set_defaults(run=cmd_score_asv)
     sa.add_argument("--pairs", required=True)
     sa.add_argument("--embeddings", required=True)
     sa.add_argument("--out-scores", required=True)
 
     ev = sub.add_parser("eval", help="EER / min t-DCF report over a score file")
+    ev.set_defaults(run=cmd_eval)
     ev.add_argument("--scores", required=True)
     ev.add_argument("--metric", default="eer", choices=("eer", "tdcf"))
     ev.add_argument("--cost-config", default=None)
     ev.add_argument("--out", default=None)
 
     ps = sub.add_parser("pse-report", help="entropy distribution report")
+    ps.set_defaults(run=cmd_pse_report)
     ps.add_argument("--manifest", required=True)
     ps.add_argument("--out", required=True)
     ps.add_argument("--config", default=None)
@@ -322,27 +289,12 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command == "extract":
-            return cmd_extract(args, parser)
-        if args.command == "pairs":
-            return cmd_pairs(args)
-        if args.command == "train-cm":
-            return cmd_train_cm(args, parser)
-        if args.command == "score-cm":
-            return cmd_score_cm(args, parser)
-        if args.command == "score-asv":
-            return cmd_score_asv(args)
-        if args.command == "eval":
-            return cmd_eval(args, parser)
-        if args.command == "pse-report":
-            return cmd_pse_report(args)
-        parser.error("unknown command %r" % args.command)
+        return args.run(args, parser)
     except SystemExit as e:  # parser.error inside a command handler
         return int(e.code or 0)
     except (SpoofsenseError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

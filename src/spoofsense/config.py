@@ -7,7 +7,7 @@ when no --config is given.
 """
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .f0 import F0Config
@@ -30,37 +30,6 @@ COST_KEYS = (
     "p_fa_asv",
     "p_miss_spoof_asv",
 )
-
-_INT_KEYS = {
-    "sample_rate",
-    "n_fft",
-    "n_mels",
-    "n_ceps",
-    "delta_window",
-    "env_n_fft",
-    "ap_bands",
-    "ap_n_fft",
-    "hidden1",
-    "hidden2",
-    "epochs",
-    "batch_size",
-    "seed",
-}
-_FLOAT_KEYS = {
-    "f0_floor",
-    "f0_ceil",
-    "f0_hop",
-    "voicing_threshold",
-    "win_seconds",
-    "hop_seconds",
-    "fmin",
-    "fmax",
-    "env_voiced_fraction",
-    "env_unvoiced_quefrency",
-    "learning_rate",
-    "l2",
-} | set(COST_KEYS)
-_STR_KEYS = {"window", "activation"}
 
 
 @dataclass(frozen=True)
@@ -191,7 +160,8 @@ class RunConfig:
         return CostModel(**{k: getattr(self, k) for k in COST_KEYS})
 
 
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+# each value is parsed by its field's annotated type: int, float or str
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_text(text, source="<config>"):
@@ -204,17 +174,12 @@ def parse_config_text(text, source="<config>"):
             raise ConfigError("%s line %d: expected key = value" % (source, lineno))
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _TYPES:
             raise ConfigError("%s line %d: unknown key %r" % (source, lineno, key))
         if key in overrides:
             raise ConfigError("%s line %d: duplicate key %r" % (source, lineno, key))
         try:
-            if key in _INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                overrides[key] = float(value)
-            else:
-                overrides[key] = value
+            overrides[key] = _TYPES[key](value)
         except ValueError:
             raise ConfigError(
                 "%s line %d: bad value %r for %s" % (source, lineno, value, key)
@@ -239,10 +204,3 @@ def load_config(path=None):
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
     return parse_config_text(text, source=path)
-
-
-def with_overrides(cfg, **kwargs):
-    try:
-        return replace(cfg, **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None

@@ -126,6 +126,10 @@ class TruncatedPayload(SpoofsenseError):
     pass
 
 
+class CorruptPayload(SpoofsenseError):
+    """Well-framed file holding values no writer produces: NaN, inf, a negative hop."""
+
+
 class KindDimsMismatch(SpoofsenseError):
     pass
 

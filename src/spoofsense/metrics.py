@@ -7,6 +7,7 @@ all); every achievable operating point appears in that sweep.
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,19 @@ class ScoreSet:
         if not self.labels.any() or self.labels.all():
             raise DegenerateLabels("need at least one positive and one negative trial")
         return np.sort(self.scores[self.labels]), np.sort(self.scores[~self.labels])
+
+    @cached_property
+    def sweep(self):
+        """Thresholds (ascending, +inf last) with FAR/FRR at each; computed
+        once per score set, however many metrics read it."""
+        pos, neg = self.split()
+        thresholds = np.unique(self.scores)
+        thresholds = np.append(thresholds, np.inf)
+        far = (len(neg) - np.searchsorted(neg, thresholds, side="left")) / len(neg)
+        frr = np.searchsorted(pos, thresholds, side="left") / len(pos)
+        for a in (thresholds, far, frr):  # shared by every reader
+            a.flags.writeable = False
+        return thresholds, far, frr
 
 
 @dataclass(frozen=True)
@@ -71,16 +85,6 @@ class CostModel:
         return c1, c2
 
 
-def _sweep(s):
-    """Thresholds (ascending, +inf last) with FAR/FRR at each."""
-    pos, neg = s.split()
-    thresholds = np.unique(s.scores)
-    thresholds = np.append(thresholds, np.inf)
-    far = (len(neg) - np.searchsorted(neg, thresholds, side="left")) / len(neg)
-    frr = np.searchsorted(pos, thresholds, side="left") / len(pos)
-    return thresholds, far, frr
-
-
 @dataclass(frozen=True)
 class EerResult:
     eer: float
@@ -93,7 +97,7 @@ def eer(s, method="midpoint"):
     method="midpoint" reports (FAR+FRR)/2 there; "interp" linearly
     interpolates the crossing between the bracketing sweep points.
     """
-    t, far, frr = _sweep(s)
+    t, far, frr = s.sweep
     if method == "midpoint":
         i = int(np.argmin(np.abs(far - frr)))
         return EerResult(eer=float((far[i] + frr[i]) / 2.0), threshold=float(t[i]))
@@ -119,7 +123,7 @@ class TdcfResult:
 def min_tdcf(cm, cost):
     """Minimum of (C1 P_miss + C2 P_fa) / min(C1, C2) over all thresholds."""
     c1, c2 = cost.coefficients()
-    t, far, frr = _sweep(cm)  # far = spoof accepted, frr = bonafide rejected
+    t, far, frr = cm.sweep  # far = spoof accepted, frr = bonafide rejected
     tdcf = (c1 * frr + c2 * far) / min(c1, c2)
     i = int(np.argmin(tdcf))
     return TdcfResult(min_tdcf_norm=float(tdcf[i]), threshold=float(t[i]))
@@ -127,7 +131,7 @@ def min_tdcf(cm, cost):
 
 def det_points(s):
     """(FAR, FRR) per sweep threshold; FAR falls and FRR rises along it."""
-    _, far, frr = _sweep(s)
+    _, far, frr = s.sweep
     return np.column_stack([far, frr])
 
 

@@ -138,11 +138,6 @@ def loss_and_grad(m, x, y, l2=0.0):
     return loss, gw, gb
 
 
-def grad(m, x, y, l2=0.0):
-    _, gw, gb = loss_and_grad(m, x, y, l2)
-    return gw, gb
-
-
 def train(model, x, y, cfg=None):
     """Mini-batch SGD; returns a trained copy and per-epoch mean loss."""
     cfg = cfg or TrainConfig()

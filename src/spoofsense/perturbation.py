@@ -17,8 +17,6 @@ import numpy as np
 from .errors import NoVoicedRegion, TooFewCycles, ZeroAmplitude
 from .f0 import F0Config, estimate_f0, voiced_runs
 
-VARIANTS = ("local",)
-
 
 @dataclass(frozen=True)
 class CycleSequence:
@@ -97,15 +95,6 @@ def _region_cycles(x, sr, contour, run):
     return CycleSequence(periods=periods, amplitudes=amps)
 
 
-def extract_cycles(buf, contour):
-    """All cycles of all voiced regions; never spans an unvoiced gap."""
-    seqs = region_cycles(buf, contour)
-    return CycleSequence(
-        periods=np.concatenate([s.periods for s in seqs]),
-        amplitudes=np.concatenate([s.amplitudes for s in seqs]),
-    )
-
-
 def region_cycles(buf, contour):
     """Per-voiced-region cycle sequences (regions too short to mark are skipped)."""
     runs = voiced_runs(contour.values)
@@ -136,11 +125,9 @@ def shimmer_local(c):
     return float(np.mean(np.abs(np.diff(c.amplitudes))) / mean_a)
 
 
-def utterance_perturbation(buf, cfg=None, variant="local"):
+def utterance_perturbation(buf, cfg=None):
     """Utterance-wise jitter/shimmer: per-region values averaged with
     region cycle counts as weights."""
-    if variant not in VARIANTS:
-        raise ValueError("unknown perturbation variant %r" % variant)
     contour = estimate_f0(buf, cfg or F0Config())
     seqs = [s for s in region_cycles(buf, contour) if len(s) >= 2]
     if not seqs:

@@ -1,37 +1,50 @@
 """Frame-level spectral features: log-STFT, 39-dim MFCC, spectral envelope,
-and band aperiodicity.
+and band aperiodicity; and KINDS, the one table of all seven feature kinds.
 
 The envelope and aperiodicity are contour-guided: their framing is derived
 from the F0 contour's hop and floor so that frame i of the feature matrix
 describes the same stretch of signal as contour value i.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
 
 from .audio import apply_window, frame_signal, window_coeffs
+from .entropy import utterance_pse
 from .errors import AlignmentMismatch, InputTooShort, KindDimsMismatch
+from .f0 import estimate_f0
+from .perturbation import utterance_perturbation
 
 LOG_EPS = 1e-10
 
-# dims each kind must carry in a feature file; None = variable (set by config)
-KIND_DIMS = {
-    "stft": None,
-    "mfcc": 39,
-    "sp": None,
-    "ap": None,
-    "f0": 1,
-    "jitter-shimmer": 2,
-    "pse": 1,
+# dims: what every file of the kind carries, None = variable (set by config);
+# utterance_level: one row per utterance, else frame-level and mean-pooled;
+# compute(buf, cfg) -> FeatureMatrix, with cfg a RunConfig.  Each compute
+# looks its functions up by module-level name when called, so that wrapping
+# those names (as a tracer does) also wraps the calls made here.
+Kind = namedtuple("Kind", "dims utterance_level compute")
+KINDS = {
+    "stft": Kind(None, False, lambda buf, cfg: stft_spectrogram(buf, cfg.stft())),
+    "mfcc": Kind(39, False, lambda buf, cfg: mfcc(buf, cfg.mfcc())),
+    "sp": Kind(None, False, lambda buf, cfg: spectral_envelope(
+        buf, estimate_f0(buf, cfg.f0()), cfg.envelope())),
+    "ap": Kind(None, False, lambda buf, cfg: band_aperiodicity(
+        buf, estimate_f0(buf, cfg.f0()), cfg.ap())),
+    "f0": Kind(1, False, lambda buf, cfg: _contour_matrix(estimate_f0(buf, cfg.f0()))),
+    "jitter-shimmer": Kind(2, True, lambda buf, cfg: _perturbation_row(
+        utterance_perturbation(buf, cfg.f0()))),
+    "pse": Kind(1, True, lambda buf, cfg: FeatureMatrix(
+        kind="pse", data=np.array([[utterance_pse(buf, cfg.f0())]]), hop=0.0)),
 }
 
 
 def check_kind_dims(kind, dims):
-    if kind not in KIND_DIMS:
+    if kind not in KINDS:
         raise KindDimsMismatch("unknown feature kind %r" % kind)
-    want = KIND_DIMS[kind]
+    want = KINDS[kind].dims
     if want is not None and dims != want:
         raise KindDimsMismatch("kind %r requires dims %d, got %d" % (kind, want, dims))
     if want is None and dims < 1:
@@ -43,7 +56,6 @@ class FeatureMatrix:
     kind: str
     data: np.ndarray  # (num_frames, dims)
     hop: float        # seconds between frames (0.0 for utterance-level rows)
-    meta: str = ""    # source utterance id, if any
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
@@ -147,12 +159,12 @@ def _windowed_frames(buf, win_seconds, hop_seconds, window, n_fft):
     return apply_window(series, window)
 
 
-def stft_spectrogram(buf, cfg=None, meta=""):
+def stft_spectrogram(buf, cfg=None):
     """log(|X| + eps) of the one-sided FFT per frame; dims n_fft/2+1."""
     cfg = cfg or StftConfig()
     series = _windowed_frames(buf, cfg.win_seconds, cfg.hop_seconds, cfg.window, cfg.n_fft)
     mag = np.abs(np.fft.rfft(series.frames, cfg.n_fft, axis=1))
-    return FeatureMatrix(kind="stft", data=np.log(mag + LOG_EPS), hop=cfg.hop_seconds, meta=meta)
+    return FeatureMatrix(kind="stft", data=np.log(mag + LOG_EPS), hop=cfg.hop_seconds)
 
 
 def _hz_to_mel(f):
@@ -188,7 +200,7 @@ def delta(m, window=2):
     return num / (2.0 * sum(n * n for n in range(1, window + 1)))
 
 
-def mfcc(buf, cfg=None, meta=""):
+def mfcc(buf, cfg=None):
     """13 cepstra (DCT-II of log mel energies) + deltas + delta-deltas = 39."""
     cfg = cfg or MfccConfig()
     series = _windowed_frames(buf, cfg.win_seconds, cfg.hop_seconds, "hann", cfg.n_fft)
@@ -198,9 +210,7 @@ def mfcc(buf, cfg=None, meta=""):
     static = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_ceps]
     d1 = delta(static, cfg.delta_window)
     d2 = delta(d1, cfg.delta_window)
-    return FeatureMatrix(
-        kind="mfcc", data=np.hstack([static, d1, d2]), hop=cfg.hop_seconds, meta=meta
-    )
+    return FeatureMatrix(kind="mfcc", data=np.hstack([static, d1, d2]), hop=cfg.hop_seconds)
 
 
 def _contour_frames(buf, contour, n_fft):
@@ -219,7 +229,7 @@ def _contour_frames(buf, contour, n_fft):
     return series.frames * w, frame_len, hop
 
 
-def spectral_envelope(buf, contour, cfg=None, meta=""):
+def spectral_envelope(buf, contour, cfg=None):
     """Cepstrally smoothed power-spectrum envelope, one row per contour frame.
 
     Liftering keeps quefrencies below 0.8 pitch periods (voiced) or 2.5 ms
@@ -240,7 +250,7 @@ def spectral_envelope(buf, contour, cfg=None, meta=""):
     q = np.arange(cfg.n_fft)
     ceps[(q >= cut) & (q <= cfg.n_fft - cut)] = 0.0
     out = np.fft.rfft(ceps, axis=1).real
-    return FeatureMatrix(kind="sp", data=np.exp(out), hop=contour.hop, meta=meta)
+    return FeatureMatrix(kind="sp", data=np.exp(out), hop=contour.hop)
 
 
 def band_edges(n_bands, nyquist):
@@ -248,7 +258,7 @@ def band_edges(n_bands, nyquist):
     return np.concatenate(([0.0], nyquist / 2.0 ** np.arange(n_bands - 1, -1, -1)))
 
 
-def band_aperiodicity(buf, contour, cfg=None, meta=""):
+def band_aperiodicity(buf, contour, cfg=None):
     """Per-band ratio of non-harmonic to total energy, in [0, 1].
 
     Bins within two analysis-bin widths of any F0 harmonic are treated as
@@ -300,4 +310,14 @@ def band_aperiodicity(buf, contour, cfg=None, meta=""):
             res[rows] = np.clip(residual / total[rows], 0.0, 1.0)
         res[total <= 0.0] = 1.0
         out[voiced, b] = res
-    return FeatureMatrix(kind="ap", data=out, hop=contour.hop, meta=meta)
+    return FeatureMatrix(kind="ap", data=out, hop=contour.hop)
+
+
+def _contour_matrix(contour):
+    return FeatureMatrix(kind="f0", data=contour.values[:, None], hop=contour.hop)
+
+
+def _perturbation_row(p):
+    return FeatureMatrix(
+        kind="jitter-shimmer", data=np.array([[p.jitter_local, p.shimmer_local]]), hop=0.0
+    )

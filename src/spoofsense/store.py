@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import BadMagic, TruncatedPayload
+from .errors import BadMagic, CorruptPayload, TruncatedPayload
 from .spectral import FeatureMatrix, check_kind_dims
 
 MAGIC = b"SSFT1"
@@ -43,7 +43,7 @@ def write_feature(path, m):
     atomic_write_bytes(path, head + payload.tobytes())
 
 
-def read_feature(path, meta=""):
+def read_feature(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(MAGIC)] != MAGIC:
@@ -67,6 +67,9 @@ def read_feature(path, meta=""):
             "payload holds %d bytes, header declares %d" % (len(raw) - pos, want)
         )
     data = np.frombuffer(raw, dtype="<f4", count=dims * num_frames, offset=pos)
-    return FeatureMatrix(
-        kind=kind, data=data.reshape(num_frames, dims).astype(np.float64), hop=hop, meta=meta
-    )
+    try:
+        return FeatureMatrix(
+            kind=kind, data=data.reshape(num_frames, dims).astype(np.float64), hop=hop
+        )
+    except ValueError as exc:  # a non-finite value, or a hop that is not finite and >= 0
+        raise CorruptPayload(str(exc)) from None

@@ -138,6 +138,24 @@ def test_train_missing_feature_file(workspace, tmp_path):
                "--feature-dir", workspace / "feats", "--out-model", tmp_path / "m.mdl") == 1
 
 
+def test_corrupt_feature_file_exits_one(workspace, tmp_path, capsys):
+    feats, model = tmp_path / "feats", tmp_path / "m.mdl"
+    manifest = workspace / "manifest.tsv"
+    assert run("extract", "--manifest", manifest, "--feature", "pse", "--out-dir", feats) == 0
+    assert run("train-cm", "--features", "pse", "--manifest", manifest, "--feature-dir", feats,
+               "--out-model", model, "--config", workspace / "fast.conf") == 0
+    raw = bytearray((feats / "spoof1.pse.ssft").read_bytes())
+    raw[-4:] = np.float32(np.nan).tobytes()
+    (feats / "spoof1.pse.ssft").write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run("train-cm", "--features", "pse", "--manifest", manifest, "--feature-dir", feats,
+               "--out-model", tmp_path / "m2.mdl") == 1
+    assert "error: feature data contains non-finite entries" in capsys.readouterr().err
+    assert run("score-cm", "--model", model, "--manifest", manifest, "--features", "pse",
+               "--feature-dir", feats, "--out-scores", tmp_path / "s.tsv") == 1
+    assert "error: feature data contains non-finite entries" in capsys.readouterr().err
+
+
 def test_train_bad_kind_list(workspace, tmp_path):
     assert run("train-cm", "--features", "pse,alien", "--manifest", workspace / "manifest.tsv",
                "--feature-dir", workspace / "feats", "--out-model", tmp_path / "m.mdl") == 2

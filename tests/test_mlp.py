@@ -5,7 +5,6 @@ from spoofsense.errors import BadDims, DimMismatch, EmptyDataset, TruncatedPaylo
 from spoofsense.mlp import (
     TrainConfig,
     forward,
-    grad,
     init_model,
     load_model,
     loss_and_grad,
@@ -66,7 +65,7 @@ def test_gradient_matches_finite_differences(activation, seed):
     while preact_margin(m, x) < 1e-4:
         x = rng.normal(size=(7, 3))
     y = rng.integers(0, 2, size=7)
-    gw, gb = grad(m, x, y, l2=0.01)
+    gw, gb = loss_and_grad(m, x, y, l2=0.01)[1:]
     analytic = np.concatenate([a.ravel() for a in gw + gb])
     numeric = fd_grad(m, x, y, l2=0.01)
     rel = np.linalg.norm(analytic - numeric) / max(

@@ -7,7 +7,6 @@ from spoofsense.errors import NoVoicedRegion, TooFewCycles, ZeroAmplitude
 from spoofsense.f0 import estimate_f0
 from spoofsense.perturbation import (
     CycleSequence,
-    extract_cycles,
     jitter_local,
     region_cycles,
     shimmer_local,
@@ -42,7 +41,9 @@ def test_stationary_tone_is_clean():
 
 def test_cycle_marks_on_pure_tone():
     buf = tone(100, dur=0.5)
-    cyc = extract_cycles(buf, estimate_f0(buf))
+    regions = region_cycles(buf, estimate_f0(buf))
+    assert len(regions) == 1
+    cyc = regions[0]
     assert len(cyc) == 49
     np.testing.assert_allclose(cyc.periods, 0.01, atol=1e-12)
     assert np.all(cyc.amplitudes > 0.4)
@@ -99,8 +100,3 @@ def test_cycle_sequence_measures():
     dead = CycleSequence(periods=np.array([0.01, 0.01]), amplitudes=np.array([0.0, 0.0]))
     with pytest.raises(ZeroAmplitude):
         shimmer_local(dead)
-
-
-def test_unknown_variant():
-    with pytest.raises(ValueError):
-        utterance_perturbation(tone(150), variant="rap")

@@ -4,10 +4,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import SR, tone
+from spoofsense import spectral
 from spoofsense.audio import AudioBuffer
+from spoofsense.config import RunConfig
 from spoofsense.errors import AlignmentMismatch, InputTooShort, KindDimsMismatch
 from spoofsense.f0 import F0Config, F0Contour, estimate_f0
 from spoofsense.spectral import (
+    KINDS,
     ApConfig,
     FeatureMatrix,
     LOG_EPS,
@@ -195,3 +198,46 @@ def test_kind_dims_rules():
         check_kind_dims("nope", 3)
     with pytest.raises(KindDimsMismatch):
         check_kind_dims("pse", 2)
+
+
+# the public function each kind's compute calls, by its name in spectral
+KIND_FUNCTIONS = {
+    "stft": "stft_spectrogram",
+    "mfcc": "mfcc",
+    "sp": "spectral_envelope",
+    "ap": "band_aperiodicity",
+    "f0": "estimate_f0",
+    "jitter-shimmer": "utterance_perturbation",
+    "pse": "utterance_pse",
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_kind_table(kind, monkeypatch):
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    # compute must look these up in spectral when called, not hold them
+    for name in {KIND_FUNCTIONS[kind], "estimate_f0"}:
+        monkeypatch.setattr(spectral, name, counted(name, getattr(spectral, name)))
+    m = KINDS[kind].compute(tone(150), RunConfig())
+
+    assert calls.count(KIND_FUNCTIONS[kind]) == 1
+    # sp, ap and f0 track F0 once here; the utterance-level kinds track it
+    # inside perturbation and entropy; stft and mfcc not at all
+    assert calls.count("estimate_f0") == (kind in ("sp", "ap", "f0"))
+    assert m.kind == kind
+    want = KINDS[kind].dims
+    if want is None:
+        assert m.dims >= 1
+    else:
+        assert m.dims == want
+    if KINDS[kind].utterance_level:
+        assert m.num_frames == 1 and m.hop == 0.0
+    else:
+        assert m.num_frames > 1

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spoofsense.errors import BadMagic, KindDimsMismatch, TruncatedPayload
+from spoofsense.errors import BadMagic, CorruptPayload, KindDimsMismatch, TruncatedPayload
 from spoofsense.spectral import FeatureMatrix
 from spoofsense.store import read_feature, write_feature
 
@@ -83,6 +85,23 @@ def test_corrupt_kind_rejected_on_read(tmp_path):
     (tmp_path / "k.ssft").write_bytes(bytes(raw))
     with pytest.raises(KindDimsMismatch):
         read_feature(tmp_path / "k.ssft")
+
+
+# f0 file: magic(5) + len byte(1) + "f0"(2) + dims, frames (8), hop at 16, payload at 24
+@pytest.mark.parametrize("offset, value", [
+    (24, struct.pack("<f", np.nan)),
+    (28, struct.pack("<f", np.inf)),
+    (16, struct.pack("<d", np.nan)),
+    (16, struct.pack("<d", -0.005)),
+], ids=["nan-payload", "inf-payload", "nan-hop", "negative-hop"])
+def test_corrupt_values_rejected_on_read(tmp_path, offset, value):
+    m = FeatureMatrix(kind="f0", data=np.ones((3, 1)), hop=0.005)
+    p, _ = roundtrip(tmp_path, m)
+    raw = bytearray(p.read_bytes())
+    raw[offset : offset + len(value)] = value
+    (tmp_path / "c.ssft").write_bytes(bytes(raw))
+    with pytest.raises(CorruptPayload):
+        read_feature(tmp_path / "c.ssft")
 
 
 def test_no_temp_litter_on_failure(tmp_path):
