@@ -26,6 +26,8 @@ from .mlp import init_model, load_model, save_model, score, train
 from .spectral import KINDS
 from .store import read_feature, write_feature
 from .trials import (
+    CATEGORIES,
+    ScoredTrials,
     build_all_pairs,
     build_pairs,
     load_embeddings,
@@ -96,6 +98,8 @@ def cmd_extract(args, parser):
 
 
 def cmd_pairs(args, parser):
+    if args.sample is not None and args.sample < 1:
+        parser.error("--sample must be >= 1, got %d" % args.sample)
     manifest = load_manifest(args.manifest)
     if args.category == "all":
         ts = build_all_pairs(manifest)
@@ -169,14 +173,14 @@ def cmd_score_cm(args, parser):
     kinds = _parse_kinds(parser, args.features)
     model = load_model(args.model)
     manifest = load_manifest(args.manifest)
-    with open(args.out_scores, "w") as fh:
-        for row in manifest.rows:
-            x = _pooled_vector(row.utt_id, kinds, args.feature_dir)
-            s = score(model, x)
-            fh.write(
-                "%s\t%s\t%s\t%.12g\n"
-                % (row.utt_id, row.attack_id or "-", CLASS_NAMES[CLASS_OF_ROLE[row.role]], s)
-            )
+    rows = manifest.rows
+    scores = [score(model, _pooled_vector(r.utt_id, kinds, args.feature_dir)) for r in rows]
+    write_scorefile(args.out_scores, ScoredTrials(
+        trial_ids=[r.utt_id for r in rows],
+        groups=[r.attack_id or "-" for r in rows],
+        labels=[CLASS_NAMES[CLASS_OF_ROLE[r.role]] for r in rows],
+        scores=np.array(scores),
+    ))
     print("score-cm: %d utterances scored" % len(manifest))
     return 0
 
@@ -238,7 +242,7 @@ def build_parser():
     pr.set_defaults(run=cmd_pairs)
     pr.add_argument("--manifest", required=True)
     pr.add_argument("--category", required=True,
-                    choices=("R", "RI", "IAB", "TI", "IRAB", "IRT", "all"))
+                    choices=CATEGORIES + ("all",))
     pr.add_argument("--out", required=True)
     pr.add_argument("--sample", type=int, default=None)
     pr.add_argument("--seed", type=int, default=0)

@@ -1,18 +1,12 @@
 """Dataset manifests, trial-pair construction, and embedding scoring.
 
-Pair categories (positive = same-speaker decision expected):
-  R    (+) real utterance pairs of one target speaker
-  RI   (-) real target utterances across different speakers
-  IAB  (+) one impersonator mimicking two different targets
-  TI   (-) a target's real utterance vs an impersonation of that target
-  IRAB (-) impersonators' own voices across different impersonators
-  IRT  (-) an impersonator's own voice vs a target's real voice
-
-Pairs are unordered, emitted once with utt_a < utt_b lexicographically,
-sorted; construction is exhaustive over qualifying combinations.
+RULES defines the pair categories.  Pairs are unordered, emitted once with
+utt_a < utt_b lexicographically, sorted; construction is exhaustive over
+qualifying combinations.
 """
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,21 +25,38 @@ from .tsv import isin, raise_first, read_columns
 ROLES = frozenset(
     ("target-real", "impersonator-real", "impersonation", "bonafide", "spoof")
 )
-CATEGORIES = ("R", "RI", "IAB", "TI", "IRAB", "IRT")
+
+# category -> (role of a, role of b, rule on the rows a and b); a pair of one
+# role is any two of its rows, a pair of two roles one row of each
+RULES = {
+    # (+) real utterance pairs of one target speaker
+    "R": ("target-real", "target-real", lambda a, b: a.speaker_id == b.speaker_id),
+    # (-) real target utterances across different speakers
+    "RI": ("target-real", "target-real", lambda a, b: a.speaker_id != b.speaker_id),
+    # (+) one impersonator mimicking two different targets
+    "IAB": ("impersonation", "impersonation",
+            lambda a, b: a.speaker_id == b.speaker_id
+            and a.mimicked_target_id != b.mimicked_target_id),
+    # (-) a target's real utterance vs an impersonation of that target
+    "TI": ("target-real", "impersonation", lambda t, i: i.mimicked_target_id == t.speaker_id),
+    # (-) impersonators' own voices across different impersonators
+    "IRAB": ("impersonator-real", "impersonator-real",
+             lambda a, b: a.speaker_id != b.speaker_id),
+    # (-) an impersonator's own voice vs a target's real voice
+    "IRT": ("impersonator-real", "target-real", lambda a, b: True),
+}
+CATEGORIES = tuple(RULES)
 POSITIVE_CATEGORIES = frozenset(("R", "IAB"))
 
 REQUIRED_COLUMNS = ("utt_id", "speaker_id", "role", "path")
 OPTIONAL_COLUMNS = ("mimicked_target_id", "attack_id")
 
 
-@dataclass(frozen=True)
-class ManifestRow:
-    utt_id: str
-    speaker_id: str
-    role: str
-    path: str
-    mimicked_target_id: str = None
-    attack_id: str = None
+ManifestRow = namedtuple(
+    "ManifestRow",
+    "utt_id speaker_id role path mimicked_target_id attack_id",
+    defaults=(None, None),
+)
 
 
 @dataclass(frozen=True)
@@ -131,12 +142,7 @@ def save_manifest(path, manifest):
             )
 
 
-@dataclass(frozen=True)
-class TrialPair:
-    utt_a: str
-    utt_b: str
-    label: str      # positive | negative
-    category: str
+TrialPair = namedtuple("TrialPair", "utt_a utt_b label category")  # label: positive | negative
 
 
 @dataclass(frozen=True)
@@ -150,68 +156,24 @@ class TrialSet:
         return len(self.pairs)
 
 
-def _emit(utts_a, utts_b, category):
-    """Unordered cross pairs of two disjoint utterance lists."""
-    label = "positive" if category in POSITIVE_CATEGORIES else "negative"
-    return [
-        TrialPair(*sorted((a, b)), label=label, category=category)
-        for a in utts_a
-        for b in utts_b
-    ]
-
-
-def _within_group_pairs(rows, category, exclude=None):
-    label = "positive" if category in POSITIVE_CATEGORIES else "negative"
-    out = []
-    for a, b in itertools.combinations(sorted(rows, key=lambda r: r.utt_id), 2):
-        if exclude and exclude(a, b):
-            continue
-        out.append(TrialPair(a.utt_id, b.utt_id, label=label, category=category))
-    return out
-
-
 def build_pairs(manifest, category):
-    if category not in CATEGORIES:
+    if category not in RULES:
         raise ValueError("unknown category %r" % category)
-    target_real = manifest.by_role("target-real")
-    imp_real = manifest.by_role("impersonator-real")
-    imps = manifest.by_role("impersonation")
-
-    pairs = []
-    if category == "R":
-        for _, group in itertools.groupby(
-            sorted(target_real, key=lambda r: (r.speaker_id, r.utt_id)),
-            key=lambda r: r.speaker_id,
-        ):
-            pairs += _within_group_pairs(list(group), "R")
-    elif category == "RI":
-        pairs = _within_group_pairs(
-            target_real, "RI", exclude=lambda a, b: a.speaker_id == b.speaker_id
-        )
-    elif category == "IAB":
-        for _, group in itertools.groupby(
-            sorted(imps, key=lambda r: (r.speaker_id, r.utt_id)),
-            key=lambda r: r.speaker_id,
-        ):
-            pairs += _within_group_pairs(
-                list(group),
-                "IAB",
-                exclude=lambda a, b: a.mimicked_target_id == b.mimicked_target_id,
-            )
-    elif category == "TI":
-        for imp in imps:
-            own = [t.utt_id for t in target_real if t.speaker_id == imp.mimicked_target_id]
-            pairs += _emit(own, [imp.utt_id], "TI")
-    elif category == "IRAB":
-        pairs = _within_group_pairs(
-            imp_real, "IRAB", exclude=lambda a, b: a.speaker_id == b.speaker_id
-        )
-    elif category == "IRT":
-        pairs = _emit([r.utt_id for r in imp_real], [r.utt_id for r in target_real], "IRT")
-
-    if not pairs:
+    role_a, role_b, rule = RULES[category]
+    rows_a = manifest.by_role(role_a)
+    if role_a == role_b:
+        candidates = itertools.combinations(rows_a, 2)
+    else:
+        candidates = itertools.product(rows_a, manifest.by_role(role_b))
+    ids = sorted(
+        (a.utt_id, b.utt_id) if a.utt_id < b.utt_id else (b.utt_id, a.utt_id)
+        for a, b in candidates
+        if rule(a, b)
+    )
+    if not ids:
         raise EmptyCategory("no qualifying pairs for category %s" % category)
-    return TrialSet(pairs=sorted(pairs, key=lambda p: (p.utt_a, p.utt_b)))
+    label = "positive" if category in POSITIVE_CATEGORIES else "negative"
+    return TrialSet(pairs=[TrialPair(a, b, label, category) for a, b in ids])
 
 
 def build_all_pairs(manifest):
@@ -323,12 +285,7 @@ def cosine_score(a, b):
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class ScoredTrial:
-    trial_id: str
-    group: str
-    label: str  # target | nontarget
-    score: float
+ScoredTrial = namedtuple("ScoredTrial", "trial_id group label score")  # label: target | nontarget
 
 
 @dataclass(frozen=True)

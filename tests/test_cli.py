@@ -156,6 +156,21 @@ def test_corrupt_feature_file_exits_one(workspace, tmp_path, capsys):
     assert "error: feature data contains non-finite entries" in capsys.readouterr().err
 
 
+def test_score_cm_failure_writes_no_scores(workspace, tmp_path, capsys):
+    feats, model = tmp_path / "feats", tmp_path / "m.mdl"
+    manifest = workspace / "manifest.tsv"
+    assert run("extract", "--manifest", manifest, "--feature", "pse", "--out-dir", feats) == 0
+    assert run("train-cm", "--features", "pse", "--manifest", manifest, "--feature-dir", feats,
+               "--out-model", model, "--config", workspace / "fast.conf") == 0
+    (feats / "spoof2.pse.ssft").unlink()  # the last manifest row
+    capsys.readouterr()
+    scores = tmp_path / "s.tsv"
+    assert run("score-cm", "--model", model, "--manifest", manifest, "--features", "pse",
+               "--feature-dir", feats, "--out-scores", scores) == 1
+    assert "spoof2.pse.ssft" in capsys.readouterr().err
+    assert not scores.exists()
+
+
 def test_train_bad_kind_list(workspace, tmp_path):
     assert run("train-cm", "--features", "pse,alien", "--manifest", workspace / "manifest.tsv",
                "--feature-dir", workspace / "feats", "--out-model", tmp_path / "m.mdl") == 2
@@ -197,6 +212,17 @@ def test_pairs_and_score_asv(workspace, tmp_path):
                "--out-scores", scores) == 0
     assert len(scores.read_text().splitlines()) == n_all
     assert run("eval", "--scores", scores) == 0
+
+
+@pytest.mark.parametrize("sample", [0, -1])
+def test_pairs_rejects_sample_below_one(tmp_path, sample, capsys):
+    rows = [("t%d" % i, "T", "target-real", "-", "-", "x.wav") for i in range(3)]
+    write_manifest(tmp_path / "asv.tsv", rows)
+    out = tmp_path / "trials.tsv"
+    assert run("pairs", "--manifest", tmp_path / "asv.tsv", "--category", "all",
+               "--out", out, "--sample", sample) == 2
+    assert "--sample must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pse_report_cli(workspace, tmp_path):

@@ -84,6 +84,7 @@ def random_manifest(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_categories_match_enumerator(seed):
     m = random_manifest(seed)
+    all_pairs = []
     for cat in CATEGORIES:
         expect = enumerate_category(m.rows, cat)
         try:
@@ -96,6 +97,15 @@ def test_categories_match_enumerator(seed):
         want_label = "positive" if cat in ("R", "IAB") else "negative"
         assert all(p.label == want_label and p.category == cat for p in ts.pairs)
         assert all(p.utt_a < p.utt_b for p in ts.pairs)  # no self/dup pairs
+        keys = [(p.utt_a, p.utt_b) for p in ts.pairs]
+        assert keys == sorted(keys)  # the order that keeps trial lists byte-stable
+        all_pairs += ts.pairs
+    # build_all_pairs: each category's pairs, categories in CATEGORIES order
+    if all_pairs:
+        assert build_all_pairs(m).pairs == tuple(all_pairs)
+    else:
+        with pytest.raises(EmptyCategory):
+            build_all_pairs(m)
 
 
 def test_spec_counts():
