@@ -155,9 +155,9 @@ def cmd_train_cm(args, parser):
     model = init_model(
         (x.shape[1], cfg.hidden1, cfg.hidden2, 2),
         activation=cfg.activation,
-        seed=cfg.seed,
+        seed=cfg.train.seed,
     )
-    trained, history = train(model, x, y, cfg.train_config())
+    trained, history = train(model, x, y, cfg.train)
     save_model(args.out_model, trained)
     with open(args.out_model + ".losses.txt", "w") as fh:
         for loss in history:
@@ -213,7 +213,7 @@ def cmd_pse_report(args, parser):
     cfg = load_config(args.config)
     manifest = load_manifest(args.manifest)
     summary = pse_report(
-        manifest, args.out, cfg.f0(), reader=lambda row: _load_audio(row, cfg)
+        manifest, args.out, cfg.f0, reader=lambda row: _load_audio(row, cfg)
     )
     print(
         "pse-report: %d ok, %d errors" % (len(summary.per_utt), len(summary.errors))

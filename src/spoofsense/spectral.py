@@ -27,17 +27,17 @@ LOG_EPS = 1e-10
 # those names (as a tracer does) also wraps the calls made here.
 Kind = namedtuple("Kind", "dims utterance_level compute")
 KINDS = {
-    "stft": Kind(None, False, lambda buf, cfg: stft_spectrogram(buf, cfg.stft())),
-    "mfcc": Kind(39, False, lambda buf, cfg: mfcc(buf, cfg.mfcc())),
+    "stft": Kind(None, False, lambda buf, cfg: stft_spectrogram(buf, cfg.stft)),
+    "mfcc": Kind(39, False, lambda buf, cfg: mfcc(buf, cfg.mfcc)),
     "sp": Kind(None, False, lambda buf, cfg: spectral_envelope(
-        buf, estimate_f0(buf, cfg.f0()), cfg.envelope())),
+        buf, estimate_f0(buf, cfg.f0), cfg.envelope)),
     "ap": Kind(None, False, lambda buf, cfg: band_aperiodicity(
-        buf, estimate_f0(buf, cfg.f0()), cfg.ap())),
-    "f0": Kind(1, False, lambda buf, cfg: _contour_matrix(estimate_f0(buf, cfg.f0()))),
+        buf, estimate_f0(buf, cfg.f0), cfg.ap)),
+    "f0": Kind(1, False, lambda buf, cfg: _contour_matrix(estimate_f0(buf, cfg.f0))),
     "jitter-shimmer": Kind(2, True, lambda buf, cfg: _perturbation_row(
-        utterance_perturbation(buf, cfg.f0()))),
+        utterance_perturbation(buf, cfg.f0))),
     "pse": Kind(1, True, lambda buf, cfg: FeatureMatrix(
-        kind="pse", data=np.array([[utterance_pse(buf, cfg.f0())]]), hop=0.0)),
+        kind="pse", data=np.array([[utterance_pse(buf, cfg.f0)]]), hop=0.0)),
 }
 
 

@@ -91,9 +91,11 @@ def load_manifest(path):
     for col in REQUIRED_COLUMNS:
         if col not in header:
             raise ParseError("missing column %r" % col, line=1)
-    for col in header:
+    for i, col in enumerate(header):
         if col not in REQUIRED_COLUMNS + OPTIONAL_COLUMNS:
             raise ParseError("unknown column %r" % col, line=1)
+        if col in header[:i]:
+            raise ParseError("duplicate column %r" % col, line=1)
 
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -1,10 +1,17 @@
+import pathlib
+import re
+from dataclasses import fields, is_dataclass
+
 import pytest
 
-from spoofsense.config import ENV_VAR, RunConfig, load_config, parse_config_text
+from spoofsense.config import ENV_VAR, KEYS, RunConfig, load_config, parse_config_text
 from spoofsense.errors import ConfigError
 from spoofsense.f0 import F0Config
+from spoofsense.metrics import CostModel
 from spoofsense.mlp import TrainConfig
-from spoofsense.spectral import MfccConfig, StftConfig
+from spoofsense.spectral import ApConfig, EnvelopeConfig, MfccConfig, StftConfig
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 COST_BLOCK = """
 p_target = 0.9405
@@ -22,45 +29,60 @@ p_miss_spoof_asv = 0.45
 
 def test_defaults_match_module_defaults():
     c = RunConfig()
-    assert c.f0() == F0Config()
-    assert c.stft() == StftConfig()
-    assert c.mfcc() == MfccConfig()
-    assert c.train_config() == TrainConfig()
-    assert not c.has_cost_model
+    assert c.f0 == F0Config()
+    assert c.stft == StftConfig()
+    assert c.mfcc == MfccConfig()
+    assert c.envelope == EnvelopeConfig()
+    assert c.ap == ApConfig()
+    assert c.train == TrainConfig()
+    assert c.cost is None
 
 
 def test_parse_with_comments_and_whitespace():
     c = parse_config_text("# header\n\n  f0_floor = 80  # inline\nwindow=hamming\n")
-    assert c.f0_floor == 80.0
-    assert c.window == "hamming"
+    assert c.f0.floor == 80.0
+    assert c.stft.window == "hamming"
 
 
 def test_cost_model_block():
     c = parse_config_text(COST_BLOCK)
-    assert c.has_cost_model
+    assert c.cost is not None
     c1, c2 = c.cost_model().coefficients()
     assert abs(c1 - 0.8925249999999999) < 1e-15
     assert c2 == 0.275
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "nonsense_key = 1",
-        "f0_floor = abc",
-        "f0_floor = 80\nf0_floor = 90",
-        "sample_rate = 0",
-        "f0_floor = 600",          # floor above default ceil
-        "n_ceps = 40",             # exceeds n_mels
-        "window = blackman",
-        "activation = sigmoid",
-        "epochs = 0",
-        "p_target = 0.9",          # cost block must be complete
-        "just some text",
-    ],
-)
+# each rejected text and its exact message
+REJECTIONS = {
+    "nonsense_key = 1": "<config> line 1: unknown key 'nonsense_key'",
+    "f0_floor = abc": "<config> line 1: bad value 'abc' for f0_floor",
+    "f0_floor = 80\nf0_floor = 90": "<config> line 2: duplicate key 'f0_floor'",
+    "sample_rate = 0": "sample_rate must be >= 1",
+    # floor above default ceil
+    "f0_floor = 600": "<config>: need 0 < floor < ceil",
+    # exceeds n_mels
+    "n_ceps = 40": "<config>: n_ceps cannot exceed n_mels",
+    "window = blackman": "<config>: unknown window 'blackman'",
+    "activation = sigmoid": "activation must be relu or tanh",
+    "epochs = 0": "<config>: epochs and batch_size must be >= 1",
+    # cost block must be complete
+    "p_target = 0.9": "cost model is all-or-nothing; missing p_nontarget, p_spoof, "
+        "c_miss_asv, c_fa_asv, c_miss_cm, c_fa_cm, p_miss_asv, p_fa_asv, p_miss_spoof_asv",
+    "just some text": "<config> line 1: expected key = value",
+    # non-finite floats
+    "f0_hop = inf": "<config> line 1: bad value 'inf' for f0_hop",
+    "learning_rate = nan": "<config> line 1: bad value 'nan' for learning_rate",
+    "fmax = inf": "<config> line 1: bad value 'inf' for fmax",
+    # two faults: the top-level check is reported before the stage checks,
+    # and the stage checks before the cost block
+    "sample_rate = 0\nf0_floor = 600": "sample_rate must be >= 1",
+    "epochs = 0\np_target = 0.9": "<config>: epochs and batch_size must be >= 1",
+}
+
+
+@pytest.mark.parametrize("text", list(REJECTIONS))
 def test_rejections(text):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(REJECTIONS[text])):
         parse_config_text(text)
 
 
@@ -76,11 +98,11 @@ def test_env_fallback_and_precedence(tmp_path, monkeypatch):
     explicit.write_text("f0_floor = 90\n")
 
     monkeypatch.delenv(ENV_VAR, raising=False)
-    assert load_config(None).f0_floor == 75.0
+    assert load_config(None).f0.floor == 75.0
 
     monkeypatch.setenv(ENV_VAR, str(env_conf))
-    assert load_config(None).f0_floor == 70.0
-    assert load_config(str(explicit)).f0_floor == 90.0  # explicit path wins
+    assert load_config(None).f0.floor == 70.0
+    assert load_config(str(explicit)).f0.floor == 90.0  # explicit path wins
 
     monkeypatch.setenv(ENV_VAR, str(tmp_path / "missing.conf"))
     with pytest.raises(ConfigError):
@@ -88,10 +110,69 @@ def test_env_fallback_and_precedence(tmp_path, monkeypatch):
 
 
 def test_shipped_configs_parse():
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parent.parent / "configs"
-    c = load_config(str(root / "default.conf"))
+    c = load_config(str(ROOT / "configs" / "default.conf"))
     assert c == RunConfig()
-    t = load_config(str(root / "tdcf_example.conf"))
-    assert t.has_cost_model
+    t = load_config(str(ROOT / "configs" / "tdcf_example.conf"))
+    assert t.cost is not None
+
+
+# a valid non-default value for every key; the cost values are all distinct,
+# so each one can only land in the field its key names
+NON_DEFAULT = {
+    "sample_rate": "22050", "f0_floor": "60", "f0_ceil": "400", "f0_hop": "0.01",
+    "voicing_threshold": "0.4", "n_fft": "1024", "win_seconds": "0.03",
+    "hop_seconds": "0.02", "window": "hamming", "n_mels": "40", "n_ceps": "12",
+    "fmin": "20", "fmax": "7000", "delta_window": "3", "env_n_fft": "2048",
+    "env_voiced_fraction": "0.5", "env_unvoiced_quefrency": "0.002", "ap_bands": "4",
+    "ap_n_fft": "2048", "hidden1": "8", "hidden2": "4", "activation": "relu",
+    "learning_rate": "0.1", "epochs": "5", "batch_size": "8", "l2": "0.001", "seed": "3",
+    "p_target": "0.94", "p_nontarget": "0.01", "p_spoof": "0.05", "c_miss_asv": "1",
+    "c_fa_asv": "10", "c_miss_cm": "2", "c_fa_cm": "20", "p_miss_asv": "0.04",
+    "p_fa_asv": "0.03", "p_miss_spoof_asv": "0.45",
+}
+
+
+def _flat(cfg):
+    """{(stage, field): value} over every setting; stage "" is the top level."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            out.update({(f.name, g.name): getattr(value, g.name) for g in fields(value)})
+        elif value is not None:
+            out[("", f.name)] = value
+    return out
+
+
+def _file_keys(text):
+    return {ln.split("=")[0].strip() for ln in text.splitlines() if "=" in ln.split("#")[0]}
+
+
+def test_key_table():
+    base = _flat(RunConfig())
+    cost_keys = [f.name for f in fields(CostModel)]
+    cost_block = _flat(parse_config_text(
+        "\n".join("%s = %s" % (k, NON_DEFAULT[k]) for k in cost_keys)))
+    covered = set()
+    for key, value in NON_DEFAULT.items():
+        targets = {tuple(t.rpartition(".")[::2]) for t in KEYS[key].split()}
+        covered |= targets
+        if key in cost_keys:  # the block is all-or-nothing, so check it as a whole
+            assert targets == {("cost", key)}
+            assert cost_block[("cost", key)] == float(value)
+            continue
+        got = _flat(parse_config_text("%s = %s" % (key, value)))
+        assert {t for t in got if got[t] != base[t]} == targets, key
+        assert all(got[t] == type(base[t])(value) for t in targets), key
+    assert set(cost_block) - set(base) == {("cost", k) for k in cost_keys}
+    # every setting but the F0 tracker's internal subharmonic_ratio has a key
+    assert covered == set(cost_block) - {("f0", "subharmonic_ratio")}
+
+    shipped = _file_keys((ROOT / "configs" / "default.conf").read_text())
+    shipped |= _file_keys((ROOT / "configs" / "tdcf_example.conf").read_text())
+    readme = (ROOT / "README.md").read_text().split("## Configuration")[1].split("\n## ")[0]
+    documented = {
+        k for row in readme.splitlines() if row.startswith("|")
+        for code in re.findall(r"`([^`]*)`", row.split("|")[2]) for k in code.split()
+    }
+    assert set(KEYS) == set(NON_DEFAULT) == shipped == documented

@@ -188,6 +188,14 @@ def test_manifest_header_errors(tmp_path):
     assert e.value.line == 2
 
 
+def test_manifest_duplicate_column(tmp_path):
+    p = tmp_path / "m.tsv"
+    p.write_text("utt_id\tspeaker_id\trole\tpath\tpath\nu\ts\tbonafide\tx\ty\n")
+    with pytest.raises(ParseError, match="^line 1: duplicate column 'path'$") as e:
+        load_manifest(p)
+    assert e.value.line == 1
+
+
 def test_cosine_examples():
     assert cosine_score([1, 2, 2], [2, 1, 2]) == 8 / 9
     assert cosine_score([1, 0], [0, 1]) == 0.0
