@@ -193,13 +193,3 @@ def window_coeffs(kind, length):
     except KeyError:
         raise ValueError("unknown window kind %r" % kind) from None
     return make(length)
-
-
-def apply_window(frames, kind):
-    w = window_coeffs(kind, frames.frame_len)
-    return FrameSeries(
-        frames=frames.frames * w,
-        hop=frames.hop,
-        frame_len=frames.frame_len,
-        sample_rate=frames.sample_rate,
-    )

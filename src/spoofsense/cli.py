@@ -14,7 +14,7 @@ import numpy as np
 
 from .audio import read_wav, resample
 from .config import load_config
-from .entropy import pse_report
+from .entropy import summarize_pse, write_pse_report
 from .errors import (
     EmptyDataset,
     InputTooShort,
@@ -49,22 +49,35 @@ CLASS_OF_ROLE = {
 CLASS_NAMES = ("bonafide", "spoof")
 
 
-def _load_audio(row, cfg):
-    return resample(read_wav(row.path), cfg.sample_rate)
-
-
 def _feature_path(out_dir, utt_id, feature):
     return os.path.join(out_dir, "%s.%s.ssft" % (utt_id, feature))
 
 
-def _extract_one(row, feature, cfg, out_dir):
-    """Worker for one utterance; returns (utt_id, error message or None)."""
+def _extract_one(row, feature, cfg, out_dir=None):
+    """Worker for one utterance: decode, resample and compute `feature`, then
+    write it under out_dir or, with no out_dir, return it.
+
+    Returns (utt_id, FeatureMatrix or None, error message or None).
+    """
     try:
-        m = KINDS[feature].compute(_load_audio(row, cfg), cfg)
+        m = KINDS[feature].compute(resample(read_wav(row.path), cfg.sample_rate), cfg)
+        if out_dir is None:
+            return row.utt_id, m, None
         write_feature(_feature_path(out_dir, row.utt_id, feature), m)
-        return row.utt_id, None
+        return row.utt_id, None, None
     except (SpoofsenseError, OSError, ValueError) as e:
-        return row.utt_id, "%s: %s" % (type(e).__name__, e)
+        return row.utt_id, None, "%s: %s" % (type(e).__name__, e)
+
+
+def _extract_all(rows, feature, cfg, out_dir=None, jobs=1):
+    """_extract_one over rows, sorted by utt_id."""
+    work = (rows, [feature] * len(rows), [cfg] * len(rows), [out_dir] * len(rows))
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+            results = list(ex.map(_extract_one, *work))
+    else:
+        results = list(map(_extract_one, *work))
+    return sorted(results, key=lambda r: r[0])
 
 
 def cmd_extract(args, parser):
@@ -74,18 +87,8 @@ def cmd_extract(args, parser):
     manifest = load_manifest(args.manifest)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    rows = list(manifest.rows)
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(
-                ex.map(_extract_one, rows, [args.feature] * len(rows),
-                       [cfg] * len(rows), [args.out_dir] * len(rows))
-            )
-    else:
-        results = [_extract_one(r, args.feature, cfg, args.out_dir) for r in rows]
-
-    results.sort(key=lambda r: r[0])
-    failures = [(utt, msg) for utt, msg in results if msg is not None]
+    results = _extract_all(manifest.rows, args.feature, cfg, args.out_dir, args.jobs)
+    failures = [(utt, msg) for utt, _, msg in results if msg is not None]
     for utt, msg in failures:
         print("FAIL %s: %s" % (utt, msg), file=sys.stderr)
     print(
@@ -212,9 +215,15 @@ def cmd_eval(args, parser):
 def cmd_pse_report(args, parser):
     cfg = load_config(args.config)
     manifest = load_manifest(args.manifest)
-    summary = pse_report(
-        manifest, args.out, cfg.f0, reader=lambda row: _load_audio(row, cfg)
-    )
+    values, errors = {}, {}
+    for utt, m, msg in _extract_all(manifest.rows, "pse", cfg):
+        if msg is None:
+            values[utt] = float(m.data[0, 0])
+        else:
+            errors[utt] = msg
+    summary = summarize_pse(values, {r.utt_id: r.role for r in manifest.rows}, errors)
+    with open(args.out, "w", newline="") as fh:
+        write_pse_report(summary, fh)
     print(
         "pse-report: %d ok, %d errors" % (len(summary.per_utt), len(summary.errors))
     )

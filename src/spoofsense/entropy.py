@@ -11,19 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroPsd, SequenceTooShort, SpoofsenseError
-from .f0 import F0Config, estimate_f0, trim_contour
+from .errors import AllZeroPsd, SequenceTooShort
+from .f0 import trim_contour
 
 # PSD bins this far (relatively) below the peak are rounding residue of the
 # FFT, not signal: the DFT of a constant leaves ~1e-16-relative junk in the
 # nonzero bins, which would otherwise leak into the entropy sum.
 RELATIVE_FLOOR = 1e-28
-
-
-@dataclass(frozen=True)
-class PsdVector:
-    values: np.ndarray
-    n_bins: int
 
 
 def power_spectral_density(seq, detrend=False):
@@ -37,14 +31,14 @@ def power_spectral_density(seq, detrend=False):
     peak = p.max()
     if peak > 0.0:
         p[p < peak * RELATIVE_FLOOR] = 0.0
-    return PsdVector(values=p, n_bins=len(p))
+    return p
 
 
 def normalize_psd(psd):
-    total = psd.values.sum()
+    total = psd.sum()
     if total <= 0.0:
         raise AllZeroPsd("PSD is identically zero")
-    return psd.values / total
+    return psd / total
 
 
 def power_spectral_entropy(seq, detrend=False):
@@ -54,23 +48,23 @@ def power_spectral_entropy(seq, detrend=False):
     return float(-np.sum(nz * np.log(nz)))
 
 
-def utterance_pse(buf, cfg=None, detrend=False):
-    """PSE of the trimmed F0 contour of one utterance."""
-    contour = trim_contour(estimate_f0(buf, cfg or F0Config()))
-    return power_spectral_entropy(contour.values, detrend=detrend)
+def utterance_pse(contour, detrend=False):
+    """PSE of an utterance's F0 contour, trimmed of its unvoiced ends."""
+    return power_spectral_entropy(trim_contour(contour).values, detrend=detrend)
 
 
 @dataclass
 class PseSummary:
     per_utt: dict = field(default_factory=dict)    # utt_id -> PSE
     errors: dict = field(default_factory=dict)     # utt_id -> message
+    labels: dict = field(default_factory=dict)     # utt_id -> label, every row
     hist_edges: np.ndarray = None
     hist_counts: dict = field(default_factory=dict)  # label -> counts
 
 
 def summarize_pse(values_by_utt, labels_by_utt, errors, n_bins=50):
     """Histogram finite PSE values per class label over their common range."""
-    s = PseSummary(per_utt=dict(values_by_utt), errors=dict(errors))
+    s = PseSummary(per_utt=dict(values_by_utt), errors=dict(errors), labels=dict(labels_by_utt))
     vals = np.array([v for v in values_by_utt.values()], dtype=np.float64)
     if len(vals) == 0:
         return s
@@ -87,39 +81,15 @@ def summarize_pse(values_by_utt, labels_by_utt, errors, n_bins=50):
     return s
 
 
-def pse_report(manifest, out_path, cfg=None, n_bins=50, reader=None):
-    """Per-utterance PSE + per-label histograms, written as CSV.
-
-    Rows that fail (unreadable audio, no voicing) are flagged "error" and do
-    not abort the run.  `reader` maps a manifest row to an AudioBuffer and
-    exists so callers can inject resampling or caching.
-    """
-    if reader is None:
-        from .audio import read_wav
-
-        reader = lambda row: read_wav(row.path)
-
-    values, labels, errors = {}, {}, {}
-    for row in sorted(manifest.rows, key=lambda r: r.utt_id):
-        labels[row.utt_id] = row.role
-        try:
-            values[row.utt_id] = utterance_pse(reader(row), cfg)
-        except (SpoofsenseError, OSError) as e:
-            errors[row.utt_id] = str(e)
-
-    s = summarize_pse(values, labels, errors, n_bins=n_bins)
-    with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["utt_id", "label", "pse"])
-        for utt in sorted(labels):
-            if utt in values:
-                w.writerow([utt, labels[utt], "%.12g" % values[utt]])
-            else:
-                w.writerow([utt, labels[utt], "error"])
-        if s.hist_edges is not None:
-            for label in sorted(s.hist_counts):
-                for i, n in enumerate(s.hist_counts[label]):
-                    w.writerow(
-                        ["#histogram", label, "%.12g" % s.hist_edges[i], "%.12g" % s.hist_edges[i + 1], int(n)]
-                    )
-    return s
+def write_pse_report(s, fh):
+    """Per-utterance PSE ("error" for failed rows), then per-label histograms, as CSV."""
+    w = csv.writer(fh)
+    w.writerow(["utt_id", "label", "pse"])
+    for utt in sorted(s.labels):
+        pse = "%.12g" % s.per_utt[utt] if utt in s.per_utt else "error"
+        w.writerow([utt, s.labels[utt], pse])
+    if s.hist_edges is not None:
+        for label in sorted(s.hist_counts):
+            for i, n in enumerate(s.hist_counts[label]):
+                lo, hi = s.hist_edges[i], s.hist_edges[i + 1]
+                w.writerow(["#histogram", label, "%.12g" % lo, "%.12g" % hi, int(n)])

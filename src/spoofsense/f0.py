@@ -49,6 +49,15 @@ class F0Contour:
         return len(self.values)
 
 
+def contour_framing(sample_rate, c):
+    """(frame_len, hop) in samples of a contour with c's floor and hop (c an
+    F0Config or F0Contour): frames three periods of the floor long, one per hop."""
+    frame_len, hop = 3 * sample_rate / c.floor, c.hop * sample_rate
+    if max(frame_len, hop) > np.iinfo(np.intp).max:  # beyond any sample index
+        raise InputTooShort("no signal holds frames of %g Hz floor every %g s" % (c.floor, c.hop))
+    return int(round(frame_len)), int(round(hop))
+
+
 def _nccf(frames, kmin, kmax):
     """Normalized cross-correlation for lags kmin-1 .. kmax+1 (per frame).
 
@@ -106,8 +115,7 @@ def estimate_f0(buf, cfg=None):
             % int(np.ceil(2 * sr / cfg.floor))
         )
 
-    frame_len = int(round(3 * sr / cfg.floor))
-    hop = int(round(cfg.hop * sr))
+    frame_len, hop = contour_framing(sr, cfg)
     series = frame_signal(buf, frame_len, hop)
     if series.num_frames == 0:
         raise InputTooShort("shorter than one analysis window (%d samples)" % frame_len)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoVoicedRegion, TooFewCycles, ZeroAmplitude
-from .f0 import F0Config, estimate_f0, voiced_runs
+from .f0 import contour_framing, voiced_runs
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def _is_peak(x, q):
 
 def _region_cycles(x, sr, contour, run):
     """Peak-picked cycles inside one maximal voiced run of the contour."""
-    hop = int(round(contour.hop * sr))
-    frame_len = int(round(3 * sr / contour.floor))
+    frame_len, hop = contour_framing(sr, contour)
     lo, hi = run[0], run[1] - 1
     stop = min(len(x), hi * hop + frame_len)
 
@@ -125,10 +124,9 @@ def shimmer_local(c):
     return float(np.mean(np.abs(np.diff(c.amplitudes))) / mean_a)
 
 
-def utterance_perturbation(buf, cfg=None):
-    """Utterance-wise jitter/shimmer: per-region values averaged with
-    region cycle counts as weights."""
-    contour = estimate_f0(buf, cfg or F0Config())
+def utterance_perturbation(buf, contour):
+    """Utterance-wise jitter/shimmer over buf's F0 contour: per-region values
+    averaged with region cycle counts as weights."""
     seqs = [s for s in region_cycles(buf, contour) if len(s) >= 2]
     if not seqs:
         raise TooFewCycles("no voiced region has 2+ cycles")

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct
 
-from .audio import apply_window, frame_signal, window_coeffs
+from .audio import frame_signal, window_coeffs
 from .entropy import utterance_pse
 from .errors import AlignmentMismatch, InputTooShort, KindDimsMismatch
-from .f0 import estimate_f0
+from .f0 import contour_framing, estimate_f0
 from .perturbation import utterance_perturbation
 
 LOG_EPS = 1e-10
@@ -24,7 +24,8 @@ LOG_EPS = 1e-10
 # utterance_level: one row per utterance, else frame-level and mean-pooled;
 # compute(buf, cfg) -> FeatureMatrix, with cfg a RunConfig.  Each compute
 # looks its functions up by module-level name when called, so that wrapping
-# those names (as a tracer does) also wraps the calls made here.
+# those names (as a tracer does) also wraps the calls made here.  The five
+# F0-based kinds track F0 here, once each, and derive the kind from that contour.
 Kind = namedtuple("Kind", "dims utterance_level compute")
 KINDS = {
     "stft": Kind(None, False, lambda buf, cfg: stft_spectrogram(buf, cfg.stft)),
@@ -35,9 +36,9 @@ KINDS = {
         buf, estimate_f0(buf, cfg.f0), cfg.ap)),
     "f0": Kind(1, False, lambda buf, cfg: _contour_matrix(estimate_f0(buf, cfg.f0))),
     "jitter-shimmer": Kind(2, True, lambda buf, cfg: _perturbation_row(
-        utterance_perturbation(buf, cfg.f0))),
+        utterance_perturbation(buf, estimate_f0(buf, cfg.f0)))),
     "pse": Kind(1, True, lambda buf, cfg: FeatureMatrix(
-        kind="pse", data=np.array([[utterance_pse(buf, cfg.f0)]]), hop=0.0)),
+        kind="pse", data=np.array([[utterance_pse(estimate_f0(buf, cfg.f0))]]), hop=0.0)),
 }
 
 
@@ -156,14 +157,14 @@ def _windowed_frames(buf, win_seconds, hop_seconds, window, n_fft):
     series = frame_signal(buf, win_len, hop)
     if series.num_frames == 0:
         raise InputTooShort("need at least %d samples" % win_len)
-    return apply_window(series, window)
+    return series.frames * window_coeffs(window, win_len)
 
 
 def stft_spectrogram(buf, cfg=None):
     """log(|X| + eps) of the one-sided FFT per frame; dims n_fft/2+1."""
     cfg = cfg or StftConfig()
-    series = _windowed_frames(buf, cfg.win_seconds, cfg.hop_seconds, cfg.window, cfg.n_fft)
-    mag = np.abs(np.fft.rfft(series.frames, cfg.n_fft, axis=1))
+    frames = _windowed_frames(buf, cfg.win_seconds, cfg.hop_seconds, cfg.window, cfg.n_fft)
+    mag = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1))
     return FeatureMatrix(kind="stft", data=np.log(mag + LOG_EPS), hop=cfg.hop_seconds)
 
 
@@ -203,8 +204,8 @@ def delta(m, window=2):
 def mfcc(buf, cfg=None):
     """13 cepstra (DCT-II of log mel energies) + deltas + delta-deltas = 39."""
     cfg = cfg or MfccConfig()
-    series = _windowed_frames(buf, cfg.win_seconds, cfg.hop_seconds, "hann", cfg.n_fft)
-    power = np.abs(np.fft.rfft(series.frames, cfg.n_fft, axis=1)) ** 2
+    frames = _windowed_frames(buf, cfg.win_seconds, cfg.hop_seconds, "hann", cfg.n_fft)
+    power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
     fb = mel_filterbank(cfg.n_mels, cfg.n_fft, buf.sample_rate, cfg.fmin, cfg.fmax)
     logmel = np.log(power @ fb.T + LOG_EPS)
     static = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_ceps]
@@ -215,9 +216,7 @@ def mfcc(buf, cfg=None):
 
 def _contour_frames(buf, contour, n_fft):
     """Frame exactly as the contour was framed; lengths must agree."""
-    sr = buf.sample_rate
-    frame_len = int(round(3 * sr / contour.floor))
-    hop = int(round(contour.hop * sr))
+    frame_len, hop = contour_framing(buf.sample_rate, contour)
     if n_fft < frame_len:
         raise ValueError("n_fft must cover the analysis window")
     series = frame_signal(buf, frame_len, hop)

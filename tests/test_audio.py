@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import SR, tone
 from spoofsense.audio import (
     AudioBuffer,
-    apply_window,
     frame_signal,
     read_wav,
     resample,
@@ -175,10 +174,3 @@ def test_windows():
     assert ham[0] > 0.0 and abs(ham[4] - 1.0) < 1e-12
     with pytest.raises(ValueError):
         window_coeffs("blackman", 8)
-
-
-def test_apply_window():
-    buf = AudioBuffer(np.ones(100), SR)
-    fs = frame_signal(buf, 16, 8)
-    w = apply_window(fs, "hann")
-    np.testing.assert_allclose(w.frames[0], window_coeffs("hann", 16))

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import machine_buf, natural_buf, write_manifest
+from conftest import machine_buf, natural_buf, tone, write_manifest
 from spoofsense.audio import write_wav
 from spoofsense.cli import main
 from spoofsense.metrics import parse_scorefile
@@ -231,6 +231,57 @@ def test_pse_report_cli(workspace, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "utt_id,label,pse"
     assert len([l for l in lines if not l.startswith("#")]) == 7  # header + 6 utts
+
+
+def test_pse_report_flags_errors(tmp_path, capsys):
+    write_wav(tmp_path / "good.wav", tone(150))
+    (tmp_path / "bad.wav").write_bytes(b"not a wav")
+    write_manifest(
+        tmp_path / "m.tsv",
+        [
+            ("u1", "s1", "bonafide", "-", "-", str(tmp_path / "good.wav")),
+            ("u2", "s1", "spoof", "-", "-", str(tmp_path / "bad.wav")),
+        ],
+    )
+    out = tmp_path / "pse.csv"
+    assert run("pse-report", "--manifest", tmp_path / "m.tsv", "--out", out) == 0
+    assert capsys.readouterr().out == "pse-report: 1 ok, 1 errors\n"
+    lines = out.read_text().splitlines()
+    assert lines[0] == "utt_id,label,pse"
+    assert lines[1].startswith("u1,bonafide,") and lines[1] != "u1,bonafide,error"
+    assert lines[2].startswith("u2,spoof,error")
+    assert any(l.startswith("#histogram,bonafide") for l in lines)
+
+
+def test_pse_report_bad_f0_band_is_an_error_row(workspace, tmp_path, capsys):
+    # a ceiling above Nyquist fails each utterance's F0 tracking, as in extract
+    conf = tmp_path / "ceil.conf"
+    conf.write_text("f0_ceil = 9000\n")
+    out = tmp_path / "pse.csv"
+    assert run("extract", "--manifest", workspace / "manifest.tsv", "--feature", "pse",
+               "--out-dir", tmp_path / "f", "--config", conf) == 1
+    assert "FAIL bona0: ValueError: need 0 < floor < ceil <= Nyquist" in capsys.readouterr().err
+    assert run("pse-report", "--manifest", workspace / "manifest.tsv", "--out", out,
+               "--config", conf) == 0
+    assert capsys.readouterr().out == "pse-report: 0 ok, 6 errors\n"
+    lines = out.read_text().splitlines()
+    assert lines[0] == "utt_id,label,pse"
+    assert len(lines) == 7 and all(l.endswith(",error") for l in lines[1:])
+
+
+def test_huge_f0_hop_fails_per_utterance(tmp_path, capsys):
+    # a hop no sample index can hold fails each F0-based kind with a typed
+    # error, where jitter-shimmer used to overflow out of cli.main
+    write_wav(tmp_path / "t.wav", tone(150))
+    write_manifest(tmp_path / "m.tsv",
+                   [("u1", "s1", "bonafide", "-", "-", str(tmp_path / "t.wav"))])
+    conf = tmp_path / "hop.conf"
+    conf.write_text("f0_hop = 1e300\n")
+    for kind in ("jitter-shimmer", "f0", "sp", "ap", "pse"):
+        assert run("extract", "--manifest", tmp_path / "m.tsv", "--feature", kind,
+                   "--out-dir", tmp_path / "f", "--config", conf) == 1
+        assert "FAIL u1: InputTooShort: no signal holds frames" in capsys.readouterr().err
+    assert not (tmp_path / "f" / "u1.jitter-shimmer.ssft").exists()
 
 
 def test_data_errors_exit_one(tmp_path):

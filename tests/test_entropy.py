@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import SR, machine_buf, natural_buf, tone, write_manifest
+from conftest import machine_buf, natural_buf
 from spoofsense.entropy import (
     normalize_psd,
     power_spectral_density,
     power_spectral_entropy,
-    pse_report,
     summarize_pse,
     utterance_pse,
 )
 from spoofsense.errors import AllZeroPsd, SequenceTooShort
-from spoofsense.trials import load_manifest
+from spoofsense.f0 import estimate_f0
 
 
 def naive_pse(x):
@@ -90,8 +89,8 @@ def test_normalize_sums_to_one():
 
 
 def test_utterance_pse_separates_natural_from_machine():
-    nat = utterance_pse(natural_buf(120, seed=11))
-    mach = utterance_pse(machine_buf(120))
+    nat = utterance_pse(estimate_f0(natural_buf(120, seed=11)))
+    mach = utterance_pse(estimate_f0(machine_buf(120)))
     assert nat > 10 * max(mach, 1e-12)
 
 
@@ -102,24 +101,3 @@ def test_summarize_pse_histogram():
     assert s.hist_counts["bonafide"].sum() == 1
     assert s.hist_counts["spoof"].sum() == 2
     assert s.hist_counts["spoof"][-1] == 2  # top-edge value lands in last bin
-
-
-def test_pse_report_flags_errors(tmp_path):
-    from spoofsense.audio import write_wav
-
-    write_wav(tmp_path / "good.wav", tone(150))
-    (tmp_path / "bad.wav").write_bytes(b"not a wav")
-    write_manifest(
-        tmp_path / "m.tsv",
-        [
-            ("u1", "s1", "bonafide", "-", "-", str(tmp_path / "good.wav")),
-            ("u2", "s1", "spoof", "-", "-", str(tmp_path / "bad.wav")),
-        ],
-    )
-    out = tmp_path / "pse.csv"
-    s = pse_report(load_manifest(tmp_path / "m.tsv"), out)
-    assert "u1" in s.per_utt and "u2" in s.errors
-    lines = out.read_text().splitlines()
-    assert lines[0] == "utt_id,label,pse"
-    assert lines[2].startswith("u2,spoof,error")
-    assert any(l.startswith("#histogram,bonafide") for l in lines)

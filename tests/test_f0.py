@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import SR, sawtooth, tone
 from spoofsense.audio import AudioBuffer
 from spoofsense.errors import EmptyAfterTrim, InputTooShort
-from spoofsense.f0 import F0Config, F0Contour, estimate_f0, trim_contour, voiced_runs
+from spoofsense.f0 import (
+    F0Config, F0Contour, contour_framing, estimate_f0, trim_contour, voiced_runs,
+)
 
 
 def voiced(contour):
@@ -57,6 +59,19 @@ def test_hop_and_metadata():
 def test_too_short_input():
     with pytest.raises(InputTooShort):
         estimate_f0(AudioBuffer(np.zeros(100), SR))
+
+
+def test_contour_framing():
+    # three periods of the floor per frame, one frame per hop; a contour
+    # frames as the config that tracked it
+    assert contour_framing(SR, F0Config()) == (640, 80)
+    assert contour_framing(SR, estimate_f0(tone(150))) == (640, 80)
+    # a hop past any sample index, finite or overflowing to inf in samples
+    for hop in (1e300, 1e305):
+        with pytest.raises(InputTooShort):
+            contour_framing(SR, F0Config(hop=hop))
+        with pytest.raises(InputTooShort):
+            estimate_f0(tone(150), F0Config(hop=hop))
 
 
 def test_band_validation():

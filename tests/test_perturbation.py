@@ -18,7 +18,7 @@ def test_jitter_train():
     # alternating 100/110-sample periods: mean |dT| = 10, mean T = 105
     periods = [100 if k % 2 == 0 else 110 for k in range(150)]
     buf = AudioBuffer(cos_train(periods, [1.0] * 150), SR)
-    p = utterance_perturbation(buf)
+    p = utterance_perturbation(buf, estimate_f0(buf))
     assert abs(p.jitter_local - 10 / 105) < 0.005
     assert p.shimmer_local < 0.02
 
@@ -28,13 +28,14 @@ def test_shimmer_train():
     # mean |dA| = 0.2, mean A = 0.5
     amps = [0.4 if k % 2 == 0 else 0.6 for k in range(150)]
     buf = pulse_train([105] * 150, amps)
-    p = utterance_perturbation(buf)
+    p = utterance_perturbation(buf, estimate_f0(buf))
     assert abs(p.shimmer_local - 0.4) < 0.01
     assert p.jitter_local < 0.01
 
 
 def test_stationary_tone_is_clean():
-    p = utterance_perturbation(tone(150))
+    buf = tone(150)
+    p = utterance_perturbation(buf, estimate_f0(buf))
     assert p.jitter_local < 0.01
     assert p.shimmer_local < 0.01
 
@@ -77,7 +78,7 @@ def test_region_weighted_average():
     vals = [jitter_local(c) for c in regions]
     counts = [len(c) for c in regions]
     expect = np.average(vals, weights=counts)
-    p = utterance_perturbation(buf)
+    p = utterance_perturbation(buf, estimate_f0(buf))
     assert abs(p.jitter_local - expect) < 1e-12
     assert p.num_cycles == sum(counts)
 
@@ -87,7 +88,7 @@ def test_silence_has_no_voiced_region():
     with pytest.raises(NoVoicedRegion):
         region_cycles(buf, estimate_f0(buf))
     with pytest.raises(NoVoicedRegion):
-        utterance_perturbation(buf)
+        utterance_perturbation(buf, estimate_f0(buf))
 
 
 def test_cycle_sequence_measures():

@@ -228,9 +228,9 @@ def test_kind_table(kind, monkeypatch):
     m = KINDS[kind].compute(tone(150), RunConfig())
 
     assert calls.count(KIND_FUNCTIONS[kind]) == 1
-    # sp, ap and f0 track F0 once here; the utterance-level kinds track it
-    # inside perturbation and entropy; stft and mfcc not at all
-    assert calls.count("estimate_f0") == (kind in ("sp", "ap", "f0"))
+    # every F0-based kind tracks F0 exactly once, in the table; stft and
+    # mfcc not at all
+    assert calls.count("estimate_f0") == (kind not in ("stft", "mfcc"))
     assert m.kind == kind
     want = KINDS[kind].dims
     if want is None:
