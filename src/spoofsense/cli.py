@@ -16,18 +16,19 @@ from .audio import read_wav, resample
 from .config import load_config
 from .entropy import summarize_pse, write_pse_report
 from .errors import (
+    DimMismatch,
     EmptyDataset,
     InputTooShort,
+    KindDimsMismatch,
     MissingFeatureFile,
     SpoofsenseError,
 )
-from .metrics import evaluate_scorefile, write_report
+from .metrics import ScoreTable, evaluate_scorefile, write_report
 from .mlp import init_model, load_model, save_model, score, train
 from .spectral import KINDS
 from .store import read_feature, write_feature
 from .trials import (
     CATEGORIES,
-    ScoredTrials,
     build_all_pairs,
     build_pairs,
     load_embeddings,
@@ -123,6 +124,8 @@ def _pooled_vector(utt_id, kinds, feature_dir):
         if not os.path.exists(path):
             raise MissingFeatureFile(path)
         m = read_feature(path)
+        if m.kind != kind:
+            raise KindDimsMismatch("%s holds kind %r, not %r" % (path, m.kind, kind))
         if m.num_frames == 0:
             raise InputTooShort("0-frame feature file %s" % path)
         parts.append(m.data[0] if KINDS[kind].utterance_level else m.data.mean(axis=0))
@@ -140,10 +143,14 @@ def _parse_kinds(parser, spec_str):
 
 
 def _dataset(manifest, kinds, feature_dir):
+    """Pooled vectors (one row per utterance) and their classes."""
     xs, ys = [], []
     for row in manifest.rows:
         xs.append(_pooled_vector(row.utt_id, kinds, feature_dir))
         ys.append(CLASS_OF_ROLE[row.role])
+        if len(xs[-1]) != len(xs[0]):
+            raise DimMismatch("%s: pooled vector of length %d, %s's has %d"
+                              % (row.utt_id, len(xs[-1]), manifest.rows[0].utt_id, len(xs[0])))
     return np.array(xs), np.array(ys)
 
 
@@ -176,13 +183,12 @@ def cmd_score_cm(args, parser):
     kinds = _parse_kinds(parser, args.features)
     model = load_model(args.model)
     manifest = load_manifest(args.manifest)
-    rows = manifest.rows
-    scores = [score(model, _pooled_vector(r.utt_id, kinds, args.feature_dir)) for r in rows]
-    write_scorefile(args.out_scores, ScoredTrials(
-        trial_ids=[r.utt_id for r in rows],
-        groups=[r.attack_id or "-" for r in rows],
-        labels=[CLASS_NAMES[CLASS_OF_ROLE[r.role]] for r in rows],
-        scores=np.array(scores),
+    x, y = _dataset(manifest, kinds, args.feature_dir)
+    write_scorefile(args.out_scores, ScoreTable(
+        trial_ids=[r.utt_id for r in manifest.rows],
+        groups=[r.attack_id or "-" for r in manifest.rows],
+        labels=[CLASS_NAMES[c] for c in y.tolist()],
+        scores=np.array([score(model, v) for v in x]),
     ))
     print("score-cm: %d utterances scored" % len(manifest))
     return 0
@@ -227,7 +233,7 @@ def cmd_pse_report(args, parser):
     print(
         "pse-report: %d ok, %d errors" % (len(summary.per_utt), len(summary.errors))
     )
-    return 0
+    return 0 if summary.per_utt else 1
 
 
 def build_parser():

@@ -6,6 +6,7 @@ all); every achievable operating point appears in that sweep.
 """
 
 import csv
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -91,27 +92,12 @@ class EerResult:
     threshold: float
 
 
-def eer(s, method="midpoint"):
-    """EER at the sweep point minimizing |FAR - FRR| (ties: smaller threshold).
-
-    method="midpoint" reports (FAR+FRR)/2 there; "interp" linearly
-    interpolates the crossing between the bracketing sweep points.
-    """
+def eer(s):
+    """EER as (FAR+FRR)/2 at the sweep point minimizing |FAR - FRR| (ties:
+    smaller threshold)."""
     t, far, frr = s.sweep
-    if method == "midpoint":
-        i = int(np.argmin(np.abs(far - frr)))
-        return EerResult(eer=float((far[i] + frr[i]) / 2.0), threshold=float(t[i]))
-    if method != "interp":
-        raise ValueError("unknown EER method %r" % method)
-    d = far - frr  # nonincreasing; starts +1 region, ends at -1
-    j = int(np.argmax(d <= 0))
-    if d[j] == 0:
-        return EerResult(eer=float(far[j]), threshold=float(t[j]))
-    i = j - 1
-    w = d[i] / (d[i] - d[j])
-    value = float(frr[i] + w * (frr[j] - frr[i]))
-    thr = float(t[i] if np.isinf(t[j]) else t[i] + w * (t[j] - t[i]))
-    return EerResult(eer=value, threshold=thr)
+    i = int(np.argmin(np.abs(far - frr)))
+    return EerResult(eer=float((far[i] + frr[i]) / 2.0), threshold=float(t[i]))
 
 
 @dataclass(frozen=True)
@@ -147,21 +133,21 @@ class GroupReport:
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """A parsed score file as columns, one entry per row in file order.
+    """A score file as columns, one entry per row in file order.
 
-    Iterating yields the rows as (trial_id, group, is_positive, score).
+    Iterating yields the rows as (trial_id, group, label, score).
     """
 
     trial_ids: list
     groups: list
-    positive: np.ndarray  # bool
+    labels: list  # one of POSITIVE_LABELS | NEGATIVE_LABELS
     scores: np.ndarray  # float64
 
     def __len__(self):
         return len(self.scores)
 
     def __iter__(self):
-        return zip(self.trial_ids, self.groups, self.positive.tolist(), self.scores.tolist())
+        return zip(self.trial_ids, self.groups, self.labels, self.scores.tolist())
 
 
 def _parse_floats(texts):
@@ -186,26 +172,26 @@ def parse_scorefile(path):
     row.  A faulty line raises ParseError for the first such line, checked
     in the order field count, label, score, finiteness, group name.
     """
-    ids, groups, positive, scores = [], [], [np.zeros(0, bool)], [np.zeros(0)]
+    ids, groups, labels, scores = [], [], [], [np.zeros(0)]
     for linenos, (trial_id, group, label, score_text) in read_columns(
         path, 4, "expected 4 tab-separated fields"
     ):
-        pos = isin(label, POSITIVE_LABELS)
         values, rejected = _parse_floats(score_text)
         raise_first(linenos, [
-            (~(pos | isin(label, NEGATIVE_LABELS)), lambda i: "unknown label %r" % label[i]),
+            (~isin(label, POSITIVE_LABELS | NEGATIVE_LABELS),
+             lambda i: "unknown label %r" % label[i]),
             (rejected, lambda i: "bad score %r" % score_text[i]),
             (~np.isfinite(values), lambda i: "non-finite score"),
             (isin(group, {"ALL"}), lambda i: "group name 'ALL' is reserved for the pooled row"),
         ])
         ids += trial_id
         groups += group
-        positive.append(pos)
+        labels += map(sys.intern, label)  # one string per distinct label, not per row
         scores.append(values)
-    return ScoreTable(ids, groups, np.concatenate(positive), np.concatenate(scores))
+    return ScoreTable(ids, groups, labels, np.concatenate(scores))
 
 
-def evaluate_scorefile(path, mode="eer", cost=None, method="midpoint"):
+def evaluate_scorefile(path, mode="eer", cost=None):
     """Per-group and pooled metrics.
 
     Ungrouped rows (group '-') are shared into every named group, mirroring
@@ -218,6 +204,7 @@ def evaluate_scorefile(path, mode="eer", cost=None, method="midpoint"):
     if mode == "tdcf" and cost is None:
         raise ValueError("tdcf mode needs a CostModel")
     table = parse_scorefile(path)
+    positive = isin(table.labels, POSITIVE_LABELS)
     code = {g: k for k, g in enumerate(sorted(set(table.groups) | {"-"}))}
     codes = np.fromiter(map(code.__getitem__, table.groups), np.intp, len(table))
     shared = np.flatnonzero(codes == code.pop("-"))
@@ -227,9 +214,9 @@ def evaluate_scorefile(path, mode="eer", cost=None, method="midpoint"):
             members = slice(None)
         else:
             members = np.concatenate([np.flatnonzero(codes == code[group]), shared])
-        labels = table.positive[members]
+        labels = positive[members]
         s = ScoreSet(scores=table.scores[members], labels=labels)
-        e = eer(s, method=method)
+        e = eer(s)
         td = min_tdcf(s, cost).min_tdcf_norm if mode == "tdcf" else None
         reports.append(
             GroupReport(

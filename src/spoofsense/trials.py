@@ -20,6 +20,7 @@ from .errors import (
     ParseError,
     ZeroVector,
 )
+from .metrics import ScoreTable
 from .tsv import isin, raise_first, read_columns
 
 ROLES = frozenset(
@@ -212,6 +213,8 @@ def load_trials(path):
         raise_first(linenos, [
             (~isin(label, ("positive", "negative")), lambda i: "unknown label %r" % label[i]),
             (~isin(cat, CATEGORIES), lambda i: "unknown category %r" % cat[i]),
+            (isin(label, {"positive"}) != isin(cat, POSITIVE_CATEGORIES),
+             lambda i: "label %r contradicts category %r" % (label[i], cat[i])),
         ])
         pairs += map(TrialPair, a, b, label, cat)
     return TrialSet(pairs=pairs)
@@ -287,25 +290,6 @@ def cosine_score(a, b):
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-ScoredTrial = namedtuple("ScoredTrial", "trial_id group label score")  # label: target | nontarget
-
-
-@dataclass(frozen=True)
-class ScoredTrials:
-    """Scored trials as columns, in trial order; iterating yields ScoredTrial."""
-
-    trial_ids: list
-    groups: list
-    labels: list
-    scores: np.ndarray  # float64
-
-    def __len__(self):
-        return len(self.scores)
-
-    def __iter__(self):
-        return map(ScoredTrial, self.trial_ids, self.groups, self.labels, self.scores.tolist())
-
-
 CHUNK_PAIRS = 4096  # pairs per stacked matmul: bounds the gathered (pairs x dim) copies
 
 
@@ -326,7 +310,7 @@ def _cosines(vectors, norms, ia, ib):
 
 
 def score_trials(ts, emb):
-    """ScoredTrials: one cosine score per pair.
+    """ScoreTable: one cosine score per pair, in pair order.
 
     Negative categories keep their category as the score-file group;
     positive pairs get the shared group '-' so that every attack
@@ -370,7 +354,7 @@ def score_trials(ts, emb):
         )
 
     positive = [p.label == "positive" for p in pairs]
-    return ScoredTrials(
+    return ScoreTable(
         trial_ids=list(map("%s:%s".__mod__, zip(utt_a, utt_b))),
         groups=["-" if pos else p.category for p, pos in zip(pairs, positive)],
         labels=["target" if pos else "nontarget" for pos in positive],
@@ -378,7 +362,6 @@ def score_trials(ts, emb):
     )
 
 
-def write_scorefile(path, scored):
-    rows = zip(scored.trial_ids, scored.groups, scored.labels, scored.scores.tolist())
+def write_scorefile(path, table):
     with open(path, "w") as fh:
-        fh.writelines(map("%s\t%s\t%s\t%.12g\n".__mod__, rows))
+        fh.writelines(map("%s\t%s\t%s\t%.12g\n".__mod__, table))

@@ -7,7 +7,8 @@ from conftest import machine_buf, natural_buf, tone, write_manifest
 from spoofsense.audio import write_wav
 from spoofsense.cli import main
 from spoofsense.metrics import parse_scorefile
-from spoofsense.store import read_feature
+from spoofsense.spectral import FeatureMatrix
+from spoofsense.store import read_feature, write_feature
 
 FAST_CONF = "epochs = 8\nhidden1 = 6\nhidden2 = 4\n"
 
@@ -171,6 +172,50 @@ def test_score_cm_failure_writes_no_scores(workspace, tmp_path, capsys):
     assert not scores.exists()
 
 
+def write_features(feature_dir, kind, stored):
+    """One feature file per utterance: stored maps utt_id to (kind tag, data)."""
+    feature_dir.mkdir()
+    for utt, (tag, data) in stored.items():
+        write_feature(feature_dir / ("%s.%s.ssft" % (utt, kind)), FeatureMatrix(tag, data, 0.01))
+
+
+def two_utt_manifest(path):
+    write_manifest(path, [("u1", "s1", "bonafide", "-", "-", "x"),
+                          ("u2", "s2", "spoof", "-", "-", "x")])
+    return path
+
+
+def test_mismatched_vector_lengths_exit_one(workspace, tmp_path, capsys):
+    manifest = two_utt_manifest(tmp_path / "m.tsv")
+    write_features(tmp_path / "good", "stft", {"u1": ("stft", np.ones((3, 5))),
+                                               "u2": ("stft", np.zeros((3, 5)))})
+    write_features(tmp_path / "bad", "stft", {"u1": ("stft", np.ones((3, 5))),
+                                              "u2": ("stft", np.zeros((3, 7)))})
+    model = tmp_path / "m.mdl"
+    assert run("train-cm", "--features", "stft", "--manifest", manifest,
+               "--feature-dir", tmp_path / "good", "--out-model", model,
+               "--config", workspace / "fast.conf") == 0
+    capsys.readouterr()
+    assert run("train-cm", "--features", "stft", "--manifest", manifest,
+               "--feature-dir", tmp_path / "bad", "--out-model", tmp_path / "m2.mdl") == 1
+    assert "error: u2: pooled vector of length 7, u1's has 5" in capsys.readouterr().err
+    scores = tmp_path / "s.tsv"
+    assert run("score-cm", "--model", model, "--manifest", manifest, "--features", "stft",
+               "--feature-dir", tmp_path / "bad", "--out-scores", scores) == 1
+    assert "error: u2: pooled vector of length 7, u1's has 5" in capsys.readouterr().err
+    assert not scores.exists()
+
+
+def test_wrong_kind_tag_exit_one(tmp_path, capsys):
+    # an F0 contour saved under the pse name must not be read as a PSE
+    write_features(tmp_path / "f", "pse", {"u1": ("f0", np.full((4, 1), 120.0)),
+                                           "u2": ("pse", np.full((1, 1), 0.5))})
+    assert run("train-cm", "--features", "pse", "--manifest", two_utt_manifest(tmp_path / "m.tsv"),
+               "--feature-dir", tmp_path / "f", "--out-model", tmp_path / "m.mdl") == 1
+    assert "u1.pse.ssft holds kind 'f0', not 'pse'" in capsys.readouterr().err
+    assert not (tmp_path / "m.mdl").exists()
+
+
 def test_train_bad_kind_list(workspace, tmp_path):
     assert run("train-cm", "--features", "pse,alien", "--manifest", workspace / "manifest.tsv",
                "--feature-dir", workspace / "feats", "--out-model", tmp_path / "m.mdl") == 2
@@ -262,7 +307,7 @@ def test_pse_report_bad_f0_band_is_an_error_row(workspace, tmp_path, capsys):
                "--out-dir", tmp_path / "f", "--config", conf) == 1
     assert "FAIL bona0: ValueError: need 0 < floor < ceil <= Nyquist" in capsys.readouterr().err
     assert run("pse-report", "--manifest", workspace / "manifest.tsv", "--out", out,
-               "--config", conf) == 0
+               "--config", conf) == 1
     assert capsys.readouterr().out == "pse-report: 0 ok, 6 errors\n"
     lines = out.read_text().splitlines()
     assert lines[0] == "utt_id,label,pse"

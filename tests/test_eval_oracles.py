@@ -2,10 +2,11 @@
 
 The loop versions below are the original parse_scorefile,
 evaluate_scorefile, load_trials, score_trials and write_scorefile, kept
-verbatim (apart from their names) as oracles.  The columnar code must give
-equal rows, GroupReports compared with ==, byte-equal score, trial and
-report files, and on a faulty input the same exception class, message and
-line.
+as oracles, changed only in their names, in the parse loop's label column
+(the label string it read) and in using the one EER rule.  The columnar
+code must give equal rows, GroupReports compared with ==, byte-equal
+score, trial and report files, and on a faulty input the same exception
+class, message and line.
 """
 
 import io
@@ -34,7 +35,6 @@ from spoofsense.trials import (
     CATEGORIES,
     CHUNK_PAIRS,
     Embeddings,
-    ScoredTrial,
     TrialPair,
     TrialSet,
     cosine_score,
@@ -63,7 +63,7 @@ COST = CostModel(
 
 
 def parse_scorefile_loop(path):
-    """Rows of (trial_id, group, is_positive, score); group '-' = ungrouped."""
+    """Rows of (trial_id, group, label, score); group '-' = ungrouped."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -74,11 +74,7 @@ def parse_scorefile_loop(path):
             if len(parts) != 4:
                 raise ParseError("expected 4 tab-separated fields", line=lineno)
             trial_id, group, label, score_text = parts
-            if label in POSITIVE_LABELS:
-                is_pos = True
-            elif label in NEGATIVE_LABELS:
-                is_pos = False
-            else:
+            if label not in POSITIVE_LABELS | NEGATIVE_LABELS:
                 raise ParseError("unknown label %r" % label, line=lineno)
             try:
                 score = float(score_text)
@@ -86,11 +82,11 @@ def parse_scorefile_loop(path):
                 raise ParseError("bad score %r" % score_text, line=lineno) from None
             if not np.isfinite(score):
                 raise ParseError("non-finite score", line=lineno)
-            rows.append((trial_id, group, is_pos, score))
+            rows.append((trial_id, group, label, score))
     return rows
 
 
-def evaluate_scorefile_loop(path, mode="eer", cost=None, method="midpoint"):
+def evaluate_scorefile_loop(path, mode="eer", cost=None):
     """Per-group and pooled metrics.
 
     Ungrouped rows (group '-') are shared into every named group, mirroring
@@ -107,10 +103,10 @@ def evaluate_scorefile_loop(path, mode="eer", cost=None, method="midpoint"):
     reports = []
     for group in named + ["ALL"]:
         members = rows if group == "ALL" else [r for r in rows if r[1] == group] + shared
-        labels = np.array([r[2] for r in members], dtype=bool)
+        labels = np.array([r[2] in POSITIVE_LABELS for r in members], dtype=bool)
         scores = np.array([r[3] for r in members], dtype=np.float64)
         s = ScoreSet(scores=scores, labels=labels)
-        e = eer(s, method=method)
+        e = eer(s)
         td = min_tdcf(s, cost).min_tdcf_norm if mode == "tdcf" else None
         reports.append(
             GroupReport(
@@ -157,21 +153,19 @@ def score_trials_loop(ts, emb):
             if utt not in emb.vectors:
                 raise MissingEmbedding(utt)
         positive = p.label == "positive"
-        out.append(
-            ScoredTrial(
-                trial_id="%s:%s" % (p.utt_a, p.utt_b),
-                group="-" if positive else p.category,
-                label="target" if positive else "nontarget",
-                score=cosine_score(emb.vectors[p.utt_a], emb.vectors[p.utt_b]),
-            )
-        )
+        out.append((
+            "%s:%s" % (p.utt_a, p.utt_b),
+            "-" if positive else p.category,
+            "target" if positive else "nontarget",
+            cosine_score(emb.vectors[p.utt_a], emb.vectors[p.utt_b]),
+        ))
     return out
 
 
 def write_scorefile_loop(path, scored):
     with open(path, "w") as fh:
-        for t in scored:
-            fh.write("%s\t%s\t%s\t%.12g\n" % (t.trial_id, t.group, t.label, t.score))
+        for trial_id, group, label, score in scored:
+            fh.write("%s\t%s\t%s\t%.12g\n" % (trial_id, group, label, score))
 
 
 # ---------------------------------------------------------------- helpers
@@ -217,7 +211,7 @@ def check_scorefile(path):
     if old[0] == "ok":
         assert exact(new[1]) == exact(old[1])
         assert len(new[1]) == len(old[1])
-    for kwargs in ({}, {"method": "interp"}, {"mode": "tdcf", "cost": COST}):
+    for kwargs in ({}, {"mode": "tdcf", "cost": COST}):
         old = outcome(evaluate_scorefile_loop, path, **kwargs)
         new = outcome(evaluate_scorefile, path, **kwargs)
         assert_same_outcome(new, old)

@@ -205,6 +205,17 @@ def test_parse_scorefile_errors(tmp_path):
         parse_scorefile(p)
 
 
+def test_score_table_labels_are_shared_strings(tmp_path):
+    """The label column holds one string object per distinct label, not one per row."""
+    p = tmp_path / "s.tsv"
+    p.write_text("".join("t%d\t-\t%s\t%d\n" % (i, ("target", "spoof")[i % 2], i)
+                         for i in range(50)))
+    table = parse_scorefile(p)
+    assert len(table) == 50 and table.labels[:2] == ["target", "spoof"]
+    assert len({id(label) for label in table.labels}) == 2
+    assert list(table)[1] == ("t1", "-", "spoof", 1.0)
+
+
 def test_group_named_all_is_rejected(tmp_path):
     """ALL names the pooled report row, so a score-file group may not use it."""
     p = tmp_path / "s.tsv"

@@ -158,6 +158,15 @@ def test_trials_roundtrip(tmp_path):
     assert load_trials(tmp_path / "t.tsv").pairs == ts.pairs
 
 
+@pytest.mark.parametrize("bad", ["c\td\tpositive\tRI", "c\td\tnegative\tR"],
+                         ids=["positive-RI", "negative-R"])
+def test_trials_label_contradicting_category(tmp_path, bad):
+    (tmp_path / "t.tsv").write_text("a\tb\tpositive\tIAB\n\n%s\n" % bad)
+    with pytest.raises(ParseError, match="contradicts category") as e:
+        load_trials(tmp_path / "t.tsv")
+    assert e.value.line == 3
+
+
 @pytest.mark.parametrize(
     "rows, exc",
     [
@@ -261,8 +270,8 @@ def test_score_trials_groups_and_labels():
         vectors={"t1": np.array([1.0, 0.0]), "t2": np.array([0.9, 0.1]), "i1": np.array([0.0, 1.0])},
     )
     scored = score_trials(ts, emb)
-    by_id = {t.trial_id: t for t in scored}
-    assert by_id["t1:t2"].label == "target" and by_id["t1:t2"].group == "-"
-    assert by_id["i1:t1"].label == "nontarget" and by_id["i1:t1"].group == "TI"
+    by_id = {trial_id: (group, label) for trial_id, group, label, _ in scored}
+    assert by_id["t1:t2"] == ("-", "target")
+    assert by_id["i1:t1"] == ("TI", "nontarget")
     with pytest.raises(MissingEmbedding):
         score_trials(ts, Embeddings(dim=2, vectors={"t1": np.array([1.0, 0.0])}))
