@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
 
-from .errors import MalformedRiff, TruncatedData, UnsupportedEncoding
+from .errors import CorruptPayload, MalformedRiff, TruncatedData, UnsupportedEncoding
 
 PCM16_SCALE = 32768.0
 
@@ -58,7 +57,9 @@ def read_wav(path):
     """Parse a RIFF/WAVE file into a mono AudioBuffer.
 
     Accepts PCM16 (format code 1) and IEEE float32 (code 3), 1 or 2
-    channels; stereo is averaged.  PCM samples are scaled by 1/32768.
+    channels; stereo is averaged.  PCM samples are scaled by 1/32768;
+    float samples are clipped to [-1, 1], and a NaN or inf among them
+    raises CorruptPayload.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -108,6 +109,9 @@ def read_wav(path):
 
     x = np.frombuffer(data[: len(data) - len(data) % (channels * bits // 8)], dtype=dtype)
     x = x.astype(np.float64)
+    if code == 3 and not np.isfinite(x).all():
+        first = np.flatnonzero(~np.isfinite(x))[0] // channels
+        raise CorruptPayload("non-finite float sample at index %d" % first)
     if channels == 2:
         x = x.reshape(-1, 2).mean(axis=1)
     if code == 1:
@@ -152,6 +156,8 @@ def resample(buf, target_rate):
         raise ValueError("target_rate must be positive")
     if target_rate == buf.sample_rate:
         return buf
+    from scipy.signal import firwin, resample_poly  # slow to import: load it only for a rate change
+
     g = gcd(buf.sample_rate, target_rate)
     up, down = target_rate // g, buf.sample_rate // g
     cutoff_hz = 0.45 * (min(buf.sample_rate, target_rate) / 2.0)

@@ -8,7 +8,6 @@ interpolation.  Unvoiced frames are encoded as 0.0 in the contour.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .audio import frame_signal
 from .errors import EmptyAfterTrim, InputTooShort
@@ -64,6 +63,8 @@ def _nccf(frames, kmin, kmax):
     nccf[k] = sum(x[n] x[n+k]) / sqrt(E(x[:W-k]) E(x[k:])), so any exactly
     periodic frame scores 1.0 at its period regardless of amplitude.
     """
+    from scipy.fft import next_fast_len  # on first use, so commands that track no F0 never load scipy
+
     nf, w = frames.shape
     nfft = next_fast_len(2 * w)
     spec = np.fft.rfft(frames, nfft, axis=1)

@@ -185,8 +185,8 @@ def parse_scorefile(path):
             (isin(group, {"ALL"}), lambda i: "group name 'ALL' is reserved for the pooled row"),
         ])
         ids += trial_id
-        groups += group
-        labels += map(sys.intern, label)  # one string per distinct label, not per row
+        groups += map(sys.intern, group)  # one string per distinct group or label, not per row
+        labels += map(sys.intern, label)
         scores.append(values)
     return ScoreTable(ids, groups, labels, np.concatenate(scores))
 

@@ -10,7 +10,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .audio import frame_signal, window_coeffs
 from .entropy import utterance_pse
@@ -203,6 +202,8 @@ def delta(m, window=2):
 
 def mfcc(buf, cfg=None):
     """13 cepstra (DCT-II of log mel energies) + deltas + delta-deltas = 39."""
+    from scipy.fft import dct  # on first use, so commands that compute no MFCC never load scipy
+
     cfg = cfg or MfccConfig()
     frames = _windowed_frames(buf, cfg.win_seconds, cfg.hop_seconds, "hann", cfg.n_fft)
     power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2

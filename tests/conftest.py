@@ -1,5 +1,7 @@
 """Shared synthesis helpers for the test suite."""
 
+import struct
+
 import numpy as np
 
 from spoofsense.audio import AudioBuffer
@@ -60,3 +62,18 @@ def write_manifest(path, rows):
         fh.write("utt_id\tspeaker_id\trole\tmimicked_target_id\tattack_id\tpath\n")
         for r in rows:
             fh.write("\t".join(r) + "\n")
+
+
+def wav_bytes(samples, sample_rate=SR, channels=1, fmt_code=1, bits=16):
+    """Hand-rolled RIFF container so tests control every header byte."""
+    if fmt_code == 1:
+        body = np.asarray(samples).astype("<i2").tobytes()
+    else:
+        body = np.asarray(samples).astype("<f4").tobytes()
+    block = channels * bits // 8
+    fmt = struct.pack(
+        "<HHIIHH", fmt_code, channels, sample_rate, sample_rate * block, block, bits
+    )
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"data" + struct.pack("<I", len(body)) + body
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks

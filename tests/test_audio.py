@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SR, tone
+from conftest import SR, tone, wav_bytes
 from spoofsense.audio import (
     AudioBuffer,
     frame_signal,
@@ -13,22 +13,7 @@ from spoofsense.audio import (
     window_coeffs,
     write_wav,
 )
-from spoofsense.errors import MalformedRiff, TruncatedData, UnsupportedEncoding
-
-
-def wav_bytes(samples, sample_rate=SR, channels=1, fmt_code=1, bits=16):
-    """Hand-rolled RIFF container so tests control every header byte."""
-    if fmt_code == 1:
-        body = np.asarray(samples).astype("<i2").tobytes()
-    else:
-        body = np.asarray(samples).astype("<f4").tobytes()
-    block = channels * bits // 8
-    fmt = struct.pack(
-        "<HHIIHH", fmt_code, channels, sample_rate, sample_rate * block, block, bits
-    )
-    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    chunks += b"data" + struct.pack("<I", len(body)) + body
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+from spoofsense.errors import CorruptPayload, MalformedRiff, TruncatedData, UnsupportedEncoding
 
 
 def test_pcm16_roundtrip_exact(tmp_path):
@@ -65,6 +50,20 @@ def test_float32_wav(tmp_path):
     p.write_bytes(wav_bytes(x, fmt_code=3, bits=32))
     buf = read_wav(p)
     np.testing.assert_allclose(buf.samples, [0.25, -0.5, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_non_finite_float_samples_rejected(tmp_path, bad, channels):
+    # finite out-of-range samples clip (test_float32_wav); NaN and inf have no
+    # in-range value to clip to, so the file is rejected naming the first one
+    x = np.full(8 * channels, 0.25, dtype=np.float32)
+    x[3 * channels + channels - 1] = bad
+    x[6 * channels] = bad
+    p = tmp_path / "f32.wav"
+    p.write_bytes(wav_bytes(x, channels=channels, fmt_code=3, bits=32))
+    with pytest.raises(CorruptPayload, match="non-finite float sample at index 3$"):
+        read_wav(p)
 
 
 def test_odd_sized_chunk_is_word_aligned(tmp_path):

@@ -3,11 +3,11 @@ import os
 import numpy as np
 import pytest
 
-from conftest import machine_buf, natural_buf, tone, write_manifest
+from conftest import machine_buf, natural_buf, tone, wav_bytes, write_manifest
 from spoofsense.audio import write_wav
 from spoofsense.cli import main
 from spoofsense.metrics import parse_scorefile
-from spoofsense.spectral import FeatureMatrix
+from spoofsense.spectral import KINDS, FeatureMatrix
 from spoofsense.store import read_feature, write_feature
 
 FAST_CONF = "epochs = 8\nhidden1 = 6\nhidden2 = 4\n"
@@ -327,6 +327,22 @@ def test_huge_f0_hop_fails_per_utterance(tmp_path, capsys):
                    "--out-dir", tmp_path / "f", "--config", conf) == 1
         assert "FAIL u1: InputTooShort: no signal holds frames" in capsys.readouterr().err
     assert not (tmp_path / "f" / "u1.jitter-shimmer.ssft").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_non_finite_wav_sample_fails_per_utterance(tmp_path, kind, capsys):
+    # every kind fails the utterance with the reader's typed error, instead
+    # of computing features from the NaN or failing later, untyped, in the store
+    x = tone(150).samples.astype(np.float32)
+    x[8000] = np.nan
+    (tmp_path / "t.wav").write_bytes(wav_bytes(x, fmt_code=3, bits=32))
+    write_manifest(tmp_path / "m.tsv",
+                   [("u1", "s1", "bonafide", "-", "-", str(tmp_path / "t.wav"))])
+    assert run("extract", "--manifest", tmp_path / "m.tsv", "--feature", kind,
+               "--out-dir", tmp_path / "f") == 1
+    assert ("FAIL u1: CorruptPayload: non-finite float sample at index 8000"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "f" / ("u1.%s.ssft" % kind)).exists()
 
 
 def test_data_errors_exit_one(tmp_path):

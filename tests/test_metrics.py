@@ -216,6 +216,16 @@ def test_score_table_labels_are_shared_strings(tmp_path):
     assert list(table)[1] == ("t1", "-", "spoof", 1.0)
 
 
+def test_score_table_groups_are_shared_strings(tmp_path):
+    """The group column holds one string object per distinct group, not one per row."""
+    p = tmp_path / "s.tsv"
+    p.write_text("".join("t%d\t%s\tspoof\t%d\n" % (i, ("A07", "A08", "-")[i % 3], i)
+                         for i in range(60)))
+    table = parse_scorefile(p)
+    assert table.groups[:3] == ["A07", "A08", "-"]
+    assert len({id(group) for group in table.groups}) == 3
+
+
 def test_group_named_all_is_rejected(tmp_path):
     """ALL names the pooled report row, so a score-file group may not use it."""
     p = tmp_path / "s.tsv"
