@@ -2,9 +2,11 @@
 
 All feature code operates on mono float buffers at a single canonical rate
 (16 kHz by default, set at load time).  The RIFF codec here is deliberately
-minimal: PCM16 and float32, 1-2 channels, little-endian, nothing else.
+minimal: PCM16, PCM24 and float32, plain or WAVE_FORMAT_EXTENSIBLE, 1-2
+channels, little-endian, nothing else.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 from math import gcd
@@ -14,6 +16,10 @@ import numpy as np
 from .errors import CorruptPayload, MalformedRiff, TruncatedData, UnsupportedEncoding
 
 PCM16_SCALE = 32768.0
+PCM24_SCALE = 8388608.0  # 2**23
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# bytes 4-15 of every KSDATAFORMAT_SUBTYPE_* GUID; bytes 0-3 hold the format code
+_SUBTYPE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 @dataclass(frozen=True)
@@ -56,10 +62,11 @@ class FrameSeries:
 def read_wav(path):
     """Parse a RIFF/WAVE file into a mono AudioBuffer.
 
-    Accepts PCM16 (format code 1) and IEEE float32 (code 3), 1 or 2
-    channels; stereo is averaged.  PCM samples are scaled by 1/32768;
-    float samples are clipped to [-1, 1], and a NaN or inf among them
-    raises CorruptPayload.
+    Accepts PCM16 and PCM24 (format code 1) and IEEE float32 (code 3), 1 or
+    2 channels; stereo is averaged.  WAVE_FORMAT_EXTENSIBLE (0xFFFE) is read
+    as the PCM or float code its sub-format GUID names.  PCM samples are
+    scaled by 1/2**15 or 1/2**23; float samples are clipped to [-1, 1], and a
+    NaN or inf among them raises CorruptPayload.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -80,6 +87,8 @@ def read_wav(path):
             if len(body) < 16:
                 raise MalformedRiff("fmt chunk shorter than 16 bytes")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if fmt[0] == WAVE_FORMAT_EXTENSIBLE:
+                fmt = (_sub_format(body),) + fmt[1:]
         elif cid == b"data":
             if len(body) < size:
                 raise TruncatedData(
@@ -93,7 +102,7 @@ def read_wav(path):
 
     code, channels, rate, _byte_rate, _block_align, bits = fmt
     if code == 1:
-        if bits != 16:
+        if bits not in (16, 24):
             raise UnsupportedEncoding("PCM with %d bits per sample" % bits)
         dtype = "<i2"
     elif code == 3:
@@ -107,7 +116,8 @@ def read_wav(path):
     if rate <= 0:
         raise MalformedRiff("nonpositive sample rate")
 
-    x = np.frombuffer(data[: len(data) - len(data) % (channels * bits // 8)], dtype=dtype)
+    data = data[: len(data) - len(data) % (channels * bits // 8)]
+    x = _int24(data) if bits == 24 else np.frombuffer(data, dtype=dtype)
     x = x.astype(np.float64)
     if code == 3 and not np.isfinite(x).all():
         first = np.flatnonzero(~np.isfinite(x))[0] // channels
@@ -115,10 +125,29 @@ def read_wav(path):
     if channels == 2:
         x = x.reshape(-1, 2).mean(axis=1)
     if code == 1:
-        x = x / PCM16_SCALE
+        x = x / (PCM16_SCALE if bits == 16 else PCM24_SCALE)
     else:
         x = np.clip(x, -1.0, 1.0)
     return AudioBuffer(samples=x, sample_rate=rate)
+
+
+def _sub_format(fmt_body):
+    """The PCM (1) or float (3) code named by an extensible fmt chunk's GUID."""
+    if len(fmt_body) < 40:
+        raise MalformedRiff("extensible fmt chunk shorter than 40 bytes")
+    guid = fmt_body[24:40]
+    (code,) = struct.unpack_from("<I", guid)
+    if code not in (1, 3) or guid[4:] != _SUBTYPE_GUID_TAIL:
+        raise UnsupportedEncoding("extensible sub-format GUID %s" % guid.hex())
+    return code
+
+
+def _int24(data):
+    """Little-endian signed 24-bit samples as int32, via a 4-byte view."""
+    b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+    wide = np.zeros((len(b), 4), dtype=np.uint8)
+    wide[:, 1:] = b  # sample in the top three bytes; the shift sign-extends
+    return wide.view("<i4")[:, 0] >> 8
 
 
 def write_wav(path, buf):
@@ -156,22 +185,33 @@ def resample(buf, target_rate):
         raise ValueError("target_rate must be positive")
     if target_rate == buf.sample_rate:
         return buf
-    from scipy.signal import firwin, resample_poly  # slow to import: load it only for a rate change
+    from scipy.signal import resample_poly  # slow to import: load it only for a rate change
 
-    g = gcd(buf.sample_rate, target_rate)
-    up, down = target_rate // g, buf.sample_rate // g
-    cutoff_hz = 0.45 * (min(buf.sample_rate, target_rate) / 2.0)
-    half_len = 10 * max(up, down)
-    taps = firwin(
-        2 * half_len + 1,
-        cutoff_hz,
-        fs=buf.sample_rate * up,
-        window=("kaiser", 5.0),
-    )
+    up, down, taps = _resample_filter(buf.sample_rate, target_rate)
     y = resample_poly(buf.samples, up, down, window=taps)
     # the filter can overshoot near sharp edges; keep the buffer contract
     np.clip(y, -1.0, 1.0, out=y)
     return AudioBuffer(samples=y, sample_rate=target_rate)
+
+
+@functools.lru_cache(maxsize=4)
+def _resample_filter(rate, target_rate):
+    """(up, down, read-only taps) for rate -> target_rate, designed once per
+    process: a rate sharing few factors with the target needs ~10^6 taps."""
+    from scipy.signal import firwin
+
+    g = gcd(rate, target_rate)
+    up, down = target_rate // g, rate // g
+    cutoff_hz = 0.45 * (min(rate, target_rate) / 2.0)
+    half_len = 10 * max(up, down)
+    taps = firwin(
+        2 * half_len + 1,
+        cutoff_hz,
+        fs=rate * up,
+        window=("kaiser", 5.0),
+    )
+    taps.flags.writeable = False
+    return up, down, taps
 
 
 def frame_signal(buf, frame_len, hop):

@@ -121,9 +121,10 @@ def _pooled_vector(utt_id, kinds, feature_dir):
     parts = []
     for kind in kinds:
         path = _feature_path(feature_dir, utt_id, kind)
-        if not os.path.exists(path):
-            raise MissingFeatureFile(path)
-        m = read_feature(path)
+        try:
+            m = read_feature(path)
+        except FileNotFoundError:
+            raise MissingFeatureFile(path) from None
         if m.kind != kind:
             raise KindDimsMismatch("%s holds kind %r, not %r" % (path, m.kind, kind))
         if m.num_frames == 0:

@@ -68,27 +68,21 @@ def _act(z, kind):
     return np.tanh(z) if kind == "tanh" else np.maximum(z, 0.0)
 
 
-def _act_grad(z, kind):
-    if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return (z > 0).astype(np.float64)
-
-
-def _forward_batch(m, x):
-    """Returns per-layer pre-activations, activations, and softmax probs."""
-    zs, acts = [], [x]
-    a = x
+def _layers(m, x):
+    """Per-layer activations, the input first and the logits last."""
+    acts = [x]
     for k in range(3):
-        z = a @ m.weights[k] + m.biases[k]
-        zs.append(z)
-        a = _act(z, m.activation) if k < 2 else z
-        acts.append(a)
-    logits = zs[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    return zs, acts, probs
+        z = acts[-1] @ m.weights[k] + m.biases[k]
+        acts.append(_act(z, m.activation) if k < 2 else z)
+    return acts
+
+
+def _softmax(logits):
+    """Softmax probs and the log-sum-exp of each row, from one exp-sum."""
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    e_sum = e.sum(axis=1, keepdims=True)
+    return e / e_sum, np.log(e_sum[:, 0]) + top[:, 0]
 
 
 def _check_input(m, x):
@@ -100,16 +94,14 @@ def _check_input(m, x):
 
 def forward(m, x):
     """Softmax probability pair [p_bonafide, p_spoof] for one input vector."""
-    x = _check_input(m, x)
-    _, _, probs = _forward_batch(m, x)
+    probs, _ = _softmax(_layers(m, _check_input(m, x))[-1])
     return probs[0]
 
 
 def score(m, x):
     """ln p(bonafide) - ln p(spoof); equals the logit difference."""
-    x = _check_input(m, x)
-    zs, _, _ = _forward_batch(m, x)
-    return float(zs[-1][0, BONAFIDE] - zs[-1][0, SPOOF])
+    logits = _layers(m, _check_input(m, x))[-1]
+    return float(logits[0, BONAFIDE] - logits[0, SPOOF])
 
 
 def loss_and_grad(m, x, y, l2=0.0):
@@ -118,23 +110,27 @@ def loss_and_grad(m, x, y, l2=0.0):
     y = np.asarray(y, dtype=int)
     if len(y) != x.shape[0] or len(y) == 0:
         raise ValueError("labels must parallel a nonempty batch")
-    zs, acts, probs = _forward_batch(m, x)
+    acts = _layers(m, x)
+    delta, lse = _softmax(acts[-1])
     n = x.shape[0]
+    rows = np.arange(n)
 
-    logits = zs[-1]
-    lse = np.log(np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1)) + logits.max(axis=1)
-    data_loss = float(np.mean(lse - logits[np.arange(n), y]))
-    loss = data_loss + 0.5 * l2 * sum(float(np.sum(w * w)) for w in m.weights)
+    loss = float((lse - acts[-1][rows, y]).sum() / n)  # np.mean's sum and division, minus its overhead
+    if l2:  # not at l2 = 0, where 0 * sum(w*w) is nan once w*w overflows
+        loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in m.weights)
 
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
+    delta[rows, y] -= 1.0
     delta /= n
     gw, gb = [None] * 3, [None] * 3
     for k in (2, 1, 0):
-        gw[k] = acts[k].T @ delta + l2 * m.weights[k]
+        gw[k] = acts[k].T @ delta
+        if l2:
+            gw[k] += l2 * m.weights[k]
         gb[k] = delta.sum(axis=0)
         if k > 0:
-            delta = (delta @ m.weights[k].T) * _act_grad(zs[k - 1], m.activation)
+            # the activation's derivative from its stored output a = act(z)
+            a = acts[k]
+            delta = (delta @ m.weights[k].T) * (1.0 - a * a if m.activation == "tanh" else a > 0)
     return loss, gw, gb
 
 

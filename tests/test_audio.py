@@ -173,3 +173,103 @@ def test_windows():
     assert ham[0] > 0.0 and abs(ham[4] - 1.0) < 1e-12
     with pytest.raises(ValueError):
         window_coeffs("blackman", 8)
+
+
+# ------------------------------------------ WAVE_FORMAT_EXTENSIBLE, 24-bit
+
+
+def _riff(fmt, payload):
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def _fmt(code, channels, bits, sub_format=None, sr=SR):
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", code, channels, sr, sr * block, block, bits)
+    if sub_format is not None:  # cbSize, valid bits, channel mask, GUID
+        fmt += struct.pack("<HHI", 22, bits, 0) + sub_format
+    return fmt
+
+
+def _guid(code):
+    return struct.pack("<I", code) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _pcm24(values):
+    return b"".join(int(v).to_bytes(3, "little", signed=True) for v in values)
+
+
+def test_extensible_pcm16_matches_plain(tmp_path):
+    x = np.array([0, 1, -1, 16384, -16384, 32767, -32768, 7], dtype=np.int16)
+    for channels in (1, 2):
+        plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        plain.write_bytes(wav_bytes(x, channels=channels))
+        ext.write_bytes(_riff(_fmt(0xFFFE, channels, 16, _guid(1)), x.astype("<i2").tobytes()))
+        a, b = read_wav(plain), read_wav(ext)
+        assert a.sample_rate == b.sample_rate == SR
+        assert np.array_equal(a.samples, b.samples)
+
+
+def test_pcm24_values(tmp_path):
+    v = [0, 1, -1, 2**22, -(2**22), 2**23 - 1, -(2**23), 123456]
+    p = tmp_path / "m24.wav"
+    p.write_bytes(_riff(_fmt(1, 1, 24), _pcm24(v)))
+    assert np.array_equal(read_wav(p).samples, np.array(v) / 2.0**23)
+
+    p = tmp_path / "s24.wav"  # L R L R L R L R, plus a partial trailing frame
+    p.write_bytes(_riff(_fmt(0xFFFE, 2, 24, _guid(1)), _pcm24(v) + b"\x01\x02\x03"))
+    want = np.array(v, dtype=np.float64).reshape(-1, 2).mean(axis=1) / 2.0**23
+    assert np.array_equal(read_wav(p).samples, want)
+
+
+def test_extensible_float32_nan_rejected(tmp_path):
+    p = tmp_path / "f.wav"
+    x = np.array([0.25, -0.5, np.nan, 0.0], dtype="<f4")
+    p.write_bytes(_riff(_fmt(0xFFFE, 1, 32, _guid(3)), x.tobytes()))
+    with pytest.raises(CorruptPayload, match="index 2"):
+        read_wav(p)
+
+
+@pytest.mark.parametrize("sub_format", [
+    _guid(6),                        # A-law code in the standard GUID
+    struct.pack("<I", 1) + bytes(12),  # PCM code with a foreign GUID tail
+])
+def test_extensible_unknown_sub_format(tmp_path, sub_format):
+    p = tmp_path / "u.wav"
+    p.write_bytes(_riff(_fmt(0xFFFE, 1, 16, sub_format), bytes(8)))
+    with pytest.raises(UnsupportedEncoding):
+        read_wav(p)
+
+
+@pytest.mark.parametrize("code,bits", [(1, 8), (1, 32), (3, 24), (3, 64)])
+def test_other_bit_depths_still_rejected(tmp_path, code, bits):
+    p = tmp_path / "b.wav"
+    for sub_format in (None, _guid(code)):
+        fmt_code = code if sub_format is None else 0xFFFE
+        p.write_bytes(_riff(_fmt(fmt_code, 1, bits, sub_format), bytes(24)))
+        with pytest.raises(UnsupportedEncoding):
+            read_wav(p)
+
+
+def test_resample_filter_designed_once(monkeypatch):
+    import scipy.signal
+
+    from spoofsense import audio
+
+    sr = 44101
+    buf = AudioBuffer(0.5 * np.sin(2 * np.pi * 440 * np.arange(sr // 4) / sr), sr)
+    g = np.gcd(sr, 16000)
+    up, down = 16000 // g, sr // g
+    taps = scipy.signal.firwin(2 * 10 * max(up, down) + 1, 0.45 * 8000.0,
+                               fs=sr * up, window=("kaiser", 5.0))
+    want = np.clip(scipy.signal.resample_poly(buf.samples, up, down, window=taps), -1.0, 1.0)
+
+    calls = []
+    firwin = scipy.signal.firwin
+    monkeypatch.setattr(scipy.signal, "firwin", lambda *a, **k: calls.append(1) or firwin(*a, **k))
+    audio._resample_filter.cache_clear()
+    first, second = resample(buf, 16000), resample(buf, 16000)
+    assert len(calls) == 1
+    assert np.array_equal(first.samples, want) and np.array_equal(second.samples, want)
+    audio._resample_filter.cache_clear()

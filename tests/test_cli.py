@@ -5,7 +5,8 @@ import pytest
 
 from conftest import machine_buf, natural_buf, tone, wav_bytes, write_manifest
 from spoofsense.audio import write_wav
-from spoofsense.cli import main
+from spoofsense.cli import _pooled_vector, main
+from spoofsense.errors import MissingFeatureFile
 from spoofsense.metrics import parse_scorefile
 from spoofsense.spectral import KINDS, FeatureMatrix
 from spoofsense.store import read_feature, write_feature
@@ -137,6 +138,24 @@ def test_train_needs_both_classes(workspace, tmp_path):
 def test_train_missing_feature_file(workspace, tmp_path):
     assert run("train-cm", "--features", "stft", "--manifest", workspace / "manifest.tsv",
                "--feature-dir", workspace / "feats", "--out-model", tmp_path / "m.mdl") == 1
+
+
+def test_missing_or_unreadable_feature_file_exits_one(workspace, tmp_path, capsys):
+    feats, manifest = tmp_path / "feats", workspace / "manifest.tsv"
+    assert run("extract", "--manifest", manifest, "--feature", "pse", "--out-dir", feats) == 0
+    path = feats / "bona1.pse.ssft"
+    path.unlink()
+    with pytest.raises(MissingFeatureFile, match="bona1.pse.ssft"):
+        _pooled_vector("bona1", ["pse"], str(feats))
+    capsys.readouterr()
+    argv = ("train-cm", "--features", "pse", "--manifest", manifest, "--feature-dir", feats,
+            "--out-model", tmp_path / "m.mdl")
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == "error: %s\n" % path
+    path.mkdir()  # a directory where the file should be is an OSError, not a missing file
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == "error: [Errno 21] Is a directory: '%s'\n" % path
+    assert not (tmp_path / "m.mdl").exists()
 
 
 def test_corrupt_feature_file_exits_one(workspace, tmp_path, capsys):
