@@ -40,10 +40,6 @@ class AudioBuffer:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration(self):
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class FrameSeries:

@@ -129,9 +129,12 @@ def estimate_f0(buf, cfg=None):
 
     lags, nccf = _nccf(frames, kmin, kmax)
     energy = np.sum(frames**2, axis=1)
+    raw_energy = np.sum(series.frames**2, axis=1)
 
     values = np.zeros(series.num_frames)
-    live = np.flatnonzero(energy != 0.0)  # zero-energy frames stay unvoiced
+    # silent frames stay unvoiced: zero energy, or a constant frame's rounding
+    # residue, which is near-constant too and so has an NCCF of 1 at every lag
+    live = np.flatnonzero(energy > raw_energy * (frame_len * np.finfo(float).eps) ** 2)
     if len(live):  # all silent: nothing to pick, even from an empty lag band
         lag, peak = _pick_peak(lags, nccf[live], kmin, kmax, cfg.subharmonic_ratio)
         values[live] = np.where(

@@ -115,12 +115,6 @@ def min_tdcf(cm, cost):
     return TdcfResult(min_tdcf_norm=float(tdcf[i]), threshold=float(t[i]))
 
 
-def det_points(s):
-    """(FAR, FRR) per sweep threshold; FAR falls and FRR rises along it."""
-    _, far, frr = s.sweep
-    return np.column_stack([far, frr])
-
-
 @dataclass(frozen=True)
 class GroupReport:
     group: str

@@ -92,12 +92,6 @@ def _check_input(m, x):
     return x
 
 
-def forward(m, x):
-    """Softmax probability pair [p_bonafide, p_spoof] for one input vector."""
-    probs, _ = _softmax(_layers(m, _check_input(m, x))[-1])
-    return probs[0]
-
-
 def score(m, x):
     """ln p(bonafide) - ln p(spoof); equals the logit difference."""
     logits = _layers(m, _check_input(m, x))[-1]

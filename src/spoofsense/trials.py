@@ -2,7 +2,8 @@
 
 RULES defines the pair categories.  Pairs are unordered, emitted once with
 utt_a < utt_b lexicographically, sorted; construction is exhaustive over
-qualifying combinations.
+qualifying combinations.  A trial list is held as columns (TrialSet), the
+way a score file is (metrics.ScoreTable).
 """
 
 import itertools
@@ -28,7 +29,8 @@ ROLES = frozenset(
 )
 
 # category -> (role of a, role of b, rule on the rows a and b); a pair of one
-# role is any two of its rows, a pair of two roles one row of each
+# role is any two of its rows, a pair of two roles one row of each.  A rule
+# gets each role's columns as arrays, a's shaped (n, 1) and b's (1, m)
 RULES = {
     # (+) real utterance pairs of one target speaker
     "R": ("target-real", "target-real", lambda a, b: a.speaker_id == b.speaker_id),
@@ -36,8 +38,8 @@ RULES = {
     "RI": ("target-real", "target-real", lambda a, b: a.speaker_id != b.speaker_id),
     # (+) one impersonator mimicking two different targets
     "IAB": ("impersonation", "impersonation",
-            lambda a, b: a.speaker_id == b.speaker_id
-            and a.mimicked_target_id != b.mimicked_target_id),
+            lambda a, b: (a.speaker_id == b.speaker_id)
+            & (a.mimicked_target_id != b.mimicked_target_id)),
     # (-) a target's real utterance vs an impersonation of that target
     "TI": ("target-real", "impersonation", lambda t, i: i.mimicked_target_id == t.speaker_id),
     # (-) impersonators' own voices across different impersonators
@@ -74,9 +76,6 @@ class Manifest:
 
     def __len__(self):
         return len(self.rows)
-
-    def by_role(self, role):
-        return [r for r in self.rows if r.role == role]
 
 
 def _none_if_empty(s):
@@ -131,65 +130,68 @@ def load_manifest(path):
     return Manifest(rows=rows)
 
 
-def save_manifest(path, manifest):
-    cols = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
-    with open(path, "w") as fh:
-        fh.write("\t".join(cols) + "\n")
-        for r in manifest.rows:
-            fh.write(
-                "\t".join(
-                    (r.utt_id, r.speaker_id, r.role, r.path,
-                     r.mimicked_target_id or "-", r.attack_id or "-")
-                )
-                + "\n"
-            )
-
-
 TrialPair = namedtuple("TrialPair", "utt_a utt_b label category")  # label: positive | negative
 
 
 @dataclass(frozen=True)
 class TrialSet:
-    pairs: tuple
+    """A trial list as columns, one entry per trial; iterating yields TrialPair rows."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+    utt_a: list
+    utt_b: list
+    labels: list  # positive | negative
+    categories: list
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.utt_a)
+
+    def __iter__(self):
+        return map(TrialPair, *_columns(self))
+
+
+def _columns(ts):
+    return ts.utt_a, ts.utt_b, ts.labels, ts.categories
+
+
+def _role_grid(manifest, role, shape):
+    """The manifest's rows of one role as a ManifestRow of object arrays
+    reshaped to shape, so that a rule on two such grids broadcasts."""
+    table = np.array([r for r in manifest.rows if r.role == role], dtype=object)
+    columns = table.reshape(-1, len(ManifestRow._fields)).T
+    return ManifestRow._make(col.reshape(shape) for col in columns)
 
 
 def build_pairs(manifest, category):
     if category not in RULES:
         raise ValueError("unknown category %r" % category)
     role_a, role_b, rule = RULES[category]
-    rows_a = manifest.by_role(role_a)
-    if role_a == role_b:
-        candidates = itertools.combinations(rows_a, 2)
-    else:
-        candidates = itertools.product(rows_a, manifest.by_role(role_b))
-    ids = sorted(
-        (a.utt_id, b.utt_id) if a.utt_id < b.utt_id else (b.utt_id, a.utt_id)
-        for a, b in candidates
-        if rule(a, b)
-    )
+    a = _role_grid(manifest, role_a, (-1, 1))
+    b = _role_grid(manifest, role_b, (1, -1))
+    keep = np.broadcast_to(rule(a, b), (a.utt_id.size, b.utt_id.size))
+    if role_a == role_b:  # any two rows of one role: row i with each row j > i
+        keep = np.triu(keep, 1)
+    i, j = np.nonzero(keep)
+    ids = sorted(zip(*np.sort([a.utt_id[i, 0], b.utt_id[0, j]], axis=0)))
     if not ids:
         raise EmptyCategory("no qualifying pairs for category %s" % category)
     label = "positive" if category in POSITIVE_CATEGORIES else "negative"
-    return TrialSet(pairs=[TrialPair(a, b, label, category) for a, b in ids])
+    utt_a, utt_b = map(list, zip(*ids))
+    return TrialSet(utt_a, utt_b, [label] * len(ids), [category] * len(ids))
 
 
 def build_all_pairs(manifest):
     """Every category that has qualifying pairs, in canonical order."""
-    pairs = []
+    columns = ([], [], [], [])
     for cat in CATEGORIES:
         try:
-            pairs += build_pairs(manifest, cat).pairs
+            ts = build_pairs(manifest, cat)
         except EmptyCategory:
             continue
-    if not pairs:
+        for col, part in zip(columns, _columns(ts)):
+            col += part
+    if not columns[0]:
         raise EmptyCategory("no category has qualifying pairs")
-    return TrialSet(pairs=pairs)
+    return TrialSet(*columns)
 
 
 def sample_pairs(ts, n, seed=0):
@@ -197,18 +199,18 @@ def sample_pairs(ts, n, seed=0):
     if n >= len(ts):
         return ts
     rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(len(ts), size=n, replace=False))
-    return TrialSet(pairs=[ts.pairs[i] for i in idx])
+    idx = np.sort(rng.choice(len(ts), size=n, replace=False)).tolist()
+    return TrialSet(*([col[i] for i in idx] for col in _columns(ts)))
 
 
 def save_trials(path, ts):
     with open(path, "w") as fh:
-        for p in ts.pairs:
-            fh.write("%s\t%s\t%s\t%s\n" % (p.utt_a, p.utt_b, p.label, p.category))
+        for row in zip(*_columns(ts)):  # a loop: % formats faster than a map over str.__mod__
+            fh.write("%s\t%s\t%s\t%s\n" % row)
 
 
 def load_trials(path):
-    pairs = []
+    columns = ([], [], [], [])
     for linenos, (a, b, label, cat) in read_columns(path, 4, "expected 4 fields"):
         raise_first(linenos, [
             (~isin(label, ("positive", "negative")), lambda i: "unknown label %r" % label[i]),
@@ -216,8 +218,9 @@ def load_trials(path):
             (isin(label, {"positive"}) != isin(cat, POSITIVE_CATEGORIES),
              lambda i: "label %r contradicts category %r" % (label[i], cat[i])),
         ])
-        pairs += map(TrialPair, a, b, label, cat)
-    return TrialSet(pairs=pairs)
+        for col, part in zip(columns, (a, b, label, cat)):
+            col += part
+    return TrialSet(*columns)
 
 
 @dataclass(frozen=True)
@@ -257,13 +260,6 @@ def load_embeddings(path):
             raise ParseError("non-finite embedding value", line=lineno)
         vectors[utt] = v
     return Embeddings(dim=dim, vectors=vectors)
-
-
-def save_embeddings(path, emb):
-    with open(path, "w") as fh:
-        fh.write("dim=%d\n" % emb.dim)
-        for utt in sorted(emb.vectors):
-            fh.write("%s\t%s\n" % (utt, " ".join("%.12g" % v for v in emb.vectors[utt])))
 
 
 def _rescaled(v):
@@ -318,13 +314,10 @@ def score_trials(ts, emb):
     Embedding vectors are 1-D; the first pair with a missing embedding,
     vectors of different dims or a zero vector raises.
     """
-    pairs = ts.pairs
-    utt_a = [p.utt_a for p in pairs]
-    utt_b = [p.utt_b for p in pairs]
-    names = list(dict.fromkeys(utt_a + utt_b))
+    names = list(dict.fromkeys(ts.utt_a + ts.utt_b))
     row = dict(zip(names, itertools.count()))
-    ia = np.fromiter(map(row.__getitem__, utt_a), np.intp, len(pairs))
-    ib = np.fromiter(map(row.__getitem__, utt_b), np.intp, len(pairs))
+    ia = np.fromiter(map(row.__getitem__, ts.utt_a), np.intp, len(ts))
+    ib = np.fromiter(map(row.__getitem__, ts.utt_b), np.intp, len(ts))
 
     # a missing embedding reads as an empty vector, so its pairs count as faulty
     vectors = [_rescaled(emb.vectors.get(u, ())) for u in names]
@@ -338,12 +331,12 @@ def score_trials(ts, emb):
     )
     if faulty.size:
         k = faulty[0]
-        for utt in (utt_a[k], utt_b[k]):
+        for utt in (ts.utt_a[k], ts.utt_b[k]):
             if utt not in emb.vectors:
                 raise MissingEmbedding(utt)
         cosine_score(vectors[ia[k]], vectors[ib[k]])  # raises DimMismatch or ZeroVector
 
-    scores = np.empty(len(pairs))
+    scores = np.empty(len(ts))
     for sid in np.unique(shape_id):  # one vector shape unless emb mixes dims
         own = shape_id == sid
         local = np.cumsum(own) - 1  # utterance -> row of this shape's matrix
@@ -353,10 +346,10 @@ def score_trials(ts, emb):
             norms[own], local[ia[sel]], local[ib[sel]],
         )
 
-    positive = [p.label == "positive" for p in pairs]
+    positive = [label == "positive" for label in ts.labels]
     return ScoreTable(
-        trial_ids=list(map("%s:%s".__mod__, zip(utt_a, utt_b))),
-        groups=["-" if pos else p.category for p, pos in zip(pairs, positive)],
+        trial_ids=list(map("%s:%s".__mod__, zip(ts.utt_a, ts.utt_b))),
+        groups=["-" if pos else cat for cat, pos in zip(ts.categories, positive)],
         labels=["target" if pos else "nontarget" for pos in positive],
         scores=scores,
     )

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 
 from spoofsense.audio import AudioBuffer
+from spoofsense.trials import TrialSet
 
 SR = 16000
 
@@ -62,6 +63,26 @@ def write_manifest(path, rows):
         fh.write("utt_id\tspeaker_id\trole\tmimicked_target_id\tattack_id\tpath\n")
         for r in rows:
             fh.write("\t".join(r) + "\n")
+
+
+def write_embeddings(path, emb):
+    """An embedding file of emb: the dim= header, then utt_id<TAB>values rows."""
+    with open(path, "w") as fh:
+        fh.write("dim=%d\n" % emb.dim)
+        for utt in sorted(emb.vectors):
+            fh.write("%s\t%s\n" % (utt, " ".join("%.17g" % v for v in emb.vectors[utt])))
+
+
+def trial_set(pairs):
+    """The TrialSet of an iterable of (utt_a, utt_b, label, category) rows."""
+    pairs = list(pairs)
+    return TrialSet(*([p[k] for p in pairs] for k in range(4)))
+
+
+def softmax(logits):
+    """Probabilities of a 1-D logit vector."""
+    e = np.exp(logits - np.max(logits))
+    return e / e.sum()
 
 
 def wav_bytes(samples, sample_rate=SR, channels=1, fmt_code=1, bits=16):

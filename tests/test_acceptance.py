@@ -423,10 +423,10 @@ def test_criterion_10_trial_combinatorics(capsys):
                     expect.add((a.utt_id, b.utt_id))
             try:
                 ts = build_pairs(m, cat)
-                got = {(p.utt_a, p.utt_b) for p in ts.pairs}
+                got = {(p.utt_a, p.utt_b) for p in ts}
                 labels_ok = all(
                     p.label == ("positive" if cat in ("R", "IAB") else "negative")
-                    for p in ts.pairs
+                    for p in ts
                 )
             except EmptyCategory:
                 got, labels_ok = set(), True

@@ -38,6 +38,21 @@ def test_matches_naive_transcription(x):
     assert abs(power_spectral_entropy(x) - naive_pse(x)) < 1e-9
 
 
+def binary_entropy(e):
+    return -sum(p * np.log(p) for p in (e, 1.0 - e) if p > 0.0)
+
+
+@given(x=seqs, offset=st.floats(-1e3, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_pse_is_dc_share_entropy_plus_detrended_pse(x, offset):
+    """PSE(x) = h_b(eps) + eps * PSE_detrended(x), eps the non-DC share of PSD power."""
+    x = x + offset
+    p = power_spectral_density(x)
+    eps = p[1:].sum() / p.sum()
+    want = binary_entropy(eps) + eps * power_spectral_entropy(x, detrend=True)
+    assert abs(power_spectral_entropy(x) - want) < 1e-12
+
+
 def test_constant_sequence_is_exactly_zero():
     for c in (0.5, -3.0, 123.456):
         assert power_spectral_entropy(np.full(64, c)) == 0.0

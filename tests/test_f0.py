@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SR, sawtooth, tone
 from spoofsense.audio import AudioBuffer
-from spoofsense.errors import EmptyAfterTrim, InputTooShort
+from spoofsense.config import RunConfig
+from spoofsense.errors import EmptyAfterTrim, InputTooShort, NoVoicedRegion
 from spoofsense.f0 import (
     F0Config, F0Contour, contour_framing, estimate_f0, trim_contour, voiced_runs,
 )
+from spoofsense.spectral import KINDS
 
 
 def voiced(contour):
@@ -40,6 +42,23 @@ def test_amplitude_invariance_exact():
 def test_silence_is_unvoiced():
     c = estimate_f0(AudioBuffer(np.zeros(SR), SR))
     assert np.all(c.values == 0.0)
+
+
+@pytest.mark.parametrize("level", [0.3, 1e-3, -0.5])
+def test_dc_is_unvoiced(level):
+    """A constant signal is silent once its mean is removed, not voiced at the ceiling."""
+    buf = AudioBuffer(np.full(SR, level), SR)
+    assert np.all(estimate_f0(buf).values == 0.0)
+    with pytest.raises(EmptyAfterTrim):
+        KINDS["pse"].compute(buf, RunConfig())
+    with pytest.raises(NoVoicedRegion):
+        KINDS["jitter-shimmer"].compute(buf, RunConfig())
+
+
+def test_dc_offset_tone_still_tracked():
+    c = estimate_f0(AudioBuffer(tone(150).samples + 0.3, SR))
+    assert np.all(c.values > 0)
+    assert np.all(np.abs(c.values - 150) <= 1.0)
 
 
 @pytest.mark.parametrize("freq", [40, 60, 550, 700])

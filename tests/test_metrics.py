@@ -8,7 +8,6 @@ from spoofsense.errors import DegenerateLabels, IllPosedCostModel, ParseError
 from spoofsense.metrics import (
     CostModel,
     ScoreSet,
-    det_points,
     eer,
     evaluate_scorefile,
     min_tdcf,
@@ -164,7 +163,8 @@ def test_tie_breaks_toward_smaller_threshold():
 
 def test_det_points_example():
     s = make_set([2], [1])
-    pts = det_points(s)
+    _, far, frr = s.sweep
+    pts = np.column_stack([far, frr])
     rows = {tuple(p) for p in pts}
     assert {(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)} <= rows
     # monotone along the sweep
@@ -176,7 +176,7 @@ def test_degenerate_labels():
     with pytest.raises(DegenerateLabels):
         eer(make_set([1, 2], []))
     with pytest.raises(DegenerateLabels):
-        det_points(make_set([], [1]))
+        make_set([], [1]).sweep
 
 
 def test_cost_model_validation():

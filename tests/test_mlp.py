@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import softmax
+from spoofsense import mlp
 from spoofsense.errors import BadDims, DimMismatch, EmptyDataset, TruncatedPayload, BadMagic
 from spoofsense.mlp import (
     TrainConfig,
-    forward,
     init_model,
     load_model,
     loss_and_grad,
@@ -76,10 +77,11 @@ def test_gradient_matches_finite_differences(activation, seed):
 
 def test_forward_is_a_distribution():
     m = init_model((4, 6, 5, 2), seed=3)
-    p = forward(m, np.array([0.3, -1.0, 2.0, 0.5]))
+    x = np.array([0.3, -1.0, 2.0, 0.5])
+    p = softmax(mlp._layers(m, x[None, :])[-1][0])
     assert len(p) == 2 and abs(sum(p) - 1.0) < 1e-12
     assert all(0 <= v <= 1 for v in p)
-    s = score(m, np.array([0.3, -1.0, 2.0, 0.5]))
+    s = score(m, x)
     assert abs(s - (np.log(p[0]) - np.log(p[1]))) < 1e-9
 
 
@@ -92,7 +94,7 @@ def test_separable_toy_converges():
     y = np.array([0] * n + [1] * n)
     m = init_model((2, 8, 4, 2), seed=0)
     trained, history = train(m, x, y, TrainConfig(epochs=200, learning_rate=0.1))
-    preds = [int(forward(trained, row)[1] > 0.5) for row in x]
+    preds = [int(score(trained, row) < 0) for row in x]  # p(spoof) > 0.5
     assert np.mean(np.array(preds) == y) >= 0.99
     assert history[-1] < history[0]
 
@@ -156,7 +158,7 @@ def test_train_validation():
     with pytest.raises(ValueError):
         train(m, np.zeros((2, 2)), np.array([0, 2]))
     with pytest.raises(DimMismatch):
-        forward(m, np.zeros(5))
+        score(m, np.zeros(5))
 
 
 def test_l2_shrinks_weights():

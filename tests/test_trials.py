@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import write_manifest
+from conftest import write_embeddings, write_manifest
 from spoofsense.errors import (
     DimMismatch,
     DuplicateUttId,
@@ -26,8 +26,6 @@ from spoofsense.trials import (
     load_manifest,
     load_trials,
     sample_pairs,
-    save_embeddings,
-    save_manifest,
     save_trials,
     score_trials,
 )
@@ -92,17 +90,17 @@ def test_categories_match_enumerator(seed):
         except EmptyCategory:
             assert expect == set()
             continue
-        got = {(p.utt_a, p.utt_b) for p in ts.pairs}
+        got = {(p.utt_a, p.utt_b) for p in ts}
         assert got == expect
         want_label = "positive" if cat in ("R", "IAB") else "negative"
-        assert all(p.label == want_label and p.category == cat for p in ts.pairs)
-        assert all(p.utt_a < p.utt_b for p in ts.pairs)  # no self/dup pairs
-        keys = [(p.utt_a, p.utt_b) for p in ts.pairs]
+        assert all(p.label == want_label and p.category == cat for p in ts)
+        assert all(p.utt_a < p.utt_b for p in ts)  # no self/dup pairs
+        keys = [(p.utt_a, p.utt_b) for p in ts]
         assert keys == sorted(keys)  # the order that keeps trial lists byte-stable
-        all_pairs += ts.pairs
+        all_pairs += ts
     # build_all_pairs: each category's pairs, categories in CATEGORIES order
     if all_pairs:
-        assert build_all_pairs(m).pairs == tuple(all_pairs)
+        assert tuple(build_all_pairs(m)) == tuple(all_pairs)
     else:
         with pytest.raises(EmptyCategory):
             build_all_pairs(m)
@@ -131,7 +129,7 @@ def test_all_pairs_concatenates_nonempty():
     rows = [ManifestRow("a", "S", "target-real", "x"), ManifestRow("b", "S", "target-real", "x")]
     m = Manifest(rows=rows)
     ts = build_all_pairs(m)  # only R qualifies; the rest are empty
-    assert len(ts) == 1 and ts.pairs[0].category == "R"
+    assert len(ts) == 1 and tuple(ts)[0].category == "R"
     with pytest.raises(EmptyCategory):
         build_all_pairs(Manifest(rows=[ManifestRow("a", "S", "bonafide", "x")]))
 
@@ -141,21 +139,24 @@ def test_sampling_deterministic_subset():
     ts = build_all_pairs(m)
     s1 = sample_pairs(ts, 5, seed=11)
     s2 = sample_pairs(ts, 5, seed=11)
-    assert s1.pairs == s2.pairs and len(s1) == 5
-    assert set(s1.pairs) <= set(ts.pairs)
+    assert tuple(s1) == tuple(s2) and len(s1) == 5
+    assert set(s1) <= set(ts)
     assert sample_pairs(ts, 10**6, seed=0) is ts
 
 
 def test_manifest_roundtrip(tmp_path):
     m = random_manifest(1)
-    save_manifest(tmp_path / "m.tsv", m)
+    write_manifest(tmp_path / "m.tsv", [
+        (r.utt_id, r.speaker_id, r.role, r.mimicked_target_id or "-", r.attack_id or "-", r.path)
+        for r in m.rows
+    ])
     assert load_manifest(tmp_path / "m.tsv").rows == m.rows
 
 
 def test_trials_roundtrip(tmp_path):
     ts = build_all_pairs(random_manifest(2))
     save_trials(tmp_path / "t.tsv", ts)
-    assert load_trials(tmp_path / "t.tsv").pairs == ts.pairs
+    assert tuple(load_trials(tmp_path / "t.tsv")) == tuple(ts)
 
 
 @pytest.mark.parametrize("bad", ["c\td\tpositive\tRI", "c\td\tnegative\tR"],
@@ -235,7 +236,7 @@ def test_cosine_scale_invariance(a, alpha, beta):
 
 def test_embeddings_roundtrip_and_errors(tmp_path):
     emb = Embeddings(dim=3, vectors={"u1": np.array([1.0, 2.0, 3.0]), "u2": np.array([0.5, -1.0, 2.5])})
-    save_embeddings(tmp_path / "e.txt", emb)
+    write_embeddings(tmp_path / "e.txt", emb)
     back = load_embeddings(tmp_path / "e.txt")
     assert back.dim == 3
     for k in emb.vectors:
