@@ -8,6 +8,7 @@ channels, little-endian, nothing else.
 
 import functools
 import struct
+import wave
 from dataclasses import dataclass
 from math import gcd
 
@@ -39,20 +40,6 @@ class AudioBuffer:
 
     def __len__(self):
         return len(self.samples)
-
-
-@dataclass(frozen=True)
-class FrameSeries:
-    """frames: (num_frames, frame_len); frame i starts at sample i*hop."""
-
-    frames: np.ndarray
-    hop: int
-    frame_len: int
-    sample_rate: int
-
-    @property
-    def num_frames(self):
-        return self.frames.shape[0]
 
 
 def read_wav(path):
@@ -149,26 +136,11 @@ def _int24(data):
 def write_wav(path, buf):
     """Write a mono PCM16 WAV. Round-trips through read_wav within 1/32768."""
     q = np.clip(np.rint(buf.samples * PCM16_SCALE), -32768, 32767).astype("<i2")
-    payload = q.tobytes()
-    hdr = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + len(payload),
-        b"WAVE",
-        b"fmt ",
-        16,
-        1,  # PCM
-        1,  # mono
-        buf.sample_rate,
-        buf.sample_rate * 2,
-        2,
-        16,
-        b"data",
-        len(payload),
-    )
-    with open(path, "wb") as fh:
-        fh.write(hdr)
-        fh.write(payload)
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(buf.sample_rate)
+        w.writeframes(q.tobytes())
 
 
 def resample(buf, target_rate):
@@ -211,15 +183,14 @@ def _resample_filter(rate, target_rate):
 
 
 def frame_signal(buf, frame_len, hop):
-    """Slice into overlapping frames; a partial trailing frame is dropped."""
+    """(num_frames, frame_len) read-only view of the samples: frame i starts
+    at sample i*hop, and a partial trailing frame is dropped."""
     if frame_len < 1 or hop < 1:
         raise ValueError("frame_len and hop must be >= 1")
     x = buf.samples
     if len(x) < frame_len:
-        frames = np.empty((0, frame_len))
-    else:
-        frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop].copy()
-    return FrameSeries(frames=frames, hop=hop, frame_len=frame_len, sample_rate=buf.sample_rate)
+        return np.empty((0, frame_len))
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
 
 
 _WINDOWS = {

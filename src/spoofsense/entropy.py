@@ -45,7 +45,8 @@ def power_spectral_entropy(seq, detrend=False):
     """-sum p_i ln p_i over the normalized PSD; 0 ln 0 = 0."""
     p = normalize_psd(power_spectral_density(seq, detrend=detrend))
     nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    # 0.0 - sum, not -sum: one bin holding all the power has entropy +0, not -0
+    return float(0.0 - np.sum(nz * np.log(nz)))
 
 
 def utterance_pse(contour, detrend=False):
@@ -72,12 +73,11 @@ def summarize_pse(values_by_utt, labels_by_utt, errors, n_bins=50):
     if hi <= lo:
         hi = lo + 1.0  # all values identical; give the histogram some width
     s.hist_edges = np.linspace(lo, hi, n_bins + 1)
+    by_label = {}
     for utt, v in values_by_utt.items():
-        label = labels_by_utt[utt]
-        if label not in s.hist_counts:
-            s.hist_counts[label] = np.zeros(n_bins, dtype=int)
-        idx = min(int((v - lo) / (hi - lo) * n_bins), n_bins - 1)
-        s.hist_counts[label][idx] += 1
+        by_label.setdefault(labels_by_utt[utt], []).append(v)
+    for label, v in by_label.items():
+        s.hist_counts[label] = np.histogram(v, bins=s.hist_edges)[0]
     return s
 
 

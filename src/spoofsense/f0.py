@@ -110,18 +110,12 @@ def estimate_f0(buf, cfg=None):
     sr = buf.sample_rate
     if not (0 < cfg.floor < cfg.ceil <= sr / 2):
         raise ValueError("need 0 < floor < ceil <= Nyquist")
-    if len(buf) < 2 * sr / cfg.floor:
-        raise InputTooShort(
-            "need at least two periods of the floor frequency (%d samples)"
-            % int(np.ceil(2 * sr / cfg.floor))
-        )
-
     frame_len, hop = contour_framing(sr, cfg)
-    series = frame_signal(buf, frame_len, hop)
-    if series.num_frames == 0:
+    raw = frame_signal(buf, frame_len, hop)
+    if len(raw) == 0:
         raise InputTooShort("shorter than one analysis window (%d samples)" % frame_len)
 
-    frames = series.frames - series.frames.mean(axis=1, keepdims=True)
+    frames = raw - raw.mean(axis=1, keepdims=True)
     kmin = int(np.ceil(sr / cfg.ceil))
     kmax = int(np.floor(sr / cfg.floor))
     if kmin < 2:
@@ -129,9 +123,9 @@ def estimate_f0(buf, cfg=None):
 
     lags, nccf = _nccf(frames, kmin, kmax)
     energy = np.sum(frames**2, axis=1)
-    raw_energy = np.sum(series.frames**2, axis=1)
+    raw_energy = np.sum(raw**2, axis=1)
 
-    values = np.zeros(series.num_frames)
+    values = np.zeros(len(frames))
     # silent frames stay unvoiced: zero energy, or a constant frame's rounding
     # residue, which is near-constant too and so has an NCCF of 1 at every lag
     live = np.flatnonzero(energy > raw_energy * (frame_len * np.finfo(float).eps) ** 2)

@@ -148,21 +148,27 @@ class ApConfig:
             raise ValueError("n_fft must be >= 2")
 
 
-def _windowed_frames(buf, win_seconds, hop_seconds, window, n_fft):
-    win_len = int(round(win_seconds * buf.sample_rate))
-    hop = int(round(hop_seconds * buf.sample_rate))
-    if n_fft < win_len:
+def _windowed_frames(buf, frame_len, hop, window, n_fft):
+    """The buffer's frames times the window; n_fft must cover a frame."""
+    if n_fft < frame_len:
         raise ValueError("n_fft must cover the analysis window")
-    series = frame_signal(buf, win_len, hop)
-    if series.num_frames == 0:
+    return frame_signal(buf, frame_len, hop) * window_coeffs(window, frame_len)
+
+
+def _stft_frames(buf, cfg, window):
+    """Windowed frames of an stft or mfcc config: win_seconds every hop_seconds."""
+    win_len = int(round(cfg.win_seconds * buf.sample_rate))
+    hop = int(round(cfg.hop_seconds * buf.sample_rate))
+    frames = _windowed_frames(buf, win_len, hop, window, cfg.n_fft)
+    if len(frames) == 0:
         raise InputTooShort("need at least %d samples" % win_len)
-    return series.frames * window_coeffs(window, win_len)
+    return frames
 
 
 def stft_spectrogram(buf, cfg=None):
     """log(|X| + eps) of the one-sided FFT per frame; dims n_fft/2+1."""
     cfg = cfg or StftConfig()
-    frames = _windowed_frames(buf, cfg.win_seconds, cfg.hop_seconds, cfg.window, cfg.n_fft)
+    frames = _stft_frames(buf, cfg, cfg.window)
     mag = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1))
     return FeatureMatrix(kind="stft", data=np.log(mag + LOG_EPS), hop=cfg.hop_seconds)
 
@@ -178,9 +184,11 @@ def _mel_to_hz(m):
 def mel_filterbank(n_mels, n_fft, sample_rate, fmin, fmax):
     """Triangular filters on the HTK mel scale, anchored to FFT bin indices."""
     pts = _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2))
-    bins = np.floor((n_fft + 1) * pts / sample_rate).astype(int)
+    bins = np.floor((n_fft + 1) * pts / sample_rate)
+    # checked as floats: the int cast turns a huge fmax's bin negative
     if bins[-1] > n_fft // 2 + 1:
         raise ValueError("fmax %g lies beyond the %d-point FFT's top bin" % (fmax, n_fft))
+    bins = bins.astype(int)
     k = np.arange(n_fft // 2 + 1)
     lo, mid, hi = bins[:-2, None], bins[1:-1, None], bins[2:, None]
     rise = (k - lo) / np.maximum(1, mid - lo)
@@ -205,7 +213,7 @@ def mfcc(buf, cfg=None):
     from scipy.fft import dct  # on first use, so commands that compute no MFCC never load scipy
 
     cfg = cfg or MfccConfig()
-    frames = _windowed_frames(buf, cfg.win_seconds, cfg.hop_seconds, "hann", cfg.n_fft)
+    frames = _stft_frames(buf, cfg, "hann")
     power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
     fb = mel_filterbank(cfg.n_mels, cfg.n_fft, buf.sample_rate, cfg.fmin, cfg.fmax)
     logmel = np.log(power @ fb.T + LOG_EPS)
@@ -218,15 +226,12 @@ def mfcc(buf, cfg=None):
 def _contour_frames(buf, contour, n_fft):
     """Frame exactly as the contour was framed; lengths must agree."""
     frame_len, hop = contour_framing(buf.sample_rate, contour)
-    if n_fft < frame_len:
-        raise ValueError("n_fft must cover the analysis window")
-    series = frame_signal(buf, frame_len, hop)
-    if series.num_frames != len(contour):
+    frames = _windowed_frames(buf, frame_len, hop, "hann", n_fft)
+    if len(frames) != len(contour):
         raise AlignmentMismatch(
-            "contour has %d frames, buffer frames to %d" % (len(contour), series.num_frames)
+            "contour has %d frames, buffer frames to %d" % (len(contour), len(frames))
         )
-    w = window_coeffs("hann", frame_len)
-    return series.frames * w, frame_len, hop
+    return frames, frame_len, hop
 
 
 def spectral_envelope(buf, contour, cfg=None):

@@ -147,9 +147,9 @@ def test_resample_output_length_formula():
 def test_framing_counts():
     buf = AudioBuffer(np.arange(100, dtype=float), SR)
     fs = frame_signal(buf, 30, 20)
-    assert fs.num_frames == (100 - 30) // 20 + 1
-    np.testing.assert_array_equal(fs.frames[1], np.arange(20, 50, dtype=float))
-    assert frame_signal(AudioBuffer(np.zeros(10), SR), 30, 20).num_frames == 0
+    assert fs.shape == ((100 - 30) // 20 + 1, 30)
+    np.testing.assert_array_equal(fs[1], np.arange(20, 50, dtype=float))
+    assert frame_signal(AudioBuffer(np.zeros(10), SR), 30, 20).shape == (0, 30)
 
 
 @given(
@@ -161,7 +161,7 @@ def test_framing_counts():
 def test_framing_formula_property(n, frame_len, hop):
     fs = frame_signal(AudioBuffer(np.zeros(n), SR), frame_len, hop)
     expect = (n - frame_len) // hop + 1 if n >= frame_len else 0
-    assert fs.num_frames == expect
+    assert fs.shape == (expect, frame_len)
 
 
 def test_windows():

@@ -55,7 +55,8 @@ def test_pse_is_dc_share_entropy_plus_detrended_pse(x, offset):
 
 def test_constant_sequence_is_exactly_zero():
     for c in (0.5, -3.0, 123.456):
-        assert power_spectral_entropy(np.full(64, c)) == 0.0
+        h = power_spectral_entropy(np.full(64, c))
+        assert h == 0.0 and not np.signbit(h)  # +0, which a file writes as 0, not -0
 
 
 def test_impulse_maxentropy():
@@ -116,3 +117,13 @@ def test_summarize_pse_histogram():
     assert s.hist_counts["bonafide"].sum() == 1
     assert s.hist_counts["spoof"].sum() == 2
     assert s.hist_counts["spoof"][-1] == 2  # top-edge value lands in last bin
+
+    # each value is counted in the bin whose printed edges hold it: 2.3 lies
+    # below the edge 2.3000000000000003 that linspace puts next to it
+    vals = {"a": 0.4, "b": 2.3, "c": 2.9}
+    s = summarize_pse(vals, {u: "spoof" for u in vals}, errors={}, n_bins=50)
+    e = s.hist_edges
+    for i, n in enumerate(s.hist_counts["spoof"]):
+        # bins are [lo, hi), the last one [lo, hi]
+        held = [v for v in vals.values() if e[i] <= v < e[i + 1] or v == e[i + 1] == e[-1]]
+        assert n == len(held)

@@ -63,10 +63,10 @@ def estimate_f0_loop(buf, cfg=None):
     frame_len = int(round(3 * sr / cfg.floor))
     hop = int(round(cfg.hop * sr))
     series = frame_signal(buf, frame_len, hop)
-    if series.num_frames == 0:
+    if len(series) == 0:
         raise InputTooShort("shorter than one analysis window (%d samples)" % frame_len)
 
-    frames = series.frames - series.frames.mean(axis=1, keepdims=True)
+    frames = series - series.mean(axis=1, keepdims=True)
     kmin = int(np.ceil(sr / cfg.ceil))
     kmax = int(np.floor(sr / cfg.floor))
     if kmin < 2:
@@ -75,8 +75,8 @@ def estimate_f0_loop(buf, cfg=None):
     lags, nccf = _nccf(frames, kmin, kmax)
     energy = np.sum(frames**2, axis=1)
 
-    values = np.zeros(series.num_frames)
-    for i in range(series.num_frames):
+    values = np.zeros(len(series))
+    for i in range(len(series)):
         if energy[i] == 0.0:
             continue
         lag, peak = _pick_peak_loop(lags, nccf[i], kmin, kmax, cfg.subharmonic_ratio)
@@ -290,8 +290,10 @@ def test_mel_filterbank_beyond_top_bin():
     # the loop indexed past the last bin; the broadcast version says why
     with pytest.raises(IndexError):
         mel_filterbank_loop(26, 512, 16000, 0.0, 8050.0)
-    with pytest.raises(ValueError, match="top bin"):
-        mel_filterbank(26, 512, 16000, 0.0, 8050.0)
+    # a huge fmax overflows the int cast of its bin to a negative number
+    for fmax in (8050.0, 1e21, 1e300):
+        with pytest.raises(ValueError, match="top bin"):
+            mel_filterbank(26, 512, 16000, 0.0, fmax)
 
 
 @given(

@@ -7,7 +7,12 @@ from conftest import SR, tone
 from spoofsense import spectral
 from spoofsense.audio import AudioBuffer
 from spoofsense.config import RunConfig
-from spoofsense.errors import AlignmentMismatch, InputTooShort, KindDimsMismatch
+from spoofsense.errors import (
+    AlignmentMismatch,
+    InputTooShort,
+    KindDimsMismatch,
+    SpoofsenseError,
+)
 from spoofsense.f0 import F0Config, F0Contour, estimate_f0
 from spoofsense.spectral import (
     KINDS,
@@ -241,3 +246,44 @@ def test_kind_table(kind, monkeypatch):
         assert m.num_frames == 1 and m.hop == 0.0
     else:
         assert m.num_frames > 1
+
+
+# degenerate input families: (amp, offset, unit tone, unit noise) -> samples
+DEGENERATE = {
+    "silence": lambda amp, off, tone, noise: np.zeros_like(tone),
+    "dc": lambda amp, off, tone, noise: np.full_like(tone, off),
+    "dc-offset tone": lambda amp, off, tone, noise: off + amp * tone,
+    "clipped tone": lambda amp, off, tone, noise: np.clip(4 * amp * tone, -amp, amp),
+    "shorter than a window": lambda amp, off, tone, noise: amp * tone,
+    "subnormal": lambda amp, off, tone, noise: 1e-310 * tone,
+    "white noise": lambda amp, off, tone, noise: amp * noise,
+    "impulse": lambda amp, off, tone, noise: amp * np.eye(1, len(tone), len(tone) // 3)[0],
+}
+
+
+@st.composite
+def degenerate_buffers(draw):
+    family = draw(st.sampled_from(sorted(DEGENERATE)))
+    # 400 samples are one 25 ms stft/mfcc window at 16 kHz
+    short = family == "shorter than a window"
+    n = draw(st.integers(1, 399) if short else st.integers(400, 6000))
+    amp = draw(st.floats(1e-3, 0.5))
+    off = draw(st.floats(-0.5, 0.5))
+    f0 = draw(st.floats(80.0, 400.0))
+    noise = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(n)
+    tone = np.sin(2 * np.pi * f0 * np.arange(n) / SR)
+    x = DEGENERATE[family](amp, off, tone, noise)
+    return AudioBuffer(np.clip(x, -1.0, 1.0), SR)
+
+
+@given(buf=degenerate_buffers())
+@settings(max_examples=60, deadline=None)
+def test_degenerate_input_fails_typed(buf):
+    # every kind gives finite values without a -0 entry, or a typed error
+    for kind in KINDS:
+        try:
+            m = KINDS[kind].compute(buf, RunConfig())
+        except SpoofsenseError:
+            continue
+        assert np.all(np.isfinite(m.data)), kind
+        assert not np.any(np.signbit(m.data) & (m.data == 0.0)), kind
