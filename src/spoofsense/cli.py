@@ -16,6 +16,7 @@ from .audio import read_wav, resample
 from .config import load_config
 from .entropy import summarize_pse, write_pse_report
 from .errors import (
+    CorruptPayload,
     DimMismatch,
     EmptyDataset,
     InputTooShort,
@@ -26,7 +27,7 @@ from .errors import (
 from .metrics import ScoreTable, evaluate_scorefile, write_report
 from .mlp import init_model, load_model, save_model, score, train
 from .spectral import KINDS
-from .store import read_feature, write_feature
+from .store import read_payload, write_feature
 from .trials import (
     CATEGORIES,
     build_all_pairs,
@@ -117,19 +118,34 @@ def cmd_pairs(args, parser):
 
 
 def _pooled_vector(utt_id, kinds, feature_dir):
-    """Concatenate per-kind vectors; frame-level kinds are mean-pooled."""
+    """Concatenate per-kind vectors: an utterance-level kind's one row, or a
+    frame-level kind's frames mean-pooled in float64."""
     parts = []
     for kind in kinds:
         path = _feature_path(feature_dir, utt_id, kind)
         try:
-            m = read_feature(path)
+            tag, hop, data = read_payload(path)
         except FileNotFoundError:
             raise MissingFeatureFile(path) from None
-        if m.kind != kind:
-            raise KindDimsMismatch("%s holds kind %r, not %r" % (path, m.kind, kind))
-        if m.num_frames == 0:
+        if tag != kind:
+            raise KindDimsMismatch("%s holds kind %r, not %r" % (path, tag, kind))
+        if len(data) == 0:
             raise InputTooShort("0-frame feature file %s" % path)
-        parts.append(m.data[0] if KINDS[kind].utterance_level else m.data.mean(axis=0))
+        if not KINDS[kind].utterance_level:
+            part = data.astype(np.float64).mean(axis=0)
+        elif len(data) == 1:
+            part = data[0].astype(np.float64)
+        else:
+            raise KindDimsMismatch("%s holds %d rows, utterance-level kind %r holds 1"
+                                   % (path, len(data), kind))
+        # A float64 sum of float32 values cannot overflow, so the part is
+        # finite exactly when every entry of the file is.
+        if not np.isfinite(part).all():
+            raise CorruptPayload("feature data contains non-finite entries: %s" % path)
+        if not (np.isfinite(hop) and hop >= 0):
+            raise CorruptPayload("hop must be a finite nonnegative number of seconds: %s"
+                                 % path)
+        parts.append(part)
     return np.concatenate(parts)
 
 
@@ -184,6 +200,8 @@ def cmd_score_cm(args, parser):
     kinds = _parse_kinds(parser, args.features)
     model = load_model(args.model)
     manifest = load_manifest(args.manifest)
+    if len(manifest) == 0:
+        raise EmptyDataset("%s lists no utterances to score" % args.manifest)
     x, y = _dataset(manifest, kinds, args.feature_dir)
     write_scorefile(args.out_scores, ScoreTable(
         trial_ids=[r.utt_id for r in manifest.rows],

@@ -43,7 +43,13 @@ def write_feature(path, m):
     atomic_write_bytes(path, head + payload.tobytes())
 
 
-def read_feature(path):
+def read_payload(path):
+    """Parse a feature file: (kind, hop, data), with data the read-only
+    (num_frames, dims) float32 view of its payload.
+
+    Checks the layout and the kind's dims, not the values: read_feature checks
+    those through FeatureMatrix, and cli._pooled_vector on the pooled vector.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(MAGIC)] != MAGIC:
@@ -51,25 +57,26 @@ def read_feature(path):
     pos = len(MAGIC)
     try:
         (klen,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        kind = raw[pos : pos + klen].decode("ascii")
-        if len(raw) < pos + klen + 16:
-            raise struct.error("header")
-        pos += klen
-        dims, num_frames, hop = struct.unpack_from("<IId", raw, pos)
-        pos += 16
-    except (struct.error, UnicodeDecodeError):
+        # latin-1 decodes any byte, so a non-ascii tag is an unknown kind below
+        kind = raw[pos + 1 : pos + 1 + klen].decode("latin-1")
+        dims, num_frames, hop = struct.unpack_from("<IId", raw, pos + 1 + klen)
+    except struct.error:
         raise TruncatedPayload("feature file header incomplete") from None
+    pos += 1 + klen + 16
 
     want = dims * num_frames * 4
     if len(raw) - pos != want:
         raise TruncatedPayload(
             "payload holds %d bytes, header declares %d" % (len(raw) - pos, want)
         )
+    check_kind_dims(kind, dims)
     data = np.frombuffer(raw, dtype="<f4", count=dims * num_frames, offset=pos)
+    return kind, hop, data.reshape(num_frames, dims)
+
+
+def read_feature(path):
+    kind, hop, data = read_payload(path)
     try:
-        return FeatureMatrix(
-            kind=kind, data=data.reshape(num_frames, dims).astype(np.float64), hop=hop
-        )
+        return FeatureMatrix(kind=kind, data=data.astype(np.float64), hop=hop)
     except ValueError as exc:  # a non-finite value, or a hop that is not finite and >= 0
         raise CorruptPayload(str(exc)) from None

@@ -235,6 +235,44 @@ def test_wrong_kind_tag_exit_one(tmp_path, capsys):
     assert not (tmp_path / "m.mdl").exists()
 
 
+@pytest.mark.parametrize("rows", [3, 2])
+def test_utterance_level_file_must_hold_one_row(workspace, tmp_path, capsys, rows):
+    manifest, model = two_utt_manifest(tmp_path / "m.tsv"), tmp_path / "m.mdl"
+    write_features(tmp_path / "f", "pse", {"u1": ("pse", np.full((1, 1), 0.5)),
+                                           "u2": ("pse", np.full((1, 1), 0.7))})
+    feats = ["--features", "pse", "--manifest", manifest, "--feature-dir", tmp_path / "f"]
+    assert run("train-cm", *feats, "--out-model", model, "--config", workspace / "fast.conf") == 0
+    path = tmp_path / "f" / "u2.pse.ssft"
+    write_feature(path, FeatureMatrix("pse", np.full((rows, 1), 0.7), 0.0))
+    capsys.readouterr()
+    want = "error: %s holds %d rows, utterance-level kind 'pse' holds 1\n" % (path, rows)
+    assert run("train-cm", *feats, "--out-model", tmp_path / "m2.mdl") == 1
+    assert capsys.readouterr().err == want
+    assert run("score-cm", "--model", model, *feats, "--out-scores", tmp_path / "s.tsv") == 1
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "m2.mdl").exists() and not (tmp_path / "s.tsv").exists()
+
+
+def test_score_cm_empty_manifest_exits_one(workspace, tmp_path, capsys):
+    manifest, model = two_utt_manifest(tmp_path / "m.tsv"), tmp_path / "m.mdl"
+    write_features(tmp_path / "f", "pse", {"u1": ("pse", np.full((1, 1), 0.5)),
+                                           "u2": ("pse", np.full((1, 1), 0.7))})
+    feats = ["--features", "pse", "--feature-dir", tmp_path / "f"]
+    assert run("train-cm", *feats, "--manifest", manifest, "--out-model", model,
+               "--config", workspace / "fast.conf") == 0
+    write_manifest(tmp_path / "empty.tsv", [])
+    capsys.readouterr()
+    scores = tmp_path / "s.tsv"
+    assert run("score-cm", "--model", model, *feats, "--manifest", tmp_path / "empty.tsv",
+               "--out-scores", scores) == 1
+    assert capsys.readouterr().err == "error: %s lists no utterances to score\n" % (
+        tmp_path / "empty.tsv")
+    assert not scores.exists()
+    assert run("train-cm", *feats, "--manifest", tmp_path / "empty.tsv",
+               "--out-model", tmp_path / "m2.mdl") == 1
+    assert capsys.readouterr().err == "error: training needs both bonafide and spoof rows\n"
+
+
 def test_train_bad_kind_list(workspace, tmp_path):
     assert run("train-cm", "--features", "pse,alien", "--manifest", workspace / "manifest.tsv",
                "--feature-dir", workspace / "feats", "--out-model", tmp_path / "m.mdl") == 2

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from spoofsense.errors import BadMagic, CorruptPayload, KindDimsMismatch, TruncatedPayload
 from spoofsense.spectral import FeatureMatrix
-from spoofsense.store import read_feature, write_feature
+from spoofsense.store import read_feature, read_payload, write_feature
 
 
 def roundtrip(tmp_path, m, name="f.ssft"):
@@ -85,6 +85,31 @@ def test_corrupt_kind_rejected_on_read(tmp_path):
     (tmp_path / "k.ssft").write_bytes(bytes(raw))
     with pytest.raises(KindDimsMismatch):
         read_feature(tmp_path / "k.ssft")
+
+
+def test_non_ascii_kind_is_an_unknown_kind(tmp_path):
+    m = FeatureMatrix(kind="ap", data=np.zeros((2, 5)), hop=0.005)
+    p, _ = roundtrip(tmp_path, m)
+    raw = bytearray(p.read_bytes())
+    raw[6] = 0xFF  # the header is whole; only the tag's first byte is not ascii
+    (tmp_path / "k.ssft").write_bytes(bytes(raw))
+    with pytest.raises(KindDimsMismatch, match="unknown feature kind"):
+        read_feature(tmp_path / "k.ssft")
+    with pytest.raises(KindDimsMismatch, match="unknown feature kind"):
+        read_payload(tmp_path / "k.ssft")
+
+
+def test_read_payload_is_the_unchecked_float32_view(tmp_path):
+    m = FeatureMatrix(kind="stft", data=np.arange(6.0).reshape(3, 2) / 3, hop=0.01)
+    p, _ = roundtrip(tmp_path, m)
+    raw = bytearray(p.read_bytes())
+    raw[-4:] = np.float32(np.nan).tobytes()
+    (tmp_path / "n.ssft").write_bytes(bytes(raw))
+    kind, hop, data = read_payload(tmp_path / "n.ssft")
+    assert (kind, hop, data.dtype, data.shape) == ("stft", 0.01, np.dtype("<f4"), (3, 2))
+    assert not data.flags.writeable
+    np.testing.assert_array_equal(data[:, 0], (np.arange(0.0, 6, 2) / 3).astype(np.float32))
+    assert np.isnan(data[2, 1])
 
 
 # f0 file: magic(5) + len byte(1) + "f0"(2) + dims, frames (8), hop at 16, payload at 24
