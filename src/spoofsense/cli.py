@@ -105,6 +105,8 @@ def cmd_extract(args, parser):
 def cmd_pairs(args, parser):
     if args.sample is not None and args.sample < 1:
         parser.error("--sample must be >= 1, got %d" % args.sample)
+    if args.seed < 0:
+        parser.error("--seed must be >= 0, got %d" % args.seed)
     manifest = load_manifest(args.manifest)
     if args.category == "all":
         ts = build_all_pairs(manifest)
@@ -124,7 +126,7 @@ def _pooled_vector(utt_id, kinds, feature_dir):
     for kind in kinds:
         path = _feature_path(feature_dir, utt_id, kind)
         try:
-            tag, hop, data = read_payload(path)
+            tag, _, data = read_payload(path)
         except FileNotFoundError:
             raise MissingFeatureFile(path) from None
         if tag != kind:
@@ -142,9 +144,6 @@ def _pooled_vector(utt_id, kinds, feature_dir):
         # finite exactly when every entry of the file is.
         if not np.isfinite(part).all():
             raise CorruptPayload("feature data contains non-finite entries: %s" % path)
-        if not (np.isfinite(hop) and hop >= 0):
-            raise CorruptPayload("hop must be a finite nonnegative number of seconds: %s"
-                                 % path)
         parts.append(part)
     return np.concatenate(parts)
 
@@ -215,6 +214,8 @@ def cmd_score_cm(args, parser):
 
 def cmd_score_asv(args, parser):
     ts = load_trials(args.pairs)
+    if len(ts) == 0:
+        raise EmptyDataset("%s lists no trials" % args.pairs)
     emb = load_embeddings(args.embeddings)
     scored = score_trials(ts, emb)
     write_scorefile(args.out_scores, scored)
@@ -330,7 +331,7 @@ def main(argv=None):
         return args.run(args, parser)
     except SystemExit as e:  # parser.error inside a command handler
         return int(e.code or 0)
-    except (SpoofsenseError, OSError) as e:
+    except (SpoofsenseError, OSError, UnicodeDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 

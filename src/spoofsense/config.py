@@ -135,6 +135,6 @@ def load_config(path=None):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
     return parse_config_text(text, source=path)

@@ -12,6 +12,10 @@ import numpy as np
 from .audio import frame_signal
 from .errors import EmptyAfterTrim, InputTooShort
 
+# a shorter-lag peak this close to the global best wins; guards against
+# locking onto 2x/3x the true period on slightly irregular voicing
+SUBHARMONIC_RATIO = 0.85
+
 
 @dataclass(frozen=True)
 class F0Config:
@@ -19,9 +23,6 @@ class F0Config:
     ceil: float = 500.0
     hop: float = 0.005
     voicing_threshold: float = 0.3
-    # a shorter-lag peak this close to the global best wins; guards against
-    # locking onto 2x/3x the true period on slightly irregular voicing
-    subharmonic_ratio: float = 0.85
 
     def __post_init__(self):
         if not 0 < self.floor < self.ceil:
@@ -30,8 +31,6 @@ class F0Config:
             raise ValueError("hop must be positive")
         if not 0.0 <= self.voicing_threshold <= 1.0:
             raise ValueError("voicing_threshold must be in [0, 1]")
-        if not 0.0 < self.subharmonic_ratio <= 1.0:
-            raise ValueError("subharmonic_ratio must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,8 @@ def _nccf(frames, kmin, kmax):
     return lags, out
 
 
-def _pick_peak(lags, nccf, kmin, kmax, ratio):
-    """Per row: smallest-lag local maximum within ratio of the row's best.
+def _pick_peak(lags, nccf, kmin, kmax):
+    """Per row: smallest-lag local maximum within SUBHARMONIC_RATIO of the row's best.
 
     Returns (lag, peak) arrays with the parabolically refined lag of the
     chosen peak and its NCCF value.  An empty [kmin, kmax] band raises
@@ -92,7 +91,7 @@ def _pick_peak(lags, nccf, kmin, kmax, ratio):
     is_max = (interior >= nccf[:, :-2]) & (interior >= nccf[:, 2:])
     in_band = (lags[1:-1] >= kmin) & (lags[1:-1] <= kmax)
     best = np.max(interior[:, in_band], axis=1, keepdims=True)
-    cand = is_max & in_band & (interior >= ratio * best)
+    cand = is_max & in_band & (interior >= SUBHARMONIC_RATIO * best)
     fallback = in_band & (interior == best)
     first = np.where(cand.any(axis=1), cand.argmax(axis=1), fallback.argmax(axis=1))
     rows = np.arange(len(nccf))
@@ -130,7 +129,7 @@ def estimate_f0(buf, cfg=None):
     # residue, which is near-constant too and so has an NCCF of 1 at every lag
     live = np.flatnonzero(energy > raw_energy * (frame_len * np.finfo(float).eps) ** 2)
     if len(live):  # all silent: nothing to pick, even from an empty lag band
-        lag, peak = _pick_peak(lags, nccf[live], kmin, kmax, cfg.subharmonic_ratio)
+        lag, peak = _pick_peak(lags, nccf[live], kmin, kmax)
         values[live] = np.where(
             peak < cfg.voicing_threshold, 0.0, np.clip(sr / lag, cfg.floor, cfg.ceil)
         )

@@ -47,8 +47,9 @@ def read_payload(path):
     """Parse a feature file: (kind, hop, data), with data the read-only
     (num_frames, dims) float32 view of its payload.
 
-    Checks the layout and the kind's dims, not the values: read_feature checks
-    those through FeatureMatrix, and cli._pooled_vector on the pooled vector.
+    Checks the layout, the kind's dims and the hop, not the values:
+    read_feature checks those through FeatureMatrix, and cli._pooled_vector
+    on the pooled vector.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -70,6 +71,8 @@ def read_payload(path):
             "payload holds %d bytes, header declares %d" % (len(raw) - pos, want)
         )
     check_kind_dims(kind, dims)
+    if not (np.isfinite(hop) and hop >= 0):
+        raise CorruptPayload("hop must be a finite nonnegative number of seconds: %s" % path)
     data = np.frombuffer(raw, dtype="<f4", count=dims * num_frames, offset=pos)
     return kind, hop, data.reshape(num_frames, dims)
 
@@ -78,5 +81,5 @@ def read_feature(path):
     kind, hop, data = read_payload(path)
     try:
         return FeatureMatrix(kind=kind, data=data.astype(np.float64), hop=hop)
-    except ValueError as exc:  # a non-finite value, or a hop that is not finite and >= 0
+    except ValueError as exc:  # a non-finite value; read_payload checked the hop
         raise CorruptPayload(str(exc)) from None

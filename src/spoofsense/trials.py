@@ -6,9 +6,10 @@ qualifying combinations.  A trial list is held as columns (TrialSet), the
 way a score file is (metrics.ScoreTable).
 """
 
-import itertools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -225,8 +226,15 @@ def load_trials(path):
 
 @dataclass(frozen=True)
 class Embeddings:
-    dim: int
-    vectors: dict  # utt_id -> np.ndarray
+    """An embedding file as columns: ids in file order, and vectors, one
+    (len(ids), dim) float64 matrix whose row k is ids[k]'s embedding."""
+
+    ids: list
+    vectors: np.ndarray
+
+    @property
+    def dim(self):
+        return self.vectors.shape[1]
 
 
 def load_embeddings(path):
@@ -241,29 +249,31 @@ def load_embeddings(path):
     if dim < 1:
         raise ParseError("dimension must be >= 1", line=1)
 
-    vectors = {}
+    ids, rows = {}, []  # ids: an ordered set of the utt_ids
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         utt, _, rest = line.partition("\t")
         if not rest:
             raise ParseError("expected utt_id<TAB>values", line=lineno)
-        if utt in vectors:
+        if utt in ids:
             raise DuplicateUttId(utt)
         try:
-            v = np.array([float(tok) for tok in rest.split()], dtype=np.float64)
+            v = [float(tok) for tok in rest.split()]
         except ValueError:
             raise ParseError("non-numeric embedding value", line=lineno) from None
         if len(v) != dim:
             raise ParseError("expected %d values, got %d" % (dim, len(v)), line=lineno)
-        if not np.all(np.isfinite(v)):
+        if not all(map(math.isfinite, v)):
             raise ParseError("non-finite embedding value", line=lineno)
-        vectors[utt] = v
-    return Embeddings(dim=dim, vectors=vectors)
+        ids[utt] = None
+        rows.append(v)
+    return Embeddings(list(ids), np.array(rows, dtype=np.float64).reshape(len(rows), dim))
 
 
 def _rescaled(v):
-    """v as float64, scaled by a power of two so that its largest |element| is in [0.5, 1).
+    """v as float64, each vector along the last axis scaled by a power of two
+    so that its largest |element| is in [0.5, 1).
 
     The scaling is exact and cancels in a cosine, so normal-range vectors score
     bit for bit as unscaled; it keeps the squared norm of a tiny vector (say
@@ -272,7 +282,7 @@ def _rescaled(v):
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         return v
-    return np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
+    return np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1])
 
 
 def cosine_score(a, b):
@@ -289,62 +299,38 @@ def cosine_score(a, b):
 CHUNK_PAIRS = 4096  # pairs per stacked matmul: bounds the gathered (pairs x dim) copies
 
 
-def _cosines(vectors, norms, ia, ib):
-    """cosine_score of vectors[ia[k]] and vectors[ib[k]] for every k.
-
-    The dot products come from one stacked (1 x d) @ (d x 1) matmul per
-    chunk of pairs, which numpy computes with the dot kernel np.dot uses,
-    so every score equals cosine_score's bit for bit (tests hold the two
-    equal).  np.einsum sums in another order and is not exact.
-    """
-    out = np.empty(len(ia))
-    for start in range(0, len(ia), CHUNK_PAIRS):
-        i, j = ia[start:start + CHUNK_PAIRS], ib[start:start + CHUNK_PAIRS]
-        dots = np.matmul(vectors[i][:, None, :], vectors[j][:, :, None])[:, 0, 0]
-        out[start:start + CHUNK_PAIRS] = np.clip(dots / (norms[i] * norms[j]), -1.0, 1.0)
-    return out
-
-
 def score_trials(ts, emb):
     """ScoreTable: one cosine score per pair, in pair order.
 
     Negative categories keep their category as the score-file group;
     positive pairs get the shared group '-' so that every attack
     category is evaluated against the common pool of genuine pairs.
-    Embedding vectors are 1-D; the first pair with a missing embedding,
-    vectors of different dims or a zero vector raises.
+    The first pair with a missing embedding or a zero vector raises.
     """
-    names = list(dict.fromkeys(ts.utt_a + ts.utt_b))
-    row = dict(zip(names, itertools.count()))
-    ia = np.fromiter(map(row.__getitem__, ts.utt_a), np.intp, len(ts))
-    ib = np.fromiter(map(row.__getitem__, ts.utt_b), np.intp, len(ts))
-
-    # a missing embedding reads as an empty vector, so its pairs count as faulty
-    vectors = [_rescaled(emb.vectors.get(u, ())) for u in names]
-    norms = np.array([np.linalg.norm(v) for v in vectors])
-    ids_of_shape = {}
-    shape_id = np.array(
-        [ids_of_shape.setdefault(v.shape, len(ids_of_shape)) for v in vectors], dtype=np.intp
-    )
-    faulty = np.flatnonzero(
-        (shape_id[ia] != shape_id[ib]) | (norms[ia] == 0.0) | (norms[ib] == 0.0)
-    )
+    vectors = _rescaled(emb.vectors)
+    # each row's norm as cosine_score takes it; a row-wise norm sums in
+    # another order.  A missing id maps to the extra zero norm at the end
+    norms = np.array([np.linalg.norm(v) for v in vectors] + [0.0])
+    row = dict(zip(emb.ids, range(len(emb.ids))))
+    ia = np.fromiter(map(row.get, ts.utt_a, repeat(-1)), np.intp, len(ts))
+    ib = np.fromiter(map(row.get, ts.utt_b, repeat(-1)), np.intp, len(ts))
+    faulty = np.flatnonzero((norms[ia] == 0.0) | (norms[ib] == 0.0))
     if faulty.size:
         k = faulty[0]
         for utt in (ts.utt_a[k], ts.utt_b[k]):
-            if utt not in emb.vectors:
+            if utt not in row:
                 raise MissingEmbedding(utt)
-        cosine_score(vectors[ia[k]], vectors[ib[k]])  # raises DimMismatch or ZeroVector
+        raise ZeroVector("cosine undefined for a zero vector")
 
+    # The dot products come from one stacked (1 x d) @ (d x 1) matmul per
+    # chunk of pairs, which numpy computes with the dot kernel np.dot uses,
+    # so every score equals cosine_score's bit for bit (tests hold the two
+    # equal).  np.einsum sums in another order and is not exact.
     scores = np.empty(len(ts))
-    for sid in np.unique(shape_id):  # one vector shape unless emb mixes dims
-        own = shape_id == sid
-        local = np.cumsum(own) - 1  # utterance -> row of this shape's matrix
-        sel = np.flatnonzero(own[ia])
-        scores[sel] = _cosines(
-            np.stack(list(itertools.compress(vectors, own))),
-            norms[own], local[ia[sel]], local[ib[sel]],
-        )
+    for start in range(0, len(ts), CHUNK_PAIRS):
+        i, j = ia[start:start + CHUNK_PAIRS], ib[start:start + CHUNK_PAIRS]
+        dots = np.matmul(vectors[i][:, None, :], vectors[j][:, :, None])[:, 0, 0]
+        scores[start:start + CHUNK_PAIRS] = np.clip(dots / (norms[i] * norms[j]), -1.0, 1.0)
 
     positive = [label == "positive" for label in ts.labels]
     return ScoreTable(

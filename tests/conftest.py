@@ -5,7 +5,7 @@ import struct
 import numpy as np
 
 from spoofsense.audio import AudioBuffer
-from spoofsense.trials import TrialSet
+from spoofsense.trials import Embeddings, TrialSet
 
 SR = 16000
 
@@ -65,12 +65,17 @@ def write_manifest(path, rows):
             fh.write("\t".join(r) + "\n")
 
 
+def embeddings(vectors):
+    """The Embeddings of a dict utt_id -> vector (one dim), rows in dict order."""
+    return Embeddings(list(vectors), np.array(list(vectors.values()), dtype=np.float64))
+
+
 def write_embeddings(path, emb):
     """An embedding file of emb: the dim= header, then utt_id<TAB>values rows."""
     with open(path, "w") as fh:
         fh.write("dim=%d\n" % emb.dim)
-        for utt in sorted(emb.vectors):
-            fh.write("%s\t%s\n" % (utt, " ".join("%.17g" % v for v in emb.vectors[utt])))
+        for utt, v in zip(emb.ids, emb.vectors):
+            fh.write("%s\t%s\n" % (utt, " ".join("%.17g" % x for x in v)))
 
 
 def trial_set(pairs):

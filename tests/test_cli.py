@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spoofsense.metrics import parse_scorefile
 from spoofsense.spectral import KINDS, FeatureMatrix
 from spoofsense.store import read_feature, write_feature
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FAST_CONF = "epochs = 8\nhidden1 = 6\nhidden2 = 4\n"
 
 
@@ -324,6 +326,59 @@ def test_pairs_rejects_sample_below_one(tmp_path, sample, capsys):
     assert run("pairs", "--manifest", tmp_path / "asv.tsv", "--category", "all",
                "--out", out, "--sample", sample) == 2
     assert "--sample must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pairs_rejects_negative_seed(tmp_path, capsys):
+    rows = [("t%d" % i, "T", "target-real", "-", "-", "x.wav") for i in range(3)]
+    write_manifest(tmp_path / "asv.tsv", rows)
+    out = tmp_path / "trials.tsv"
+    assert run("pairs", "--manifest", tmp_path / "asv.tsv", "--category", "all",
+               "--out", out, "--sample", 2, "--seed", -1) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["", "\n \t\n"], ids=["empty", "blank-lines"])
+def test_score_asv_empty_trial_list_exits_one(tmp_path, capsys, trials):
+    (tmp_path / "trials.tsv").write_text(trials)
+    (tmp_path / "emb.txt").write_text("dim=2\nt0\t1 0\n")
+    scores = tmp_path / "asv.scores"
+    assert run("score-asv", "--pairs", tmp_path / "trials.tsv", "--embeddings",
+               tmp_path / "emb.txt", "--out-scores", scores) == 1
+    assert capsys.readouterr().err == "error: %s lists no trials\n" % (tmp_path / "trials.tsv")
+    assert not scores.exists()
+
+
+@pytest.mark.parametrize("bad", ["manifest", "config", "scores", "trials", "embeddings"])
+def test_non_utf8_input_exits_one(tmp_path, capsys, bad):
+    rows = [("t%d" % i, "T%d" % (i % 2), "target-real", "-", "-", "x.wav") for i in range(4)]
+    write_manifest(tmp_path / "manifest", rows)
+    (tmp_path / "trials").write_text("t0\tt2\tpositive\tR\nt0\tt1\tnegative\tRI\n")
+    (tmp_path / "embeddings").write_text(
+        "dim=2\n" + "".join("t%d\t1 %d\n" % (i, i) for i in range(4)))
+    (tmp_path / "scores").write_text(
+        "b0\t-\tbonafide\t1.5\nb1\t-\tbonafide\t0.5\ns0\tA01\tspoof\t-1\ns1\tA01\tspoof\t0.7\n")
+    (tmp_path / "config").write_bytes(CONFIGS.joinpath("tdcf_example.conf").read_bytes())
+    out = tmp_path / "out"
+    pairs = ["pairs", "--manifest", tmp_path / "manifest", "--category", "all", "--out", out]
+    score_asv = ["score-asv", "--pairs", tmp_path / "trials",
+                 "--embeddings", tmp_path / "embeddings", "--out-scores", out]
+    eval_tdcf = ["eval", "--scores", tmp_path / "scores", "--metric", "tdcf",
+                 "--cost-config", tmp_path / "config", "--out", out]
+    argv = {"manifest": pairs, "trials": score_asv, "embeddings": score_asv,
+            "scores": eval_tdcf, "config": eval_tdcf}[bad]
+    assert run(*argv) == 0
+    out.unlink()
+
+    raw = (tmp_path / bad).read_bytes()
+    cut = raw.index(b"\n") + 1
+    (tmp_path / bad).write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "can't decode byte 0xff" in err
     assert not out.exists()
 
 

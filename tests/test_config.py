@@ -165,8 +165,7 @@ def test_key_table():
         assert {t for t in got if got[t] != base[t]} == targets, key
         assert all(got[t] == type(base[t])(value) for t in targets), key
     assert set(cost_block) - set(base) == {("cost", k) for k in cost_keys}
-    # every setting but the F0 tracker's internal subharmonic_ratio has a key
-    assert covered == set(cost_block) - {("f0", "subharmonic_ratio")}
+    assert covered == set(cost_block)  # every setting has a key
 
     shipped = _file_keys((ROOT / "configs" / "default.conf").read_text())
     shipped |= _file_keys((ROOT / "configs" / "tdcf_example.conf").read_text())

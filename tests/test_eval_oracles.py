@@ -14,13 +14,14 @@ import io
 import itertools
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import trial_set
-from spoofsense.errors import DimMismatch, MissingEmbedding, ParseError, ZeroVector
+from conftest import embeddings, trial_set
+from spoofsense.errors import MissingEmbedding, ParseError, ZeroVector
 from spoofsense.metrics import (
     NEGATIVE_LABELS,
     POSITIVE_LABELS,
@@ -36,7 +37,6 @@ from spoofsense.metrics import (
 from spoofsense.trials import (
     CATEGORIES,
     CHUNK_PAIRS,
-    Embeddings,
     TrialPair,
     cosine_score,
     load_trials,
@@ -232,9 +232,11 @@ def check_trials(path, tmpdir):
         assert read_bytes(tmpdir, "new.tsv") == read_bytes(tmpdir, "old.tsv")
 
 
-def check_scoring(ts, emb, tmpdir):
-    old = outcome(score_trials_loop, ts, emb)
-    new = outcome(score_trials, ts, emb)
+def check_scoring(ts, vectors, tmpdir):
+    """score_trials on the Embeddings of a dict utt_id -> vector against the
+    loop, which reads the dict."""
+    old = outcome(score_trials_loop, ts, SimpleNamespace(vectors=vectors))
+    new = outcome(score_trials, ts, embeddings(vectors))
     assert_same_outcome(new, old)
     if old[0] == "ok":
         assert len(new[1]) == len(old[1])
@@ -455,27 +457,32 @@ def test_scoring_matches_loop(dim, n, seed, coarse):
     vecs = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
     if coarse:  # repeated vectors and small integers: ties and exact +-1 cosines
         vecs = np.round(vecs[rng.integers(0, n, n)])
-    emb = Embeddings(dim=dim, vectors={"u%d" % i: v.copy() for i, v in enumerate(vecs)})
+    vectors = {"u%d" % i: v.copy() for i, v in enumerate(vecs)}
     with tempfile.TemporaryDirectory() as d:
-        check_scoring(all_pairs(emb.vectors, seed), emb, d)
+        check_scoring(all_pairs(vectors, seed), vectors, d)
 
 
-def test_scoring_past_one_chunk_with_mixed_dims(tmp_path):
-    """Two vector lengths (each pair within one) and more pairs than a chunk."""
+def test_scoring_past_one_chunk(tmp_path):
+    """More pairs than a chunk, over utterances that some pairs leave out."""
     rng = np.random.default_rng(3)
-    vectors = {"a%03d" % i: rng.normal(size=64) for i in range(100)}
-    vectors.update({"b%02d" % i: rng.normal(size=7) for i in range(30)})
-    pairs = list(all_pairs([u for u in vectors if u[0] == "a"], 1))
-    pairs += all_pairs([u for u in vectors if u[0] == "b"], 2)
-    ts = trial_set(sorted(pairs, key=lambda p: (p.utt_a, p.utt_b)))
+    vectors = {"a%03d" % i: rng.normal(size=64) for i in range(130)}
+    ts = all_pairs(list(vectors)[:100], 1)
     assert len(ts) > CHUNK_PAIRS
-    new = check_scoring(ts, Embeddings(dim=64, vectors=vectors), tmp_path)
+    new = check_scoring(ts, vectors, tmp_path)
+    assert new[0] == "ok"
+
+
+def test_scoring_tiny_vectors(tmp_path):
+    """Vectors whose squared norms underflow score like cosine_score's."""
+    vectors = {"a": np.array([0.0, 1.5e-161]), "b": np.array([1e-160, 1.5e-161]),
+               "c": np.array([1.0, 2.0]), "d": np.array([3e-170, -2e-162])}
+    new = check_scoring(all_pairs(vectors, 0), vectors, tmp_path)
     assert new[0] == "ok"
 
 
 SCORING_FAULTS = {
-    "missing": ("m0", "zz"),  # zz has no embedding
-    "dim": ("d0", "d1"),  # 3 vs 4 values
+    "missing-a": ("ya", "m0"),  # ya has no embedding
+    "missing-b": ("m0", "zb"),  # nor has zb
     "zero": ("z0", "z1"),  # z1 is all zeros
 }
 
@@ -484,8 +491,6 @@ SCORING_FAULTS = {
 def test_scoring_first_fault_fires(tmp_path, order):
     vectors = {
         "m0": np.array([1.0, 2.0, 3.0]),
-        "d0": np.array([1.0, 0.0, 0.0]),
-        "d1": np.array([1.0, 0.0, 0.0, 1.0]),
         "z0": np.array([0.0, 1.0, 0.0]),
         "z1": np.zeros(3),
         "g0": np.array([1.0, 1.0, 0.0]),
@@ -494,9 +499,10 @@ def test_scoring_first_fault_fires(tmp_path, order):
     pairs = [TrialPair("g0", "g1", "positive", "R")]
     for kind in order:
         pairs += [TrialPair(*SCORING_FAULTS[kind], "negative", "RI"), pairs[0]]
-    new = check_scoring(trial_set(pairs), Embeddings(dim=3, vectors=vectors), tmp_path)
-    want = {"missing": MissingEmbedding, "dim": DimMismatch, "zero": ZeroVector}[order[0]]
-    assert new[:2] == ("raised", want)
+    new = check_scoring(trial_set(pairs), vectors, tmp_path)
+    want = {"missing-a": (MissingEmbedding, "ya"), "missing-b": (MissingEmbedding, "zb"),
+            "zero": (ZeroVector, "cosine undefined for a zero vector")}[order[0]]
+    assert new[:3] == ("raised", *want)
 
 
 @pytest.mark.parametrize(
@@ -504,12 +510,11 @@ def test_scoring_first_fault_fires(tmp_path, order):
     [
         ("zz", "z1", MissingEmbedding),  # missing before a zero vector
         ("z1", "zz", MissingEmbedding),  # on either side of the pair
-        ("z1", "d1", DimMismatch),  # dims before a zero vector
-        ("d1", "z1", DimMismatch),
+        ("ya", "zz", MissingEmbedding),  # both missing: side a is named
     ],
 )
 def test_scoring_faults_in_one_pair(tmp_path, a, b, want):
-    vectors = {"z1": np.zeros(3), "d1": np.ones(4)}
+    vectors = {"z1": np.zeros(3)}
     ts = trial_set([TrialPair(a, b, "negative", "TI")])
-    new = check_scoring(ts, Embeddings(dim=3, vectors=vectors), tmp_path)
+    new = check_scoring(ts, vectors, tmp_path)
     assert new[:2] == ("raised", want)

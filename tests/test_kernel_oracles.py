@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import SR, machine_buf, natural_buf
 from spoofsense.audio import AudioBuffer, frame_signal, resample
 from spoofsense.errors import InputTooShort
-from spoofsense.f0 import F0Config, F0Contour, _nccf, estimate_f0
+from spoofsense.f0 import SUBHARMONIC_RATIO, F0Config, F0Contour, _nccf, estimate_f0
 from spoofsense.spectral import (
     LOG_EPS,
     ApConfig,
@@ -79,7 +79,7 @@ def estimate_f0_loop(buf, cfg=None):
     for i in range(len(series)):
         if energy[i] == 0.0:
             continue
-        lag, peak = _pick_peak_loop(lags, nccf[i], kmin, kmax, cfg.subharmonic_ratio)
+        lag, peak = _pick_peak_loop(lags, nccf[i], kmin, kmax, SUBHARMONIC_RATIO)
         if peak < cfg.voicing_threshold:
             continue
         values[i] = np.clip(sr / lag, cfg.floor, cfg.ceil)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import write_embeddings, write_manifest
+from conftest import embeddings, write_embeddings, write_manifest
 from spoofsense.errors import (
     DimMismatch,
     DuplicateUttId,
@@ -16,7 +16,6 @@ from spoofsense.errors import (
 )
 from spoofsense.trials import (
     CATEGORIES,
-    Embeddings,
     Manifest,
     ManifestRow,
     build_all_pairs,
@@ -235,12 +234,15 @@ def test_cosine_scale_invariance(a, alpha, beta):
 
 
 def test_embeddings_roundtrip_and_errors(tmp_path):
-    emb = Embeddings(dim=3, vectors={"u1": np.array([1.0, 2.0, 3.0]), "u2": np.array([0.5, -1.0, 2.5])})
+    emb = embeddings({"u2": np.array([0.5, -1.0, 2.5]), "u1": np.array([1.0, 2.0, 3.0])})
     write_embeddings(tmp_path / "e.txt", emb)
     back = load_embeddings(tmp_path / "e.txt")
-    assert back.dim == 3
-    for k in emb.vectors:
-        np.testing.assert_array_equal(back.vectors[k], emb.vectors[k])
+    assert back.dim == 3 and back.ids == ["u2", "u1"]  # file order
+    assert back.vectors.dtype == np.float64
+    np.testing.assert_array_equal(back.vectors, emb.vectors)
+    p = tmp_path / "none.txt"
+    p.write_text("dim=5\n\n")
+    assert load_embeddings(p).vectors.shape == (0, 5)
 
     p = tmp_path / "bad.txt"
     p.write_text("u1\t1 2 3\n")  # no dim header
@@ -266,13 +268,12 @@ def test_score_trials_groups_and_labels():
     ]
     m = Manifest(rows=rows)
     ts = build_all_pairs(m)  # R pair (t1,t2) + TI pairs (t1,i1), (t2,i1)
-    emb = Embeddings(
-        dim=2,
-        vectors={"t1": np.array([1.0, 0.0]), "t2": np.array([0.9, 0.1]), "i1": np.array([0.0, 1.0])},
+    emb = embeddings(
+        {"t1": np.array([1.0, 0.0]), "t2": np.array([0.9, 0.1]), "i1": np.array([0.0, 1.0])}
     )
     scored = score_trials(ts, emb)
     by_id = {trial_id: (group, label) for trial_id, group, label, _ in scored}
     assert by_id["t1:t2"] == ("-", "target")
     assert by_id["i1:t1"] == ("TI", "nontarget")
     with pytest.raises(MissingEmbedding):
-        score_trials(ts, Embeddings(dim=2, vectors={"t1": np.array([1.0, 0.0])}))
+        score_trials(ts, embeddings({"t1": np.array([1.0, 0.0])}))
