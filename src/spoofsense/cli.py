@@ -229,7 +229,7 @@ def cmd_eval(args, parser):
         if args.cost_config is None:
             parser.error("--cost-config is required for --metric tdcf")
         cost = load_config(args.cost_config).cost_model()
-    reports = evaluate_scorefile(args.scores, mode=args.metric, cost=cost)
+    reports = evaluate_scorefile(args.scores, cost)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_report(reports, fh)
@@ -331,7 +331,7 @@ def main(argv=None):
         return args.run(args, parser)
     except SystemExit as e:  # parser.error inside a command handler
         return int(e.code or 0)
-    except (SpoofsenseError, OSError, UnicodeDecodeError) as e:
+    except (SpoofsenseError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 

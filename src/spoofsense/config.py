@@ -37,11 +37,11 @@ class RunConfig:
 
     def __post_init__(self):
         if self.sample_rate < 1:
-            raise ConfigError("sample_rate must be >= 1")
+            raise ValueError("sample_rate must be >= 1")
         if self.activation not in ("relu", "tanh"):
-            raise ConfigError("activation must be relu or tanh")
+            raise ValueError("activation must be relu or tanh")
         if self.hidden1 < 1 or self.hidden2 < 1:
-            raise ConfigError("hidden layer sizes must be >= 1")
+            raise ValueError("hidden layer sizes must be >= 1")
 
     def cost_model(self):
         if self.cost is None:
@@ -54,22 +54,17 @@ class RunConfig:
 STAGES = {"f0": F0Config, "stft": StftConfig, "mfcc": MfccConfig, "envelope": EnvelopeConfig,
           "ap": ApConfig, "train": TrainConfig, "cost": CostModel}
 
-# config-file key -> the "stage.field"s it sets; a bare name is a RunConfig field
+# config-file key -> the (stage, field) it sets; stage "" is RunConfig itself
 KEYS = {
-    "sample_rate": "sample_rate", "hidden1": "hidden1", "hidden2": "hidden2",
-    "activation": "activation",
-    "f0_floor": "f0.floor", "f0_ceil": "f0.ceil", "f0_hop": "f0.hop",
-    "voicing_threshold": "f0.voicing_threshold",
-    "n_fft": "stft.n_fft mfcc.n_fft",
-    "win_seconds": "stft.win_seconds mfcc.win_seconds",
-    "hop_seconds": "stft.hop_seconds mfcc.hop_seconds",
-    "window": "stft.window",
-    **{k: "mfcc." + k for k in ("n_mels", "n_ceps", "fmin", "fmax", "delta_window")},
-    "env_n_fft": "envelope.n_fft", "env_voiced_fraction": "envelope.voiced_fraction",
-    "env_unvoiced_quefrency": "envelope.unvoiced_quefrency",
-    "ap_bands": "ap.n_bands", "ap_n_fft": "ap.n_fft",
-    **{k: "train." + k for k in ("learning_rate", "epochs", "batch_size", "l2", "seed")},
-    **{f.name: "cost." + f.name for f in fields(CostModel)},
+    **{k: ("", k) for k in ("sample_rate", "hidden1", "hidden2", "activation")},
+    "f0_floor": ("f0", "floor"), "f0_ceil": ("f0", "ceil"), "f0_hop": ("f0", "hop"),
+    "voicing_threshold": ("f0", "voicing_threshold"),
+    "env_n_fft": ("envelope", "n_fft"), "env_voiced_fraction": ("envelope", "voiced_fraction"),
+    "env_unvoiced_quefrency": ("envelope", "unvoiced_quefrency"),
+    "ap_bands": ("ap", "n_bands"), "ap_n_fft": ("ap", "n_fft"),
+    # these stages' fields are set by the keys of the same names
+    **{f.name: (stage, f.name) for stage in ("stft", "mfcc", "train", "cost")
+       for f in fields(STAGES[stage])},
 }
 
 # each value is parsed by its field's annotated type: int, float or str
@@ -86,14 +81,14 @@ def _build(settings):
         given = settings.get(stage, {})
         missing = [f.name for f in fields(cls) if f.name not in given]
         if stage == "cost" and given and missing:
-            raise ConfigError("cost model is all-or-nothing; missing %s" % ", ".join(missing))
+            raise ValueError("cost model is all-or-nothing; missing %s" % ", ".join(missing))
         if stage != "cost" or given:
             stages[stage] = cls(**given)
     return replace(cfg, **stages)
 
 
 def parse_config_text(text, source="<config>"):
-    seen, settings = set(), {}
+    settings = {}  # stage -> {field: value}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -104,24 +99,21 @@ def parse_config_text(text, source="<config>"):
         key, value = key.strip(), value.strip()
         if key not in KEYS:
             raise ConfigError("%s line %d: unknown key %r" % (source, lineno, key))
-        if key in seen:
+        stage, name = KEYS[key]
+        given = settings.setdefault(stage, {})
+        if name in given:  # one key per field, so the key is a duplicate
             raise ConfigError("%s line %d: duplicate key %r" % (source, lineno, key))
-        seen.add(key)
-        targets = [t.rpartition(".")[::2] for t in KEYS[key].split()]
         try:
-            parsed = _TYPES[targets[0]](value)
+            parsed = _TYPES[stage, name](value)
             if isinstance(parsed, float) and not math.isfinite(parsed):
                 raise ValueError(value)
         except ValueError:
             raise ConfigError(
                 "%s line %d: bad value %r for %s" % (source, lineno, value, key)
             ) from None
-        for stage, name in targets:
-            settings.setdefault(stage, {})[name] = parsed
+        given[name] = parsed
     try:
         return _build(settings)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError("%s: %s" % (source, exc)) from None
 

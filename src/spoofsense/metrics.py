@@ -185,18 +185,15 @@ def parse_scorefile(path):
     return ScoreTable(ids, groups, labels, np.concatenate(scores))
 
 
-def evaluate_scorefile(path, mode="eer", cost=None):
-    """Per-group and pooled metrics.
+def evaluate_scorefile(path, cost=None):
+    """Per-group and pooled metrics: the EER, and the min t-DCF under cost
+    when a CostModel is given.
 
     Ungrouped rows (group '-') are shared into every named group, mirroring
     protocols where one bonafide set is reused against each attack; the ALL
     row pools everything.  A group's trials are its own rows, then the
     shared ones, each in file order.
     """
-    if mode not in ("eer", "tdcf"):
-        raise ValueError("mode must be 'eer' or 'tdcf'")
-    if mode == "tdcf" and cost is None:
-        raise ValueError("tdcf mode needs a CostModel")
     table = parse_scorefile(path)
     positive = isin(table.labels, POSITIVE_LABELS)
     code = {g: k for k, g in enumerate(sorted(set(table.groups) | {"-"}))}
@@ -211,7 +208,7 @@ def evaluate_scorefile(path, mode="eer", cost=None):
         labels = positive[members]
         s = ScoreSet(scores=table.scores[members], labels=labels)
         e = eer(s)
-        td = min_tdcf(s, cost).min_tdcf_norm if mode == "tdcf" else None
+        td = min_tdcf(s, cost).min_tdcf_norm if cost is not None else None
         reports.append(
             GroupReport(
                 group=group,

@@ -28,7 +28,7 @@ LOG_EPS = 1e-10
 Kind = namedtuple("Kind", "dims utterance_level compute")
 KINDS = {
     "stft": Kind(None, False, lambda buf, cfg: stft_spectrogram(buf, cfg.stft)),
-    "mfcc": Kind(39, False, lambda buf, cfg: mfcc(buf, cfg.mfcc)),
+    "mfcc": Kind(39, False, lambda buf, cfg: mfcc(buf, cfg.mfcc, cfg.stft)),
     "sp": Kind(None, False, lambda buf, cfg: spectral_envelope(
         buf, estimate_f0(buf, cfg.f0), cfg.envelope)),
     "ap": Kind(None, False, lambda buf, cfg: band_aperiodicity(
@@ -77,13 +77,6 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
-def _check_framing(n_fft, win_seconds, hop_seconds):
-    if n_fft < 2:
-        raise ValueError("n_fft must be >= 2")
-    if win_seconds <= 0 or hop_seconds <= 0:
-        raise ValueError("window and hop must be positive durations")
-
-
 @dataclass(frozen=True)
 class StftConfig:
     n_fft: int = 512
@@ -92,7 +85,10 @@ class StftConfig:
     window: str = "hann"
 
     def __post_init__(self):
-        _check_framing(self.n_fft, self.win_seconds, self.hop_seconds)
+        if self.n_fft < 2:
+            raise ValueError("n_fft must be >= 2")
+        if self.win_seconds <= 0 or self.hop_seconds <= 0:
+            raise ValueError("window and hop must be positive durations")
         if self.window not in ("hann", "hamming", "rect"):
             raise ValueError("unknown window %r" % self.window)
 
@@ -101,15 +97,11 @@ class StftConfig:
 class MfccConfig:
     n_mels: int = 26
     n_ceps: int = 13
-    n_fft: int = 512
-    win_seconds: float = 0.025
-    hop_seconds: float = 0.010
     fmin: float = 0.0
     fmax: float = 8000.0
     delta_window: int = 2
 
     def __post_init__(self):
-        _check_framing(self.n_fft, self.win_seconds, self.hop_seconds)
         if self.n_mels < 1 or self.n_ceps < 1:
             raise ValueError("n_mels and n_ceps must be >= 1")
         if self.n_ceps > self.n_mels:
@@ -156,7 +148,7 @@ def _windowed_frames(buf, frame_len, hop, window, n_fft):
 
 
 def _stft_frames(buf, cfg, window):
-    """Windowed frames of an stft or mfcc config: win_seconds every hop_seconds."""
+    """Windowed frames of an stft config: win_seconds every hop_seconds."""
     win_len = int(round(cfg.win_seconds * buf.sample_rate))
     hop = int(round(cfg.hop_seconds * buf.sample_rate))
     frames = _windowed_frames(buf, win_len, hop, window, cfg.n_fft)
@@ -208,19 +200,21 @@ def delta(m, window=2):
     return num / (2.0 * sum(n * n for n in range(1, window + 1)))
 
 
-def mfcc(buf, cfg=None):
-    """13 cepstra (DCT-II of log mel energies) + deltas + delta-deltas = 39."""
+def mfcc(buf, cfg=None, stft=None):
+    """13 cepstra (DCT-II of log mel energies) + deltas + delta-deltas = 39,
+    framed by the stft config as the log-STFT is, but always Hann-windowed."""
     from scipy.fft import dct  # on first use, so commands that compute no MFCC never load scipy
 
     cfg = cfg or MfccConfig()
-    frames = _stft_frames(buf, cfg, "hann")
-    power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
-    fb = mel_filterbank(cfg.n_mels, cfg.n_fft, buf.sample_rate, cfg.fmin, cfg.fmax)
+    stft = stft or StftConfig()
+    frames = _stft_frames(buf, stft, "hann")
+    power = np.abs(np.fft.rfft(frames, stft.n_fft, axis=1)) ** 2
+    fb = mel_filterbank(cfg.n_mels, stft.n_fft, buf.sample_rate, cfg.fmin, cfg.fmax)
     logmel = np.log(power @ fb.T + LOG_EPS)
     static = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_ceps]
     d1 = delta(static, cfg.delta_window)
     d2 = delta(d1, cfg.delta_window)
-    return FeatureMatrix(kind="mfcc", data=np.hstack([static, d1, d2]), hop=cfg.hop_seconds)
+    return FeatureMatrix(kind="mfcc", data=np.hstack([static, d1, d2]), hop=stft.hop_seconds)
 
 
 def _contour_frames(buf, contour, n_fft):

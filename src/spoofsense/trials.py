@@ -23,7 +23,7 @@ from .errors import (
     ZeroVector,
 )
 from .metrics import ScoreTable
-from .tsv import isin, raise_first, read_columns
+from .tsv import isin, open_text, raise_first, read_columns
 
 ROLES = frozenset(
     ("target-real", "impersonator-real", "impersonation", "bonafide", "spoof")
@@ -84,9 +84,9 @@ def _none_if_empty(s):
 
 
 def load_manifest(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    with open_text(path) as fh:
+        lines = fh.read().split("\n")  # an empty file is one blank line
+    if lines == [""]:
         raise ParseError("empty manifest", line=1)
     header = lines[0].split("\t")
     for col in REQUIRED_COLUMNS:
@@ -238,9 +238,9 @@ class Embeddings:
 
 
 def load_embeddings(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("dim="):
+    with open_text(path) as fh:
+        lines = fh.read().split("\n")
+    if not lines[0].startswith("dim="):
         raise ParseError("embedding file must start with dim=<d>", line=1)
     try:
         dim = int(lines[0][4:])

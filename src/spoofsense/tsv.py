@@ -1,12 +1,15 @@
-"""Column-wise reading of tab-separated text files (score files, trial lists).
+"""Reading of tab-separated text files: whole, for manifests and embedding
+files, and column-wise, for score files and trial lists.
 
-Files are read as text, so CRLF line endings read like LF ones.  Blank and
+Files are read as text, and a line ends at "\n", "\r\n" or "\r" only, not
+at the other breaks that str.splitlines() knows.  Blank and
 whitespace-only lines are skipped but still counted: a ParseError names the
-1-based line of the file.  Rows are split and checked a block at a time,
-whole columns at once; a faulty row is reported as the first one in file
-order, with the message of the first check it fails.
+1-based line of the file.  read_columns splits and checks rows a block at
+a time, whole columns at once; a faulty row is reported as the first one
+in file order, with the message of the first check it fails.
 """
 
+from contextlib import contextmanager
 from itertools import compress, count, islice, repeat
 
 import numpy as np
@@ -14,6 +17,17 @@ import numpy as np
 from .errors import ParseError
 
 BLOCK_LINES = 4096  # lines split per step: bounds the memory of field strings
+
+
+@contextmanager
+def open_text(path):
+    """path opened for reading as text; a byte that the text encoding cannot
+    decode raises a ParseError naming path."""
+    with open(path) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s: %s" % (path, exc)) from None
 
 
 def read_columns(path, nfields, message):
@@ -25,7 +39,7 @@ def read_columns(path, nfields, message):
     is resumed, so a caller that checks each block before taking the next
     reports the first faulty line of the file.
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         start = 0
         while block := list(islice(fh, BLOCK_LINES)):
             lines = "".join(block).split("\n")  # last one blank or unterminated

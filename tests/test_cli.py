@@ -379,6 +379,7 @@ def test_non_utf8_input_exits_one(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "can't decode byte 0xff" in err
+    assert str(tmp_path / bad) in err  # the file at fault, among several inputs
     assert not out.exists()
 
 

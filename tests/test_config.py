@@ -57,16 +57,16 @@ REJECTIONS = {
     "nonsense_key = 1": "<config> line 1: unknown key 'nonsense_key'",
     "f0_floor = abc": "<config> line 1: bad value 'abc' for f0_floor",
     "f0_floor = 80\nf0_floor = 90": "<config> line 2: duplicate key 'f0_floor'",
-    "sample_rate = 0": "sample_rate must be >= 1",
+    "sample_rate = 0": "<config>: sample_rate must be >= 1",
     # floor above default ceil
     "f0_floor = 600": "<config>: need 0 < floor < ceil",
     # exceeds n_mels
     "n_ceps = 40": "<config>: n_ceps cannot exceed n_mels",
     "window = blackman": "<config>: unknown window 'blackman'",
-    "activation = sigmoid": "activation must be relu or tanh",
+    "activation = sigmoid": "<config>: activation must be relu or tanh",
     "epochs = 0": "<config>: epochs and batch_size must be >= 1",
     # cost block must be complete
-    "p_target = 0.9": "cost model is all-or-nothing; missing p_nontarget, p_spoof, "
+    "p_target = 0.9": "<config>: cost model is all-or-nothing; missing p_nontarget, p_spoof, "
         "c_miss_asv, c_fa_asv, c_miss_cm, c_fa_cm, p_miss_asv, p_fa_asv, p_miss_spoof_asv",
     "just some text": "<config> line 1: expected key = value",
     # non-finite floats
@@ -75,7 +75,7 @@ REJECTIONS = {
     "fmax = inf": "<config> line 1: bad value 'inf' for fmax",
     # two faults: the top-level check is reported before the stage checks,
     # and the stage checks before the cost block
-    "sample_rate = 0\nf0_floor = 600": "sample_rate must be >= 1",
+    "sample_rate = 0\nf0_floor = 600": "<config>: sample_rate must be >= 1",
     "epochs = 0\np_target = 0.9": "<config>: epochs and batch_size must be >= 1",
 }
 
@@ -153,19 +153,19 @@ def test_key_table():
     cost_keys = [f.name for f in fields(CostModel)]
     cost_block = _flat(parse_config_text(
         "\n".join("%s = %s" % (k, NON_DEFAULT[k]) for k in cost_keys)))
-    covered = set()
     for key, value in NON_DEFAULT.items():
-        targets = {tuple(t.rpartition(".")[::2]) for t in KEYS[key].split()}
-        covered |= targets
+        target = KEYS[key]
         if key in cost_keys:  # the block is all-or-nothing, so check it as a whole
-            assert targets == {("cost", key)}
-            assert cost_block[("cost", key)] == float(value)
+            assert target == ("cost", key)
+            assert cost_block[target] == float(value)
             continue
         got = _flat(parse_config_text("%s = %s" % (key, value)))
-        assert {t for t in got if got[t] != base[t]} == targets, key
-        assert all(got[t] == type(base[t])(value) for t in targets), key
+        assert {t for t in got if got[t] != base[t]} == {target}, key
+        assert got[target] == type(base[target])(value), key
     assert set(cost_block) - set(base) == {("cost", k) for k in cost_keys}
-    assert covered == set(cost_block)  # every setting has a key
+    # one key per setting: no two keys set one field, and every field has a key
+    assert len(set(KEYS.values())) == len(KEYS)
+    assert set(KEYS.values()) == set(cost_block)
 
     shipped = _file_keys((ROOT / "configs" / "default.conf").read_text())
     shipped |= _file_keys((ROOT / "configs" / "tdcf_example.conf").read_text())

@@ -212,9 +212,9 @@ def check_scorefile(path):
     if old[0] == "ok":
         assert exact(new[1]) == exact(old[1])
         assert len(new[1]) == len(old[1])
-    for kwargs in ({}, {"mode": "tdcf", "cost": COST}):
-        old = outcome(evaluate_scorefile_loop, path, **kwargs)
-        new = outcome(evaluate_scorefile, path, **kwargs)
+    for cost in (None, COST):
+        old = outcome(evaluate_scorefile_loop, path, mode="tdcf" if cost else "eer", cost=cost)
+        new = outcome(evaluate_scorefile, path, cost)
         assert_same_outcome(new, old)
         if old[0] == "ok":
             assert new[1] == old[1]

@@ -244,7 +244,7 @@ def test_evaluate_groups_and_pooling(tmp_path):
     lines += ["a%d\tA17\tspoof\t%g" % (i, -1 - 0.1 * i) for i in range(3)]
     lines += ["b%d\tA19\tspoof\t%g" % (i, 0.95 + 0.1 * i) for i in range(3)]
     p.write_text("\n".join(lines) + "\n")
-    reports = evaluate_scorefile(p, mode="tdcf", cost=COST)
+    reports = evaluate_scorefile(p, COST)
     assert [r.group for r in reports] == ["A17", "A19", "ALL"]
     byg = {r.group: r for r in reports}
     assert byg["A17"].n_pos == 4 and byg["A17"].n_neg == 3

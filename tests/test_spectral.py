@@ -19,6 +19,7 @@ from spoofsense.spectral import (
     ApConfig,
     FeatureMatrix,
     LOG_EPS,
+    StftConfig,
     band_aperiodicity,
     band_edges,
     check_kind_dims,
@@ -55,6 +56,22 @@ def test_mfcc_dims_and_framing():
     assert m.kind == "mfcc"
     assert m.dims == 39
     assert m.num_frames == 198
+
+
+def test_mfcc_frames_by_the_stft_config():
+    buf = tone(220, dur=2.0)
+    stft = StftConfig(n_fft=1024, win_seconds=0.03, hop_seconds=0.02)
+    m = KINDS["mfcc"].compute(buf, RunConfig(stft=stft))
+    assert m.hop == 0.02
+    assert m.num_frames == (2 * SR - 480) // 320 + 1 == 99
+    np.testing.assert_array_equal(m.data, mfcc(buf, stft=stft).data)
+
+
+def test_mfcc_ignores_the_stft_window():
+    """The window applies to the log-STFT only; MFCC frames are always Hann."""
+    buf = tone(220, dur=2.0)
+    hamming = KINDS["mfcc"].compute(buf, RunConfig(stft=StftConfig(window="hamming")))
+    np.testing.assert_array_equal(hamming.data, mfcc(buf).data)
 
 
 def test_mfcc_constant_input_deltas_zero():

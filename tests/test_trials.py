@@ -205,6 +205,24 @@ def test_manifest_duplicate_column(tmp_path):
     assert e.value.line == 1
 
 
+# str.splitlines() breaks lines at these too, a text file at newlines only
+ODD_ID = "u\x0b\x0c\x1c\x1d\x1e\x85\u2028\u20291"
+
+
+@pytest.mark.parametrize("reader", ["manifest", "embeddings", "trials"])
+def test_lines_end_at_newlines_only(tmp_path, reader):
+    """A table file breaks lines at its newlines, CRLF or LF, and nowhere else."""
+    text, load, ids = {
+        "manifest": ("utt_id\tspeaker_id\trole\tpath\n%s\ts\tbonafide\tx.wav\n",
+                     load_manifest, lambda m: [r.utt_id for r in m.rows]),
+        "embeddings": ("dim=2\n%s\t1 2\n", load_embeddings, lambda e: e.ids),
+        "trials": ("%s\tv\tpositive\tR\n", load_trials, lambda t: t.utt_a),
+    }[reader]
+    p = tmp_path / reader
+    p.write_bytes((text % ODD_ID).replace("\n", "\r\n", 1).encode())
+    assert ids(load(p)) == [ODD_ID]
+
+
 def test_cosine_examples():
     assert cosine_score([1, 2, 2], [2, 1, 2]) == 8 / 9
     assert cosine_score([1, 0], [0, 1]) == 0.0
