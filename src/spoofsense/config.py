@@ -1,7 +1,8 @@
 """Flat key=value run configuration.
 
 One text file drives every stage: `key = value` per line, `#` comments,
-blank lines ignored. Unknown keys are rejected up front so a typo can't
+blank lines ignored; a line ends at "\n", "\r\n" or "\r" only, as in
+the table files (tsv). Unknown keys are rejected up front so a typo can't
 silently fall back to a default. SPOOFSENSE_CONFIG names a fallback file
 when no --config is given.
 """
@@ -15,6 +16,7 @@ from .f0 import F0Config
 from .metrics import CostModel
 from .mlp import TrainConfig
 from .spectral import ApConfig, EnvelopeConfig, MfccConfig, StftConfig
+from .tsv import split_lines
 
 ENV_VAR = "SPOOFSENSE_CONFIG"
 
@@ -89,7 +91,7 @@ def _build(settings):
 
 def parse_config_text(text, source="<config>"):
     settings = {}  # stage -> {field: value}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -3,13 +3,18 @@
 Normalized cross-correlation (autocorrelation with energy-matched
 denominators) over 3-periods-of-floor windows, followed by parabolic peak
 interpolation.  Unvoiced frames are encoded as 0.0 in the contour.
+
+The correlation of a w-sample frame is taken through an FFT of
+next_fast_len(w + kmax + 1) points, the shortest length at which the
+circular correlation has no wrapped term at any lag read (864 points for
+the 640-sample frames of the 16 kHz defaults).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import frame_signal
+from .audio import AudioBuffer, frame_signal
 from .errors import EmptyAfterTrim, InputTooShort
 
 # a shorter-lag peak this close to the global best wins; guards against
@@ -56,28 +61,29 @@ def contour_framing(sample_rate, c):
     return int(round(frame_len)), int(round(hop))
 
 
-def _nccf(frames, kmin, kmax):
+def _nccf(frames, squares, kmin, kmax):
     """Normalized cross-correlation for lags kmin-1 .. kmax+1 (per frame).
 
     nccf[k] = sum(x[n] x[n+k]) / sqrt(E(x[:W-k]) E(x[k:])), so any exactly
     periodic frame scores 1.0 at its period regardless of amplitude.
+    squares is frames**2; it is overwritten with its running sums.  The
+    FFT has N = next_fast_len(W + kmax + 1) points: at a lag k <= kmax + 1
+    every product x[n] x[n+k] of the frame has n + k < W + kmax + 1 <= N, so
+    none wraps and the circular correlation equals the linear one.
     """
     from scipy.fft import next_fast_len  # on first use, so commands that track no F0 never load scipy
 
-    nf, w = frames.shape
-    nfft = next_fast_len(2 * w)
+    w = frames.shape[1]
+    nfft = next_fast_len(w + kmax + 1)
     spec = np.fft.rfft(frames, nfft, axis=1)
-    corr = np.fft.irfft(np.abs(spec) ** 2, nfft, axis=1)
+    corr = np.fft.irfft(spec.real**2 + spec.imag**2, nfft, axis=1)[:, kmin - 1 : kmax + 2]
 
-    lags = np.arange(kmin - 1, kmax + 2)
-    cs = np.cumsum(frames**2, axis=1)
-    total = cs[:, -1:]
-    e_head = cs[:, w - 1 - lags]
-    e_tail = total - cs[:, lags - 1]
+    cs = np.cumsum(squares, axis=1, out=squares)
+    e_head = cs[:, w - kmax - 2 : w - kmin + 1][:, ::-1]  # E(x[:W-k]), k ascending
+    e_tail = cs[:, -1:] - cs[:, kmin - 2 : kmax + 1]      # E(x[k:])
     denom = np.sqrt(e_head * e_tail)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(denom > 0, corr[:, lags] / denom, 0.0)
-    return lags, out
+    out = np.divide(corr, denom, out=np.zeros_like(denom), where=denom > 0)
+    return np.arange(kmin - 1, kmax + 2), out
 
 
 def _pick_peak(lags, nccf, kmin, kmax):
@@ -120,9 +126,10 @@ def estimate_f0(buf, cfg=None):
     if kmin < 2:
         raise ValueError("ceil too close to the sample rate")
 
-    lags, nccf = _nccf(frames, kmin, kmax)
-    energy = np.sum(frames**2, axis=1)
-    raw_energy = np.sum(raw**2, axis=1)
+    squares = frames**2
+    energy = np.sum(squares, axis=1)
+    lags, nccf = _nccf(frames, squares, kmin, kmax)
+    raw_energy = np.sum(frame_signal(AudioBuffer(buf.samples**2, sr), frame_len, hop), axis=1)
 
     values = np.zeros(len(frames))
     # silent frames stay unvoiced: zero energy, or a constant frame's rounding

@@ -90,7 +90,8 @@ def _region_cycles(x, sr, contour, run):
         return None
     peaks = np.asarray(peaks)
     periods = np.diff(peaks) / sr
-    amps = np.array([np.max(np.abs(x[u:v])) for u, v in zip(peaks[:-1], peaks[1:])])
+    # peak |x| per cycle [peaks[i], peaks[i+1]); the peaks strictly increase
+    amps = np.maximum.reduceat(np.abs(x[peaks[0] : peaks[-1]]), peaks[:-1] - peaks[0])
     return CycleSequence(periods=periods, amplitudes=amps)
 
 

@@ -19,15 +19,37 @@ from .errors import ParseError
 BLOCK_LINES = 4096  # lines split per step: bounds the memory of field strings
 
 
+def split_lines(text):
+    """text's lines, each ended by "\n", "\r\n" or "\r"; the last one is
+    what follows the last line end (blank if text ends with one)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 @contextmanager
 def open_text(path):
     """path opened for reading as text; a byte that the text encoding cannot
-    decode raises a ParseError naming path."""
+    decode raises a ParseError naming path and the byte's line."""
     with open(path) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise ParseError("%s: %s" % (path, exc)) from None
+            raise _decode_error(path, exc) from None
+
+
+def _decode_error(path, exc):
+    """ParseError at the line of path's first undecodable byte.
+
+    The text layer decodes a chunk at a time, so exc's position is within a
+    chunk; decoding the whole file again gives the file offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        # everything before the first bad byte decodes
+        line = len(split_lines(data[: whole.start].decode(exc.encoding)))
+        return ParseError("%s: %s" % (path, whole), line=line)
+    return ParseError("%s: %s" % (path, exc))  # the file changed since
 
 
 def read_columns(path, nfields, message):

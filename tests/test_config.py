@@ -86,6 +86,24 @@ def test_rejections(text):
         parse_config_text(text)
 
 
+def test_lines_end_at_newlines_only(tmp_path):
+    """A config line ends at "\n", "\r\n" or "\r", as in the table files."""
+    cfg = parse_config_text("f0_floor = 80\r\nf0_ceil = 400\rf0_hop = 0.01\n")
+    assert (cfg.f0.floor, cfg.f0.ceil, cfg.f0.hop) == (80.0, 400.0, 0.01)
+    with pytest.raises(ConfigError, match="^<config> line 3: unknown key 'bogus'$"):
+        parse_config_text("f0_floor = 80\r\n# comment\rbogus = 1")
+    # a form feed is no line end, so this is one line with one bad value
+    message = r"<config> line 1: bad value '80\x0cf0_ceil = 400' for f0_floor"
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+        parse_config_text("f0_floor = 80\x0cf0_ceil = 400")
+    # unreadable files still raise ConfigError, naming the path
+    bad = tmp_path / "bad.conf"
+    bad.write_bytes(b"f0_floor = 80\n\xff\n")
+    for path in (bad, tmp_path):  # undecodable, a directory
+        with pytest.raises(ConfigError, match="^cannot read config %s: " % re.escape(str(path))):
+            load_config(str(path))
+
+
 def test_cost_model_missing_raises():
     with pytest.raises(ConfigError):
         RunConfig().cost_model()

@@ -1,10 +1,17 @@
-"""Bit-exact parity of the vectorised DSP kernels with their per-frame loops.
+"""Parity of the DSP kernels with their earlier implementations.
 
 The loop versions below are the original implementations of the F0 peak
 pick, band aperiodicity, the spectral envelope and the mel filterbank,
 kept verbatim as oracles.  The vectorised code must reproduce them exactly
 in float64 (np.array_equal, no tolerance), because every .ssft feature file
 is derived from these arrays.
+
+The one exception is the NCCF.  _nccf_2w is the earlier _nccf, verbatim,
+with its FFT of next_fast_len(2 W) points; today's FFT is the shortest
+alias-free length, next_fast_len(W + kmax + 1), which rounds differently in
+the last bits.  So _nccf must match _nccf_2w within 1e-12 absolute, and an
+F0 contour built on either must have the same voicing and values within
+1e-12 relative.
 """
 
 import numpy as np
@@ -13,8 +20,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SR, machine_buf, natural_buf
 from spoofsense.audio import AudioBuffer, frame_signal, resample
+from spoofsense import f0 as f0_module
 from spoofsense.errors import InputTooShort
-from spoofsense.f0 import SUBHARMONIC_RATIO, F0Config, F0Contour, _nccf, estimate_f0
+from spoofsense.f0 import (
+    SUBHARMONIC_RATIO,
+    F0Config,
+    F0Contour,
+    _nccf,
+    contour_framing,
+    estimate_f0,
+)
 from spoofsense.spectral import (
     LOG_EPS,
     ApConfig,
@@ -30,6 +45,30 @@ from spoofsense.spectral import (
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def _nccf_2w(frames, kmin, kmax):
+    """Normalized cross-correlation for lags kmin-1 .. kmax+1 (per frame).
+
+    nccf[k] = sum(x[n] x[n+k]) / sqrt(E(x[:W-k]) E(x[k:])), so any exactly
+    periodic frame scores 1.0 at its period regardless of amplitude.
+    """
+    from scipy.fft import next_fast_len  # on first use, so commands that track no F0 never load scipy
+
+    nf, w = frames.shape
+    nfft = next_fast_len(2 * w)
+    spec = np.fft.rfft(frames, nfft, axis=1)
+    corr = np.fft.irfft(np.abs(spec) ** 2, nfft, axis=1)
+
+    lags = np.arange(kmin - 1, kmax + 2)
+    cs = np.cumsum(frames**2, axis=1)
+    total = cs[:, -1:]
+    e_head = cs[:, w - 1 - lags]
+    e_tail = total - cs[:, lags - 1]
+    denom = np.sqrt(e_head * e_tail)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(denom > 0, corr[:, lags] / denom, 0.0)
+    return lags, out
 
 
 def _pick_peak_loop(lags, row, kmin, kmax, ratio):
@@ -72,7 +111,7 @@ def estimate_f0_loop(buf, cfg=None):
     if kmin < 2:
         raise ValueError("ceil too close to the sample rate")
 
-    lags, nccf = _nccf(frames, kmin, kmax)
+    lags, nccf = _nccf(frames, frames**2, kmin, kmax)
     energy = np.sum(frames**2, axis=1)
 
     values = np.zeros(len(series))
@@ -200,6 +239,56 @@ def test_estimate_f0_matches_loop(name, f0_cfg):
     buf = CORPUS[name]
     got = estimate_f0(buf, f0_cfg).values
     assert np.array_equal(got, estimate_f0_loop(buf, f0_cfg))
+    assert np.any(got > 0)
+
+
+@pytest.mark.parametrize(
+    "sr, floor, ceil",
+    [
+        (16000, 75.0, 500.0),
+        (16000, 97.0, 500.0),  # W + kmax + 1 = 660 points, itself a fast length
+        (16000, 60.0, 400.0),
+        (8000, 100.0, 350.0),  # W + kmax = 320 is a fast length too: one point short aliases
+        (22050, 75.0, 500.0),
+        (44100, 80.0, 1000.0),
+    ],
+)
+def test_nccf_matches_2w(sr, floor, ceil):
+    from scipy.fft import next_fast_len
+
+    w = contour_framing(sr, F0Config(floor=floor, ceil=ceil))[0]
+    kmin, kmax = int(np.ceil(sr / ceil)), int(np.floor(sr / floor))
+    r = np.random.default_rng([sr, int(floor), int(ceil)])
+    t = np.arange(w) / sr
+    frames = np.concatenate([
+        r.normal(size=(6, w)),  # noise: every lag's wrapped term would show
+        np.sin(2 * np.pi * r.uniform(floor, ceil, (6, 1)) * t) + 0.1 * r.normal(size=(6, w)),
+        np.zeros((1, w)),  # zero energy: nccf 0
+    ])
+    frames -= frames.mean(axis=1, keepdims=True)
+    lags, got = _nccf(frames, frames**2, kmin, kmax)
+    want_lags, want = _nccf_2w(frames, kmin, kmax)
+    assert np.array_equal(lags, want_lags)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.all(got[-1] == 0.0)
+    if (sr, floor) == (16000, 97.0):
+        # the tight case: one point fewer, and lag kmax + 1 wraps around
+        n = w + kmax + 1
+        assert (w, kmax, next_fast_len(n)) == (495, 164, 660)
+        spec = np.fft.rfft(frames[0], n - 1)
+        short = np.fft.irfft(spec.real**2 + spec.imag**2, n - 1)
+        assert abs(short[kmax + 1] - np.dot(frames[0, : -kmax - 1], frames[0, kmax + 1 :])) > 1e-3
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("f0_cfg", F0_CONFIGS, ids=["default", "60-400", "100-350"])
+def test_estimate_f0_matches_2w_contour(name, f0_cfg, monkeypatch):
+    buf = CORPUS[name]
+    got = estimate_f0(buf, f0_cfg).values
+    monkeypatch.setattr(f0_module, "_nccf", lambda frames, sq, kmin, kmax: _nccf_2w(frames, kmin, kmax))
+    want = estimate_f0(buf, f0_cfg).values
+    assert np.array_equal(got > 0, want > 0)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
     assert np.any(got > 0)
 
 

@@ -276,3 +276,19 @@ def test_write_report_format():
     lines = fh.getvalue().splitlines()
     assert lines[0] == "group,n_pos,n_neg,eer,threshold"
     assert lines[1].startswith("ALL,3,3,0.333333333333")
+
+
+def test_decode_error_names_the_line(tmp_path):
+    """A bad byte far into a large score file is reported at its line and
+    file offset, not at the offset within the chunk the text layer decoded."""
+    rows = b"".join(b"u%05d\t-\tbonafide\t0.5\n" % i for i in range(19000))
+    assert len(rows) > 400_000
+    p = tmp_path / "big.tsv"
+    p.write_bytes(rows + b"\xffs0\tA01\tspoof\t-1\n")
+    with pytest.raises(ParseError) as exc:
+        parse_scorefile(p)
+    assert exc.value.line == 19001
+    assert str(exc.value) == (
+        "line 19001: %s: 'utf-8' codec can't decode byte 0xff in position %d: "
+        "invalid start byte" % (p, len(rows))
+    )

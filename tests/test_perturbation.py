@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import SR, cos_train, pulse_train, tone
+from conftest import SR, cos_train, machine_buf, natural_buf, pulse_train, tone
 from spoofsense.audio import AudioBuffer
 from spoofsense.errors import NoVoicedRegion, TooFewCycles, ZeroAmplitude
-from spoofsense.f0 import estimate_f0
+from spoofsense.f0 import contour_framing, estimate_f0, voiced_runs
 from spoofsense.perturbation import (
     CycleSequence,
+    _frame_of,
+    _is_peak,
+    _region_cycles,
     jitter_local,
     region_cycles,
     shimmer_local,
@@ -101,3 +104,76 @@ def test_cycle_sequence_measures():
     dead = CycleSequence(periods=np.array([0.01, 0.01]), amplitudes=np.array([0.0, 0.0]))
     with pytest.raises(ZeroAmplitude):
         shimmer_local(dead)
+
+
+def _region_cycles_loop(x, sr, contour, run):
+    """The earlier _region_cycles, comments dropped: one np.max per cycle amplitude."""
+    frame_len, hop = contour_framing(sr, contour)
+    lo, hi = run[0], run[1] - 1
+    stop = min(len(x), hi * hop + frame_len)
+
+    t0 = int(round(sr / contour.values[lo]))
+    s, p = lo * hop, None
+    while s + t0 <= stop:
+        q = s + int(np.argmax(x[s : s + t0]))
+        if _is_peak(x, q):
+            p = q
+            break
+        s += t0
+    if p is None:
+        return None
+
+    peaks = [p]
+    while True:
+        t = sr / contour.values[_frame_of(p, frame_len, hop, lo, hi)]
+        a = p + int(np.floor(0.7 * t))
+        b = min(stop, p + int(np.ceil(1.3 * t)) + 1)
+        if a >= b:
+            break
+        q = a + int(np.argmax(x[a:b]))
+        if not _is_peak(x, q) or x[q] < 0.1 * x[p]:
+            break
+        peaks.append(q)
+        p = q
+
+    if len(peaks) < 2:
+        return None
+    peaks = np.asarray(peaks)
+    periods = np.diff(peaks) / sr
+    amps = np.array([np.max(np.abs(x[u:v])) for u, v in zip(peaks[:-1], peaks[1:])])
+    return CycleSequence(periods=periods, amplitudes=amps)
+
+
+def _gapped(buf, start, dur):
+    x = buf.samples.copy()
+    a = int(start * SR)
+    x[a : a + int(dur * SR)] = 0.0
+    return AudioBuffer(x, SR)
+
+
+@pytest.mark.parametrize(
+    "buf",
+    [
+        natural_buf(82, seed=11),
+        natural_buf(140, seed=12, dur=0.9),
+        _gapped(natural_buf(210, seed=13), 0.5, 0.15),
+        natural_buf(295, seed=14, dur=0.8),
+        machine_buf(120, dur=0.7),
+        pulse_train([105] * 60, [0.4 if k % 2 else 0.6 for k in range(60)]),
+        AudioBuffer(cos_train([100 if k % 2 else 110 for k in range(80)], [1.0] * 80), SR),
+    ],
+    ids=["nat82", "nat140", "nat210-gap", "nat295", "mach120", "pulses", "cos-jitter"],
+)
+def test_region_cycles_match_loop(buf):
+    """Cycle amplitudes in one reduceat are the per-cycle maxima, bit for bit."""
+    contour = estimate_f0(buf)
+    marked = 0
+    for run in voiced_runs(contour.values):
+        got = _region_cycles(buf.samples, SR, contour, run)
+        want = _region_cycles_loop(buf.samples, SR, contour, run)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.periods, want.periods)
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+            marked += len(got)
+    assert marked >= 10

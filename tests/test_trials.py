@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,17 @@ def test_lines_end_at_newlines_only(tmp_path, reader):
     p = tmp_path / reader
     p.write_bytes((text % ODD_ID).replace("\n", "\r\n", 1).encode())
     assert ids(load(p)) == [ODD_ID]
+
+
+def test_decode_error_names_the_line(tmp_path):
+    """The line of a bad byte is counted by the readers' line rule: a lone
+    "\r" ends a line, and "\r\n" ends one line, not two."""
+    head = b"utt_id\tspeaker_id\trole\tpath\r\na\ts\tbonafide\tx.wav\r"
+    p = tmp_path / "manifest"
+    p.write_bytes(head + b"\xffb\ts\tbonafide\tx.wav\n")
+    with pytest.raises(ParseError, match="^line 3: %s: 'utf-8' codec can't decode byte 0xff "
+                       "in position %d: invalid start byte$" % (re.escape(str(p)), len(head))):
+        load_manifest(p)
 
 
 def test_cosine_examples():
