@@ -30,6 +30,7 @@ from .spectral import KINDS
 from .store import read_payload, write_feature
 from .trials import (
     CATEGORIES,
+    CLASS_OF_ROLE,
     build_all_pairs,
     build_pairs,
     load_embeddings,
@@ -41,13 +42,6 @@ from .trials import (
     write_scorefile,
 )
 
-CLASS_OF_ROLE = {
-    "bonafide": 0,
-    "target-real": 0,
-    "impersonator-real": 0,
-    "spoof": 1,
-    "impersonation": 1,
-}
 CLASS_NAMES = ("bonafide", "spoof")
 
 

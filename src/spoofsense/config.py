@@ -11,12 +11,12 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .f0 import F0Config
 from .metrics import CostModel
 from .mlp import TrainConfig
 from .spectral import ApConfig, EnvelopeConfig, MfccConfig, StftConfig
-from .tsv import split_lines
+from .tsv import open_text, split_lines
 
 ENV_VAR = "SPOOFSENSE_CONFIG"
 
@@ -127,8 +127,8 @@ def load_config(path=None):
     if path is None:
         return RunConfig()
     try:
-        with open(path) as fh:
+        with open_text(path) as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ParseError) as exc:  # a ParseError names the undecodable line
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
     return parse_config_text(text, source=path)

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateLabels, IllPosedCostModel
-from .tsv import isin, raise_first, read_columns
+from .tsv import isin, parse_floats, raise_first, read_lines, split_columns
 
 POSITIVE_LABELS = frozenset(("target", "bonafide"))
 NEGATIVE_LABELS = frozenset(("nontarget", "spoof"))
@@ -144,21 +144,6 @@ class ScoreTable:
         return zip(self.trial_ids, self.groups, self.labels, self.scores.tolist())
 
 
-def _parse_floats(texts):
-    """float() of each text as float64, and a mask of the texts it rejects."""
-    try:
-        return np.fromiter(map(float, texts), np.float64, len(texts)), np.zeros(len(texts), bool)
-    except ValueError:
-        pass
-    values, rejected = np.full(len(texts), np.nan), np.zeros(len(texts), bool)
-    for i, text in enumerate(texts):
-        try:
-            values[i] = float(text)
-        except ValueError:
-            rejected[i] = True
-    return values, rejected
-
-
 def parse_scorefile(path):
     """ScoreTable of a trial_id<TAB>group<TAB>label<TAB>score file.
 
@@ -167,10 +152,10 @@ def parse_scorefile(path):
     in the order field count, label, score, finiteness, group name.
     """
     ids, groups, labels, scores = [], [], [], [np.zeros(0)]
-    for linenos, (trial_id, group, label, score_text) in read_columns(
-        path, 4, "expected 4 tab-separated fields"
+    for linenos, (trial_id, group, label, score_text) in split_columns(
+        read_lines(path), 4, "expected 4 tab-separated fields"
     ):
-        values, rejected = _parse_floats(score_text)
+        values, rejected = parse_floats(score_text)
         raise_first(linenos, [
             (~isin(label, POSITIVE_LABELS | NEGATIVE_LABELS),
              lambda i: "unknown label %r" % label[i]),

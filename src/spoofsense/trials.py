@@ -6,10 +6,9 @@ qualifying combinations.  A trial list is held as columns (TrialSet), the
 way a score file is (metrics.ScoreTable).
 """
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -23,11 +22,12 @@ from .errors import (
     ZeroVector,
 )
 from .metrics import ScoreTable
-from .tsv import isin, open_text, raise_first, read_columns
+from .tsv import isin, parse_floats, raise_first, read_lines, split_columns
 
-ROLES = frozenset(
-    ("target-real", "impersonator-real", "impersonation", "bonafide", "spoof")
-)
+# the roles a manifest row may have -> the countermeasure class (0 bonafide, 1 spoof)
+CLASS_OF_ROLE = {"bonafide": 0, "target-real": 0, "impersonator-real": 0,
+                 "spoof": 1, "impersonation": 1}
+ROLES = frozenset(CLASS_OF_ROLE)
 
 # category -> (role of a, role of b, rule on the rows a and b); a pair of one
 # role is any two of its rows, a pair of two roles one row of each.  A rule
@@ -79,16 +79,14 @@ class Manifest:
         return len(self.rows)
 
 
-def _none_if_empty(s):
-    return None if s in ("", "-") else s
-
-
 def load_manifest(path):
-    with open_text(path) as fh:
-        lines = fh.read().split("\n")  # an empty file is one blank line
-    if lines == [""]:
+    """Rows checked in the order field count, role, mimicked_target_id, utt_id
+    (it names files: non-empty, no '/'), then duplicate utt_ids over all rows."""
+    lines = read_lines(path, header=True)
+    head = next(lines)
+    if head is None:
         raise ParseError("empty manifest", line=1)
-    header = lines[0].split("\t")
+    header = head.split("\t")
     for col in REQUIRED_COLUMNS:
         if col not in header:
             raise ParseError("missing column %r" % col, line=1)
@@ -99,35 +97,23 @@ def load_manifest(path):
             raise ParseError("duplicate column %r" % col, line=1)
 
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(header):
-            raise ParseError(
-                "expected %d fields, got %d" % (len(header), len(parts)), line=lineno
-            )
-        rec = dict(zip(header, parts))
-        role = rec["role"]
-        if role not in ROLES:
-            raise ParseError("unknown role %r" % role, line=lineno)
-        mim = _none_if_empty(rec.get("mimicked_target_id", ""))
-        if role == "impersonation" and mim is None:
-            raise MissingMimickedTarget("line %d: %s" % (lineno, rec["utt_id"]))
-        if role != "impersonation" and mim is not None:
-            raise ParseError(
-                "mimicked_target_id only belongs on impersonation rows", line=lineno
-            )
-        rows.append(
-            ManifestRow(
-                utt_id=rec["utt_id"],
-                speaker_id=rec["speaker_id"],
-                role=role,
-                path=rec["path"],
-                mimicked_target_id=mim,
-                attack_id=_none_if_empty(rec.get("attack_id", "")),
-            )
-        )
+    message = "expected %d fields, got {got}" % len(header)
+    for linenos, columns in split_columns(lines, len(header), message):
+        rec = dict(zip(header, columns))
+        utt, role = rec["utt_id"], rec["role"]
+        mim, attack = ([None if s in ("", "-") else s for s in rec.get(col, [""] * len(utt))]
+                       for col in OPTIONAL_COLUMNS)  # "-" or empty: absent
+        impersonation, absent = isin(role, {"impersonation"}), isin(mim, {None})
+        raise_first(linenos, [
+            (~isin(role, ROLES), lambda i: "unknown role %r" % role[i]),
+            (impersonation & absent,
+             lambda i: MissingMimickedTarget("line %d: %s" % (linenos[i], utt[i]))),
+            (~impersonation & ~absent,
+             lambda i: "mimicked_target_id only belongs on impersonation rows"),
+            (np.array([not u or "/" in u for u in utt], bool),
+             lambda i: "utt_id %r must be non-empty and hold no '/'" % utt[i]),
+        ])
+        rows += map(ManifestRow, utt, rec["speaker_id"], role, rec["path"], mim, attack)
     return Manifest(rows=rows)
 
 
@@ -212,7 +198,7 @@ def save_trials(path, ts):
 
 def load_trials(path):
     columns = ([], [], [], [])
-    for linenos, (a, b, label, cat) in read_columns(path, 4, "expected 4 fields"):
+    for linenos, (a, b, label, cat) in split_columns(read_lines(path), 4, "expected 4 fields"):
         raise_first(linenos, [
             (~isin(label, ("positive", "negative")), lambda i: "unknown label %r" % label[i]),
             (~isin(cat, CATEGORIES), lambda i: "unknown category %r" % cat[i]),
@@ -238,37 +224,39 @@ class Embeddings:
 
 
 def load_embeddings(path):
-    with open_text(path) as fh:
-        lines = fh.read().split("\n")
-    if not lines[0].startswith("dim="):
+    """A dim=<d> line, then utt_id<TAB>values rows, values split at any whitespace;
+    rows checked in the order tab, repeated utt_id, numeric, count, finite."""
+    lines = read_lines(path, header=True)
+    head = next(lines) or ""  # an empty file has no line 1
+    if not head.startswith("dim="):
         raise ParseError("embedding file must start with dim=<d>", line=1)
     try:
-        dim = int(lines[0][4:])
+        dim = int(head[4:])
     except ValueError:
-        raise ParseError("bad dimension %r" % lines[0], line=1) from None
+        raise ParseError("bad dimension %r" % head, line=1) from None
     if dim < 1:
         raise ParseError("dimension must be >= 1", line=1)
 
-    ids, rows = {}, []  # ids: an ordered set of the utt_ids
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        utt, _, rest = line.partition("\t")
-        if not rest:
-            raise ParseError("expected utt_id<TAB>values", line=lineno)
-        if utt in ids:
-            raise DuplicateUttId(utt)
-        try:
-            v = [float(tok) for tok in rest.split()]
-        except ValueError:
-            raise ParseError("non-numeric embedding value", line=lineno) from None
-        if len(v) != dim:
-            raise ParseError("expected %d values, got %d" % (dim, len(v)), line=lineno)
-        if not all(map(math.isfinite, v)):
-            raise ParseError("non-finite embedding value", line=lineno)
-        ids[utt] = None
-        rows.append(v)
-    return Embeddings(list(ids), np.array(rows, dtype=np.float64).reshape(len(rows), dim))
+    ids, values = {}, [np.zeros(0)]  # ids: an ordered set of the utt_ids
+    for linenos, rows in lines:
+        parts = [row.partition("\t") for row in rows]
+        utt = [p[0] for p in parts]
+        tokens = [p[2].split() for p in parts]
+        counts = np.fromiter(map(len, tokens), np.intp, len(rows))
+        block, rejected = parse_floats(list(chain.from_iterable(tokens)))
+        owner = np.repeat(np.arange(len(rows)), counts)  # the row of each value
+        raise_first(linenos, [
+            (np.array([not p[2] for p in parts], bool), lambda i: "expected utt_id<TAB>values"),
+            # an id seen before is repeated; ids.setdefault adds a new one
+            (np.array([u in ids or ids.setdefault(u) for u in utt], bool),
+             lambda i: DuplicateUttId(utt[i])),
+            (np.bincount(owner, rejected, len(rows)) > 0, lambda i: "non-numeric embedding value"),
+            (counts != dim, lambda i: "expected %d values, got %d" % (dim, counts[i])),
+            (np.bincount(owner, ~np.isfinite(block), len(rows)) > 0,
+             lambda i: "non-finite embedding value"),
+        ])
+        values.append(block)
+    return Embeddings(list(ids), np.concatenate(values).reshape(len(ids), dim))
 
 
 def _rescaled(v):

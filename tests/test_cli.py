@@ -71,6 +71,18 @@ def test_extract_failure_policy(workspace, tmp_path):
     assert not (out / "broken.pse.ssft").exists()
 
 
+@pytest.mark.parametrize("utt", ["../escaped", ""])
+def test_extract_writes_only_under_out_dir(workspace, tmp_path, utt):
+    """A utt_id that would name a file outside --out-dir, or a hidden one in
+    it, fails the manifest, and extract writes nothing."""
+    wav = str(workspace / "bona0.wav")
+    write_manifest(tmp_path / "m.tsv", [(utt, "s", "bonafide", "-", "-", wav)])
+    out = tmp_path / "out" / "sub"
+    assert run("extract", "--manifest", tmp_path / "m.tsv", "--feature", "f0",
+               "--out-dir", out) == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["m.tsv"]
+
+
 def test_extract_usage_errors(workspace):
     assert run("extract", "--manifest", workspace / "manifest.tsv",
                "--feature", "bogus", "--out-dir", workspace / "x") == 2

@@ -104,6 +104,15 @@ def test_lines_end_at_newlines_only(tmp_path):
             load_config(str(path))
 
 
+def test_undecodable_config_names_its_line(tmp_path):
+    path = tmp_path / "bad.conf"
+    path.write_bytes(b"f0_floor = 80\r\n# comment\rf0_ceil = \xff400\n")
+    message = ("cannot read config %s: line 3: %s: 'utf-8' codec can't decode byte 0xff "
+               "in position 35: invalid start byte" % (path, path))
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+        load_config(str(path))
+
+
 def test_cost_model_missing_raises():
     with pytest.raises(ConfigError):
         RunConfig().cost_model()

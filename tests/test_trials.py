@@ -198,6 +198,17 @@ def test_manifest_header_errors(tmp_path):
     assert e.value.line == 2
 
 
+@pytest.mark.parametrize("utt", ["", "../escaped", "sub/u1", "/abs"])
+def test_manifest_rejects_ids_that_name_other_paths(tmp_path, utt):
+    """A utt_id names <dir>/<utt_id>.<kind>.ssft, so it is non-empty and holds no '/'."""
+    p = tmp_path / "m.tsv"
+    p.write_text("utt_id\tspeaker_id\trole\tpath\nok\ts\tbonafide\tx\n\n%s\ts\tspoof\ty\n" % utt)
+    message = "line 4: utt_id %r must be non-empty and hold no '/'" % utt
+    with pytest.raises(ParseError, match="^%s$" % re.escape(message)) as e:
+        load_manifest(p)
+    assert e.value.line == 4
+
+
 def test_manifest_duplicate_column(tmp_path):
     p = tmp_path / "m.tsv"
     p.write_text("utt_id\tspeaker_id\trole\tpath\tpath\nu\ts\tbonafide\tx\ty\n")
