@@ -7,14 +7,17 @@ interpolation.  Unvoiced frames are encoded as 0.0 in the contour.
 The correlation of a w-sample frame is taken through an FFT of
 next_fast_len(w + kmax + 1) points, the shortest length at which the
 circular correlation has no wrapped term at any lag read (864 points for
-the 640-sample frames of the 16 kHz defaults).
+the 640-sample frames of the 16 kHz defaults).  Frames are tracked in
+blocks of audio.BLOCK_ROWS, each on its own, so that the spectra and
+correlations of one block stay in cache; the contour is the same bits as
+from one whole-utterance array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, frame_signal
+from .audio import AudioBuffer, by_row_blocks, frame_signal
 from .errors import EmptyAfterTrim, InputTooShort
 
 # a shorter-lag peak this close to the global best wins; guards against
@@ -120,26 +123,30 @@ def estimate_f0(buf, cfg=None):
     if len(raw) == 0:
         raise InputTooShort("shorter than one analysis window (%d samples)" % frame_len)
 
-    frames = raw - raw.mean(axis=1, keepdims=True)
     kmin = int(np.ceil(sr / cfg.ceil))
     kmax = int(np.floor(sr / cfg.floor))
     if kmin < 2:
         raise ValueError("ceil too close to the sample rate")
-
-    squares = frames**2
-    energy = np.sum(squares, axis=1)
-    lags, nccf = _nccf(frames, squares, kmin, kmax)
     raw_energy = np.sum(frame_signal(AudioBuffer(buf.samples**2, sr), frame_len, hop), axis=1)
+    residue = raw_energy * (frame_len * np.finfo(float).eps) ** 2
 
-    values = np.zeros(len(frames))
-    # silent frames stay unvoiced: zero energy, or a constant frame's rounding
-    # residue, which is near-constant too and so has an NCCF of 1 at every lag
-    live = np.flatnonzero(energy > raw_energy * (frame_len * np.finfo(float).eps) ** 2)
-    if len(live):  # all silent: nothing to pick, even from an empty lag band
-        lag, peak = _pick_peak(lags, nccf[live], kmin, kmax)
-        values[live] = np.where(
-            peak < cfg.voicing_threshold, 0.0, np.clip(sr / lag, cfg.floor, cfg.ceil)
-        )
+    def track(raw, residue):
+        frames = raw - raw.mean(axis=1, keepdims=True)
+        squares = frames**2
+        energy = np.sum(squares, axis=1)
+        values = np.zeros(len(frames))
+        # silent frames stay unvoiced: zero energy, or a constant frame's rounding
+        # residue, which is near-constant too and so has an NCCF of 1 at every lag
+        live = np.flatnonzero(energy > residue)
+        if len(live):  # all silent: nothing to pick, even from an empty lag band
+            lags, nccf = _nccf(frames, squares, kmin, kmax)
+            lag, peak = _pick_peak(lags, nccf[live], kmin, kmax)
+            values[live] = np.where(
+                peak < cfg.voicing_threshold, 0.0, np.clip(sr / lag, cfg.floor, cfg.ceil)
+            )
+        return values
+
+    values = by_row_blocks(track, raw, residue)
     return F0Contour(values=values, hop=cfg.hop, floor=cfg.floor, ceil=cfg.ceil)
 
 

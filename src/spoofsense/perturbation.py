@@ -96,7 +96,7 @@ def _region_cycles(x, sr, contour, run):
 
 
 def region_cycles(buf, contour):
-    """Per-voiced-region cycle sequences (regions too short to mark are skipped)."""
+    """Per-voiced-region cycle sequences (a run without two cycle peaks is skipped)."""
     runs = voiced_runs(contour.values)
     if not runs:
         raise NoVoicedRegion("contour has no voiced frames")
@@ -106,7 +106,8 @@ def region_cycles(buf, contour):
         if s is not None:
             seqs.append(s)
     if not seqs:
-        raise NoVoicedRegion("no voiced region long enough to mark cycles")
+        raise NoVoicedRegion("%d voiced run%s, none with two cycle peaks"
+                             % (len(runs), "s" * (len(runs) > 1)))
     return seqs
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import frame_signal, window_coeffs
+from .audio import by_row_blocks, frame_signal, window_coeffs
 from .entropy import utterance_pse
 from .errors import AlignmentMismatch, InputTooShort, KindDimsMismatch
 from .f0 import contour_framing, estimate_f0
@@ -157,6 +157,11 @@ def _stft_frames(buf, cfg, window):
     return frames
 
 
+def _power(frames, n_fft):
+    """|rfft|^2 of each frame, zero-padded to n_fft points."""
+    return np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
+
+
 def stft_spectrogram(buf, cfg=None):
     """log(|X| + eps) of the one-sided FFT per frame; dims n_fft/2+1."""
     cfg = cfg or StftConfig()
@@ -208,7 +213,7 @@ def mfcc(buf, cfg=None, stft=None):
     cfg = cfg or MfccConfig()
     stft = stft or StftConfig()
     frames = _stft_frames(buf, stft, "hann")
-    power = np.abs(np.fft.rfft(frames, stft.n_fft, axis=1)) ** 2
+    power = _power(frames, stft.n_fft)
     fb = mel_filterbank(cfg.n_mels, stft.n_fft, buf.sample_rate, cfg.fmin, cfg.fmax)
     logmel = np.log(power @ fb.T + LOG_EPS)
     static = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_ceps]
@@ -237,19 +242,20 @@ def spectral_envelope(buf, contour, cfg=None):
     cfg = cfg or EnvelopeConfig()
     frames, _, _ = _contour_frames(buf, contour, cfg.n_fft)
     sr = buf.sample_rate
-    power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
-    logp = np.log(power + LOG_EPS)
-    ceps = np.fft.irfft(logp, cfg.n_fft, axis=1)
-
     f0 = contour.values[:, None]
     with np.errstate(divide="ignore"):
         q_sec = np.where(f0 > 0, cfg.voiced_fraction / f0, cfg.unvoiced_quefrency)
     # np.round, like round(), takes halves to even
     cut = np.clip(np.round(q_sec * sr), 1, cfg.n_fft // 2)
     q = np.arange(cfg.n_fft)
-    ceps[(q >= cut) & (q <= cfg.n_fft - cut)] = 0.0
-    out = np.fft.rfft(ceps, axis=1).real
-    return FeatureMatrix(kind="sp", data=np.exp(out), hop=contour.hop)
+
+    def envelope(frames, cut):
+        logp = np.log(_power(frames, cfg.n_fft) + LOG_EPS)
+        ceps = np.fft.irfft(logp, cfg.n_fft, axis=1)
+        ceps[(q >= cut) & (q <= cfg.n_fft - cut)] = 0.0
+        return np.exp(np.fft.rfft(ceps, axis=1).real)
+
+    return FeatureMatrix(kind="sp", data=by_row_blocks(envelope, frames, cut), hop=contour.hop)
 
 
 def band_edges(n_bands, nyquist):
@@ -268,7 +274,7 @@ def band_aperiodicity(buf, contour, cfg=None):
     cfg = cfg or ApConfig()
     frames, frame_len, _ = _contour_frames(buf, contour, cfg.n_fft)
     sr = buf.sample_rate
-    power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
+    power = by_row_blocks(lambda frames: _power(frames, cfg.n_fft), frames)
     freqs = np.arange(cfg.n_fft // 2 + 1) * (sr / cfg.n_fft)
     edges = band_edges(cfg.n_bands, sr / 2.0)
     # bands are contiguous bin ranges [lo, hi); only the last one is closed
@@ -281,20 +287,28 @@ def band_aperiodicity(buf, contour, cfg=None):
     voiced = np.flatnonzero(contour.values > 0)
     f0 = contour.values[voiced, None]
     top = np.floor((sr / 2.0) / f0)  # highest harmonic number below Nyquist
+    # The harmonic nearest a bin, round(f / f0), lies within about f0 / 2 of
+    # it, so harmonic nearest +-1 is at least about f0 / 2 away, and every
+    # other one over f0 farther; when nearest is top + 1, f / f0 >= top + 1/2
+    # and top too is at least f0 / 2 away.  So on a row with
+    # f0 > 2 notch_hw (1 + 1e-6) only the nearest harmonic, if it is at most
+    # top, can mark a bin; the 1e-6 margin is far above the rounding of f / f0
+    # and of f - k f0.  Only the other rows test nearest +-1 as well, which
+    # marks the same bins as a scan over all harmonics, rounding ties of
+    # f / f0 included.  k = 0 counts: a periodic cycle with nonzero mean puts
+    # a line at DC.
+    close = np.flatnonzero(f0[:, 0] <= 2.0 * notch_hw * (1 + 1e-6))
     for b in range(cfg.n_bands):
         p = power[voiced, lo[b] : hi[b]]
         total = p.sum(axis=1)
         f = freqs[lo[b] : hi[b]]
         nearest = np.round(f / f0)
-        harmonic = np.zeros(p.shape, dtype=bool)
-        # The harmonic in [0, top] closest to a bin is `nearest` or, when
-        # that is top + 1, the one below; every other harmonic is over f0
-        # farther away.  So testing nearest +-1 marks the same bins as a scan
-        # over all harmonics, rounding ties of f / f0 included.  k = 0
-        # counts: a periodic cycle with nonzero mean puts a line at DC.
-        for d in (-1, 0, 1):
-            k = nearest + d
-            harmonic |= (k >= 0) & (k <= top) & (np.abs(f - k * f0) <= notch_hw)
+        harmonic = (nearest <= top) & (np.abs(f - nearest * f0) <= notch_hw)
+        for d in (-1, 1):
+            k = nearest[close] + d
+            harmonic[close] |= (
+                (k >= 0) & (k <= top[close]) & (np.abs(f - k * f0[close]) <= notch_hw)
+            )
         noise = ~harmonic
         count = noise.sum(axis=1)
         # no noise bins: harmonics blanket the band, nothing to measure, ap 0

@@ -256,6 +256,10 @@ def load_embeddings(path):
              lambda i: "non-finite embedding value"),
         ])
         values.append(block)
+    # so wide that no float64 array has rows this long; every row, if any,
+    # has failed the count check above, so the file has none
+    if dim > np.iinfo(np.intp).max // 8:
+        raise ParseError("dimension %d exceeds any array's size" % dim, line=1)
     return Embeddings(list(ids), np.concatenate(values).reshape(len(ids), dim))
 
 

@@ -362,6 +362,17 @@ def test_score_asv_empty_trial_list_exits_one(tmp_path, capsys, trials):
     assert not scores.exists()
 
 
+def test_score_asv_huge_embedding_dim_exits_one(tmp_path, capsys):
+    (tmp_path / "trials.tsv").write_text("t0\tt1\tpositive\tR\n")
+    (tmp_path / "emb.txt").write_text("dim=99999999999999999999\n")
+    scores = tmp_path / "asv.scores"
+    assert run("score-asv", "--pairs", tmp_path / "trials.tsv", "--embeddings",
+               tmp_path / "emb.txt", "--out-scores", scores) == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: dimension 99999999999999999999 exceeds any array's size\n")
+    assert not scores.exists()
+
+
 @pytest.mark.parametrize("bad", ["manifest", "config", "scores", "trials", "embeddings"])
 def test_non_utf8_input_exits_one(tmp_path, capsys, bad):
     rows = [("t%d" % i, "T%d" % (i % 2), "target-real", "-", "-", "x.wav") for i in range(4)]

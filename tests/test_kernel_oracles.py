@@ -12,14 +12,22 @@ alias-free length, next_fast_len(W + kmax + 1), which rounds differently in
 the last bits.  So _nccf must match _nccf_2w within 1e-12 absolute, and an
 F0 contour built on either must have the same voicing and values within
 1e-12 relative.
+
+estimate_f0_whole and spectral_envelope_whole are the whole-utterance
+versions of today's kernels, verbatim: one (frames x n_fft) array per step
+instead of audio.BLOCK_ROWS rows at a time.  Every step treats each frame on
+its own, so the blocked kernels must match them exactly, across block
+boundaries, silent blocks and the empty-lag-band error included.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SR, machine_buf, natural_buf
-from spoofsense.audio import AudioBuffer, frame_signal, resample
+from spoofsense.audio import BLOCK_ROWS, AudioBuffer, frame_signal, resample
 from spoofsense import f0 as f0_module
 from spoofsense.errors import InputTooShort
 from spoofsense.f0 import (
@@ -27,6 +35,7 @@ from spoofsense.f0 import (
     F0Config,
     F0Contour,
     _nccf,
+    _pick_peak,
     contour_framing,
     estimate_f0,
 )
@@ -34,6 +43,7 @@ from spoofsense.spectral import (
     LOG_EPS,
     ApConfig,
     EnvelopeConfig,
+    FeatureMatrix,
     _contour_frames,
     _hz_to_mel,
     _mel_to_hz,
@@ -181,6 +191,64 @@ def band_aperiodicity_loop(buf, contour, cfg=None):
             residual = np.mean(p[noise_bins]) * np.count_nonzero(band)
             out[i, b] = np.clip(residual / total, 0.0, 1.0)
     return out
+
+
+def estimate_f0_whole(buf, cfg=None):
+    """One F0 value per hop; frames with a weak correlation peak are 0."""
+    cfg = cfg or F0Config()
+    sr = buf.sample_rate
+    if not (0 < cfg.floor < cfg.ceil <= sr / 2):
+        raise ValueError("need 0 < floor < ceil <= Nyquist")
+    frame_len, hop = contour_framing(sr, cfg)
+    raw = frame_signal(buf, frame_len, hop)
+    if len(raw) == 0:
+        raise InputTooShort("shorter than one analysis window (%d samples)" % frame_len)
+
+    frames = raw - raw.mean(axis=1, keepdims=True)
+    kmin = int(np.ceil(sr / cfg.ceil))
+    kmax = int(np.floor(sr / cfg.floor))
+    if kmin < 2:
+        raise ValueError("ceil too close to the sample rate")
+
+    squares = frames**2
+    energy = np.sum(squares, axis=1)
+    lags, nccf = _nccf(frames, squares, kmin, kmax)
+    raw_energy = np.sum(frame_signal(AudioBuffer(buf.samples**2, sr), frame_len, hop), axis=1)
+
+    values = np.zeros(len(frames))
+    # silent frames stay unvoiced: zero energy, or a constant frame's rounding
+    # residue, which is near-constant too and so has an NCCF of 1 at every lag
+    live = np.flatnonzero(energy > raw_energy * (frame_len * np.finfo(float).eps) ** 2)
+    if len(live):  # all silent: nothing to pick, even from an empty lag band
+        lag, peak = _pick_peak(lags, nccf[live], kmin, kmax)
+        values[live] = np.where(
+            peak < cfg.voicing_threshold, 0.0, np.clip(sr / lag, cfg.floor, cfg.ceil)
+        )
+    return F0Contour(values=values, hop=cfg.hop, floor=cfg.floor, ceil=cfg.ceil)
+
+
+def spectral_envelope_whole(buf, contour, cfg=None):
+    """Cepstrally smoothed power-spectrum envelope, one row per contour frame.
+
+    Liftering keeps quefrencies below 0.8 pitch periods (voiced) or 2.5 ms
+    (unvoiced), discarding harmonic fine structure but keeping resonances.
+    """
+    cfg = cfg or EnvelopeConfig()
+    frames, _, _ = _contour_frames(buf, contour, cfg.n_fft)
+    sr = buf.sample_rate
+    power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
+    logp = np.log(power + LOG_EPS)
+    ceps = np.fft.irfft(logp, cfg.n_fft, axis=1)
+
+    f0 = contour.values[:, None]
+    with np.errstate(divide="ignore"):
+        q_sec = np.where(f0 > 0, cfg.voiced_fraction / f0, cfg.unvoiced_quefrency)
+    # np.round, like round(), takes halves to even
+    cut = np.clip(np.round(q_sec * sr), 1, cfg.n_fft // 2)
+    q = np.arange(cfg.n_fft)
+    ceps[(q >= cut) & (q <= cfg.n_fft - cut)] = 0.0
+    out = np.fft.rfft(ceps, axis=1).real
+    return FeatureMatrix(kind="sp", data=np.exp(out), hop=contour.hop)
 
 
 def mel_filterbank_loop(n_mels, n_fft, sample_rate, fmin, fmax):
@@ -427,3 +495,160 @@ def test_kernels_match_loop_property(seed, n, kind, unvoiced_share, f0_lo):
     vals = r.uniform(f0_lo, f0_lo * 1.5, len(tracked))
     vals[r.uniform(size=len(vals)) < unvoiced_share] = 0.0
     _assert_kernels_match(buf, F0Contour(vals, hop=0.005, floor=75.0, ceil=500.0))
+
+
+# ------------------------------------------- blocked kernels vs whole arrays
+
+
+def _framed_buf(n_frames, cfg=None, sr=SR, f0=140.0, seed=0, silent=()):
+    """A voice cut to exactly n_frames contour frames of cfg, with the samples
+    of each (start, stop) frame range in silent set to zero."""
+    cfg = cfg or F0Config()
+    frame_len, hop = contour_framing(sr, cfg)
+    n = frame_len + (n_frames - 1) * hop
+    x = natural_buf(f0, seed=seed, dur=n / sr + 0.01, sr=sr).samples[:n].copy()
+    for start, stop in silent:  # every sample of frames start .. stop - 1
+        x[start * hop : (stop - 1) * hop + frame_len] = 0.0
+    return AudioBuffer(x, sr)
+
+
+def _assert_blocks_match_whole(buf, cfg=None, env_cfgs=(None,)):
+    got = estimate_f0(buf, cfg)
+    want = estimate_f0_whole(buf, cfg)
+    assert np.array_equal(got.values, want.values)
+    for env_cfg in env_cfgs:
+        assert np.array_equal(
+            spectral_envelope(buf, got, env_cfg).data,
+            spectral_envelope_whole(buf, got, env_cfg).data,
+        )
+    return got
+
+
+B = BLOCK_ROWS
+
+
+@pytest.mark.parametrize(
+    "n_frames", [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 1597],
+    ids=lambda n: "%d-frames" % n,
+)
+def test_blocks_match_whole_at_block_edges(n_frames):
+    buf = _framed_buf(n_frames)
+    c = _assert_blocks_match_whole(buf)
+    assert len(c) == n_frames and np.any(c.values > 0)
+    assert np.array_equal(band_aperiodicity(buf, c).data, band_aperiodicity_loop(buf, c))
+
+
+def test_silent_block_between_voiced_ones():
+    # frames B .. 2B - 1, the whole second block, hold only zeros
+    buf = _framed_buf(3 * B + 10, silent=[(B, 2 * B)])
+    c = _assert_blocks_match_whole(buf)
+    assert np.all(c.values[B : 2 * B] == 0.0)
+    assert np.any(c.values[:B] > 0) and np.any(c.values[2 * B :] > 0)
+
+
+def test_all_silent_multi_block_buffer():
+    frame_len, hop = contour_framing(SR, F0Config())
+    buf = AudioBuffer(np.zeros(frame_len + 3 * B * hop), SR)
+    c = _assert_blocks_match_whole(buf)
+    assert len(c) == 3 * B + 1 and np.all(c.values == 0.0)
+    # no frame has energy, so no peak is picked, even from an empty lag band
+    empty_band = F0Config(floor=485.0, ceil=490.0)
+    assert np.array_equal(estimate_f0(buf, empty_band).values,
+                          estimate_f0_whole(buf, empty_band).values)
+
+
+@pytest.mark.parametrize("cfg", [F0Config(), F0Config(floor=485.0, ceil=490.0)],
+                         ids=["default", "empty-lag-band"])
+def test_live_frames_only_in_last_partial_block(cfg):
+    n = 2 * B + 20
+    buf = _framed_buf(n, cfg, silent=[(0, n - 10)])
+    if cfg.floor == 485.0:  # kmin 33 > kmax 32 at 16 kHz: raised from the last block
+        with pytest.raises(ValueError) as want:
+            estimate_f0_whole(buf, cfg)
+        with pytest.raises(ValueError) as got:
+            estimate_f0(buf, cfg)
+        assert str(got.value) == str(want.value)
+        return
+    c = _assert_blocks_match_whole(buf, cfg)
+    assert np.all(c.values[: n - 10] == 0.0) and np.any(c.values[n - 10 :] > 0)
+
+
+@given(
+    sr=st.sampled_from([8000, 16000, 22050, 44100]),
+    floor=st.floats(66.0, 150.0),
+    span=st.floats(60.0, 500.0),
+    hop=st.floats(0.002, 0.012),
+    n_frames=st.integers(1, 3 * BLOCK_ROWS + 5),
+    f0=st.floats(80.0, 300.0),
+    seed=st.integers(0, 2**16),
+    gap=st.tuples(st.integers(0, 3 * BLOCK_ROWS), st.integers(0, BLOCK_ROWS + 10)),
+)
+@settings(max_examples=40, deadline=None)
+def test_blocks_match_whole_property(sr, floor, span, hop, n_frames, f0, seed, gap):
+    cfg = F0Config(floor=floor, ceil=min(floor + span, sr / 2), hop=hop)
+    silent = [(gap[0], gap[0] + gap[1])]
+    buf = _framed_buf(n_frames, cfg, sr=sr, f0=min(f0, cfg.ceil), seed=seed, silent=silent)
+    frame_len = contour_framing(sr, cfg)[0]
+    env_cfgs = [EnvelopeConfig(n_fft=2048)] + ([None] if frame_len <= 1024 else [])
+    _assert_blocks_match_whole(buf, cfg, env_cfgs)
+
+
+def _peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_kernels_memory_bound():
+    """On an 8 s voice the whole-array kernels peak at ~55 MB of temporaries;
+    block by block, estimate_f0 needs ~2 MB and the envelope ~17 MB (the
+    windowed frames and the result)."""
+    buf = natural_buf(110, seed=5, dur=8.0)
+    c = estimate_f0(buf)
+    assert _peak_mb(estimate_f0, buf) < 8.0
+    assert _peak_mb(spectral_envelope, buf, c) < 30.0
+
+
+# ------------------------------------------------- aperiodicity mask edge
+
+
+def _notch_hw(floor, sr=SR):
+    return 2.0 * sr / contour_framing(sr, F0Config(floor=floor))[0]
+
+
+@pytest.mark.parametrize("floor", [75.0, 60.0, 90.0], ids=lambda f: "floor%g" % f)
+@pytest.mark.parametrize(
+    "scale", [1 - 1e-5, 1 - 1e-7, 1.0, 1 + 1e-7, 1 + 1e-5], ids=lambda s: "%.7f" % s
+)
+def test_ap_mask_rule_edge(floor, scale):
+    """F0 at and around 2 notch_hw, where the nearest-harmonic-only rule
+    starts: the masks must match the scan over all harmonics."""
+    buf = CORPUS["nat82"]
+    n = len(estimate_f0(buf, F0Config(floor=floor)))
+    f0 = 2.0 * _notch_hw(floor) * scale
+    vals = np.where(np.arange(n) % 4 == 0, 0.0, f0)
+    c = F0Contour(vals, hop=0.005, floor=floor, ceil=500.0)
+    assert np.array_equal(band_aperiodicity(buf, c).data, band_aperiodicity_loop(buf, c))
+
+
+@pytest.mark.parametrize(
+    "floor, f0",
+    [
+        (75.0, 100.0),           # exactly 2 notch_hw (50 Hz): +-1 tested; top is 80
+        (75.0, 8000.0 / 79.7),   # above 2 notch_hw: bins with nearest = top + 1
+        (75.0, 8000.0 / 100.7),  # below: bin 511 has nearest top + 1, top 40 Hz off
+        (60.0, 8000.0 / 100.7),  # notch_hw 40 Hz: bin 511 is 40.4 Hz off top
+        (90.0, 8000.0 / 66.6),
+    ],
+)
+def test_ap_mask_rule_at_100hz_and_above_top(floor, f0):
+    buf = CORPUS["nat82"]
+    n = len(estimate_f0(buf, F0Config(floor=floor)))
+    c = F0Contour(np.full(n, f0), hop=0.005, floor=floor, ceil=500.0)
+    freqs = np.arange(ApConfig().n_fft // 2 + 1) * (SR / ApConfig().n_fft)
+    above_top = np.round(freqs / f0) > np.floor(8000.0 / f0)
+    assert np.any(above_top) == (f0 != 100.0)
+    assert np.array_equal(band_aperiodicity(buf, c).data, band_aperiodicity_loop(buf, c))

@@ -4,7 +4,7 @@ import pytest
 from conftest import SR, cos_train, machine_buf, natural_buf, pulse_train, tone
 from spoofsense.audio import AudioBuffer
 from spoofsense.errors import NoVoicedRegion, TooFewCycles, ZeroAmplitude
-from spoofsense.f0 import contour_framing, estimate_f0, voiced_runs
+from spoofsense.f0 import F0Contour, contour_framing, estimate_f0, voiced_runs
 from spoofsense.perturbation import (
     CycleSequence,
     _frame_of,
@@ -92,6 +92,21 @@ def test_silence_has_no_voiced_region():
         region_cycles(buf, estimate_f0(buf))
     with pytest.raises(NoVoicedRegion):
         utterance_perturbation(buf, estimate_f0(buf))
+
+
+@pytest.mark.parametrize("gaps", [0, 2], ids=["one-run", "three-runs"])
+def test_no_cycles_message_counts_the_runs(gaps):
+    """A contour voiced over a flat signal marks no peak: the error says how
+    many voiced runs there were, not that they were short."""
+    flat = AudioBuffer(np.zeros(int(1.2 * SR)), SR)
+    vals = np.full(len(estimate_f0(flat)), 130.0)
+    n = len(vals)
+    vals[[n // 3, 2 * n // 3][:gaps]] = 0.0
+    contour = F0Contour(vals, hop=0.005, floor=75.0, ceil=500.0)
+    assert len(voiced_runs(contour.values)) == gaps + 1
+    want = "1 voiced run, none" if gaps == 0 else "3 voiced runs, none"
+    with pytest.raises(NoVoicedRegion, match=want + " with two cycle peaks"):
+        region_cycles(flat, contour)
 
 
 def test_cycle_sequence_measures():

@@ -301,6 +301,22 @@ def test_embeddings_roundtrip_and_errors(tmp_path):
         load_embeddings(p)
 
 
+@pytest.mark.parametrize("dim", ["99999999999999999999", str(np.iinfo(np.intp).max),
+                                 str(np.iinfo(np.intp).max // 8 + 1)])
+def test_embeddings_dim_beyond_any_array(tmp_path, dim):
+    p = tmp_path / "e.txt"
+    p.write_text("dim=%s\n" % dim)
+    with pytest.raises(ParseError, match="exceeds any array's size") as e:
+        load_embeddings(p)
+    assert e.value.line == 1
+    # the widest dim a float64 array can have still loads, as (0, dim)
+    widest = np.iinfo(np.intp).max // 8
+    p.write_text("dim=%d\n" % widest)
+    assert load_embeddings(p).vectors.shape == (0, widest)
+    p.write_text("dim=5\n")
+    assert load_embeddings(p).vectors.shape == (0, 5)
+
+
 def test_score_trials_groups_and_labels():
     rows = [
         ManifestRow("t1", "T", "target-real", "x"),
