@@ -22,9 +22,10 @@ from .errors import (
     InputTooShort,
     KindDimsMismatch,
     MissingFeatureFile,
+    ParseError,
     SpoofsenseError,
 )
-from .metrics import ScoreTable, evaluate_scorefile, write_report
+from .metrics import POOLED, ScoreTable, evaluate_scorefile, write_report
 from .mlp import init_model, load_model, save_model, score, train
 from .spectral import KINDS
 from .store import read_payload, write_feature
@@ -76,6 +77,15 @@ def _extract_all(rows, feature, cfg, out_dir=None, jobs=1):
     return sorted(results, key=lambda r: r[0])
 
 
+def _failures(results):
+    """(utt_id, message) of each failed result of _extract_all, each also
+    printed to stderr as a FAIL line."""
+    failures = [(utt, msg) for utt, _, msg in results if msg is not None]
+    for utt, msg in failures:
+        print("FAIL %s: %s" % (utt, msg), file=sys.stderr)
+    return failures
+
+
 def cmd_extract(args, parser):
     if args.jobs < 1:
         parser.error("--jobs must be >= 1, got %d" % args.jobs)
@@ -84,9 +94,7 @@ def cmd_extract(args, parser):
     os.makedirs(args.out_dir, exist_ok=True)
 
     results = _extract_all(manifest.rows, args.feature, cfg, args.out_dir, args.jobs)
-    failures = [(utt, msg) for utt, _, msg in results if msg is not None]
-    for utt, msg in failures:
-        print("FAIL %s: %s" % (utt, msg), file=sys.stderr)
+    failures = _failures(results)
     print(
         "extract %s: %d ok, %d failed"
         % (args.feature, len(results) - len(failures), len(failures))
@@ -195,6 +203,10 @@ def cmd_score_cm(args, parser):
     manifest = load_manifest(args.manifest)
     if len(manifest) == 0:
         raise EmptyDataset("%s lists no utterances to score" % args.manifest)
+    pooled = [r.utt_id for r in manifest.rows if r.attack_id == POOLED]
+    if pooled:  # its score file would fail eval
+        raise ParseError("utterance %s: attack_id %r is reserved for the pooled row"
+                         % (pooled[0], POOLED), path=args.manifest)
     x, y = _dataset(manifest, kinds, args.feature_dir)
     write_scorefile(args.out_scores, ScoreTable(
         trial_ids=[r.utt_id for r in manifest.rows],
@@ -223,6 +235,8 @@ def cmd_eval(args, parser):
         if args.cost_config is None:
             parser.error("--cost-config is required for --metric tdcf")
         cost = load_config(args.cost_config).cost_model()
+    elif args.cost_config is not None:
+        parser.error("--cost-config applies to --metric tdcf only")
     reports = evaluate_scorefile(args.scores, cost)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -235,13 +249,10 @@ def cmd_eval(args, parser):
 def cmd_pse_report(args, parser):
     cfg = load_config(args.config)
     manifest = load_manifest(args.manifest)
-    values, errors = {}, {}
-    for utt, m, msg in _extract_all(manifest.rows, "pse", cfg):
-        if msg is None:
-            values[utt] = float(m.data[0, 0])
-        else:
-            errors[utt] = msg
-    summary = summarize_pse(values, {r.utt_id: r.role for r in manifest.rows}, errors)
+    results = _extract_all(manifest.rows, "pse", cfg)
+    values = {utt: float(m.data[0, 0]) for utt, m, msg in results if msg is None}
+    summary = summarize_pse(values, {r.utt_id: r.role for r in manifest.rows},
+                            dict(_failures(results)))
     with open(args.out, "w", newline="") as fh:
         write_pse_report(summary, fh)
     print(

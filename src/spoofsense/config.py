@@ -129,6 +129,8 @@ def load_config(path=None):
     try:
         with open_text(path) as fh:
             text = fh.read()
-    except (OSError, ParseError) as exc:  # a ParseError names the undecodable line
+    except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
+    except ParseError as exc:  # it names path and the undecodable line
+        raise ConfigError("cannot read config %s" % exc) from None
     return parse_config_text(text, source=path)

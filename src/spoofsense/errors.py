@@ -87,13 +87,15 @@ class IllPosedCostModel(SpoofsenseError):
 # --- manifests / trials / embeddings ---
 
 class ParseError(SpoofsenseError):
-    """Malformed text input; carries the 1-based line number."""
+    """Malformed text input: what is wrong, and where when known, the file's
+    path and the 1-based line number, as "<path> line <N>: <what>"."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, what, line=None, path=None):
+        where = [] if path is None else [str(path)]
         if line is not None:
-            message = "line %d: %s" % (line, message)
-        super().__init__(message)
-        self.line = line
+            where.append("line %d" % line)
+        super().__init__("%s: %s" % (" ".join(where), what) if where else what)
+        self.what, self.line, self.path = what, line, path
 
 
 class DuplicateUttId(SpoofsenseError):

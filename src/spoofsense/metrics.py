@@ -13,10 +13,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateLabels, IllPosedCostModel
-from .tsv import isin, parse_floats, raise_first, read_lines, split_columns
+from .tsv import isin, names_file, parse_floats, raise_first, read_lines, split_columns
 
 POSITIVE_LABELS = frozenset(("target", "bonafide"))
 NEGATIVE_LABELS = frozenset(("nontarget", "spoof"))
+POOLED = "ALL"  # the report row over every trial; no score-file group may take its name
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,7 @@ class ScoreTable:
         return zip(self.trial_ids, self.groups, self.labels, self.scores.tolist())
 
 
+@names_file
 def parse_scorefile(path):
     """ScoreTable of a trial_id<TAB>group<TAB>label<TAB>score file.
 
@@ -161,7 +163,8 @@ def parse_scorefile(path):
              lambda i: "unknown label %r" % label[i]),
             (rejected, lambda i: "bad score %r" % score_text[i]),
             (~np.isfinite(values), lambda i: "non-finite score"),
-            (isin(group, {"ALL"}), lambda i: "group name 'ALL' is reserved for the pooled row"),
+            (isin(group, {POOLED}),
+             lambda i: "group name %r is reserved for the pooled row" % POOLED),
         ])
         ids += trial_id
         groups += map(sys.intern, group)  # one string per distinct group or label, not per row
@@ -185,8 +188,8 @@ def evaluate_scorefile(path, cost=None):
     codes = np.fromiter(map(code.__getitem__, table.groups), np.intp, len(table))
     shared = np.flatnonzero(codes == code.pop("-"))
     reports = []
-    for group in list(code) + ["ALL"]:
-        if group == "ALL":
+    for group in list(code) + [POOLED]:
+        if group == POOLED:
             members = slice(None)
         else:
             members = np.concatenate([np.flatnonzero(codes == code[group]), shared])

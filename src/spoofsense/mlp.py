@@ -9,8 +9,9 @@ same indexing (y=0 bonafide, y=1 spoof).  The countermeasure score is
 ln p(bonafide) - ln p(spoof), so higher means more genuine.
 """
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .store import atomic_write_bytes
 BONAFIDE, SPOOF = 0, 1
 
 MODEL_MAGIC = b"SSMLP1"
+_HEADER = struct.Struct("<Bq4I")  # after the magic: activation tag, seed, the 4 dims
 _ACTIVATIONS = ("relu", "tanh")
 
 
@@ -49,6 +51,17 @@ class TrainConfig:
             raise ValueError("l2 must be nonnegative")
 
 
+def _layer_shapes(dims):
+    """Each layer's weight and bias shapes: (fan_in, fan_out) and (fan_out,)."""
+    return [((fan_in, fan_out), (fan_out,)) for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+
+
+def _file_order(layers):
+    """Per-layer (weights, biases) pairs in the order a model file holds
+    them: each layer's weights, then its biases."""
+    return [x for layer in layers for x in layer]
+
+
 def init_model(layer_dims, activation="tanh", seed=0):
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) != 4 or dims[-1] != 2 or any(d < 1 for d in dims):
@@ -57,10 +70,10 @@ def init_model(layer_dims, activation="tanh", seed=0):
         raise ValueError("activation must be one of %s" % (_ACTIVATIONS,))
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+    for w, b in _layer_shapes(dims):
+        limit = np.sqrt(6.0 / sum(w))  # Glorot: fan_in + fan_out
+        weights.append(rng.uniform(-limit, limit, size=w))
+        biases.append(np.zeros(b))
     return MlpModel(dims=dims, weights=weights, biases=biases, activation=activation, seed=seed)
 
 
@@ -93,8 +106,11 @@ def _check_input(m, x):
 
 
 def score(m, x):
-    """ln p(bonafide) - ln p(spoof); equals the logit difference."""
-    logits = _layers(m, _check_input(m, x))[-1]
+    """ln p(bonafide) - ln p(spoof) of one input row; equals the logit difference."""
+    x = _check_input(m, x)
+    if x.shape[0] != 1:
+        raise ValueError("score takes one row, got %d" % x.shape[0])
+    logits = _layers(m, x)[-1]
     return float(logits[0, BONAFIDE] - logits[0, SPOOF])
 
 
@@ -138,13 +154,8 @@ def train(model, x, y, cfg=None):
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 (bonafide) or 1 (spoof)")
 
-    m = MlpModel(
-        dims=model.dims,
-        weights=[w.copy() for w in model.weights],
-        biases=[b.copy() for b in model.biases],
-        activation=model.activation,
-        seed=model.seed,
-    )
+    m = replace(model, weights=[w.copy() for w in model.weights],
+                biases=[b.copy() for b in model.biases])
     rng = np.random.default_rng(cfg.seed)
     n = x.shape[0]
     history = []
@@ -163,52 +174,36 @@ def train(model, x, y, cfg=None):
 
 
 def save_model(path, m):
-    act = struct.pack("<B", _ACTIVATIONS.index(m.activation))
-    head = MODEL_MAGIC + act + struct.pack("<q", m.seed) + struct.pack("<4I", *m.dims)
-    body = b"".join(
-        w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
-        for w, b in zip(m.weights, m.biases)
-    )
+    head = MODEL_MAGIC + _HEADER.pack(_ACTIVATIONS.index(m.activation), m.seed, *m.dims)
+    body = b"".join(a.astype("<f8").tobytes() for a in _file_order(zip(m.weights, m.biases)))
     atomic_write_bytes(path, head + body)
 
 
 def load_model(path):
+    """The model in path, whose payload must be exactly as long as its header declares."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise BadMagic("not a model file")
-    pos = len(MODEL_MAGIC)
     try:
-        (act_idx,) = struct.unpack_from("<B", raw, pos)
-        (seed,) = struct.unpack_from("<q", raw, pos + 1)
-        dims = struct.unpack_from("<4I", raw, pos + 9)
-        pos += 25
+        act_idx, seed, *dims = _HEADER.unpack_from(raw, len(MODEL_MAGIC))
     except struct.error:
         raise TruncatedPayload("model header incomplete") from None
+    dims = tuple(dims)
     if act_idx >= len(_ACTIVATIONS):
         raise BadMagic("unknown activation tag %d" % act_idx)
-    if len(dims) != 4 or dims[-1] != 2 or any(d < 1 for d in dims):
+    if dims[-1] != 2 or 0 in dims:  # u32 dims: never negative
         raise BadMagic("corrupt layer dims %r" % (dims,))
 
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        nw, nb = fan_in * fan_out * 8, fan_out * 8
-        if len(raw) < pos + nw + nb:
-            raise TruncatedPayload("model payload incomplete")
-        weights.append(
-            np.frombuffer(raw, dtype="<f8", count=fan_in * fan_out, offset=pos)
-            .reshape(fan_in, fan_out)
-            .copy()
-        )
-        pos += nw
-        biases.append(np.frombuffer(raw, dtype="<f8", count=fan_out, offset=pos).copy())
-        pos += nb
-    if pos != len(raw):
-        raise TruncatedPayload("%d trailing bytes" % (len(raw) - pos))
-    return MlpModel(
-        dims=tuple(dims),
-        weights=weights,
-        biases=biases,
-        activation=_ACTIVATIONS[act_idx],
-        seed=seed,
-    )
+    shapes = _file_order(_layer_shapes(dims))
+    sizes = [math.prod(s) for s in shapes]  # Python ints: a crafted header cannot overflow them
+    start = len(MODEL_MAGIC) + _HEADER.size
+    extra = len(raw) - start - 8 * sum(sizes)
+    if extra < 0:
+        raise TruncatedPayload("model payload incomplete")
+    if extra:
+        raise TruncatedPayload("%d trailing bytes" % extra)
+    payload = np.frombuffer(raw, dtype="<f8", offset=start).copy()
+    arrays = [a.reshape(s) for a, s in zip(np.split(payload, np.cumsum(sizes[:-1])), shapes)]
+    return MlpModel(dims=dims, weights=arrays[0::2], biases=arrays[1::2],
+                    activation=_ACTIVATIONS[act_idx], seed=seed)

@@ -22,7 +22,7 @@ from .errors import (
     ZeroVector,
 )
 from .metrics import ScoreTable
-from .tsv import isin, parse_floats, raise_first, read_lines, split_columns
+from .tsv import isin, names_file, parse_floats, raise_first, read_lines, split_columns
 
 # the roles a manifest row may have -> the countermeasure class (0 bonafide, 1 spoof)
 CLASS_OF_ROLE = {"bonafide": 0, "target-real": 0, "impersonator-real": 0,
@@ -79,6 +79,7 @@ class Manifest:
         return len(self.rows)
 
 
+@names_file
 def load_manifest(path):
     """Rows checked in the order field count, role, mimicked_target_id, utt_id
     (it names files: non-empty, no '/'), then duplicate utt_ids over all rows."""
@@ -196,6 +197,7 @@ def save_trials(path, ts):
             fh.write("%s\t%s\t%s\t%s\n" % row)
 
 
+@names_file
 def load_trials(path):
     columns = ([], [], [], [])
     for linenos, (a, b, label, cat) in split_columns(read_lines(path), 4, "expected 4 fields"):
@@ -223,6 +225,7 @@ class Embeddings:
         return self.vectors.shape[1]
 
 
+@names_file
 def load_embeddings(path):
     """A dim=<d> line, then utt_id<TAB>values rows, values split at any whitespace;
     rows checked in the order tab, repeated utt_id, numeric, count, finite."""

@@ -5,12 +5,13 @@ Files are read as text, and a line ends at "\n", "\r\n" or "\r" only, not
 at the other breaks that str.splitlines() knows.  read_lines yields a
 file's lines a block at a time, numbered; blank and whitespace-only lines
 are skipped but still counted, so a ParseError names the 1-based line of
-the file.  A format's header is its line 1, blank or not.  Loaders check
-a block's rows whole columns at once (split_columns, raise_first); a
-faulty row is reported as the first one in file order, with the message
-of the first check it fails.
+the file; names_file makes it name the file too.  A format's header is its
+line 1, blank or not.  Loaders check a block's rows whole columns at once
+(split_columns, raise_first); a faulty row is reported as the first one in
+file order, with the message of the first check it fails.
 """
 
+import functools
 from contextlib import contextmanager
 from itertools import compress, count, islice, repeat
 
@@ -50,8 +51,20 @@ def _decode_error(path, exc):
     except UnicodeDecodeError as whole:
         # everything before the first bad byte decodes
         line = len(split_lines(data[: whole.start].decode(exc.encoding)))
-        return ParseError("%s: %s" % (path, whole), line=line)
-    return ParseError("%s: %s" % (path, exc))  # the file changed since
+        return ParseError(str(whole), line=line, path=path)
+    return ParseError(str(exc), path=path)  # the file changed since
+
+
+def names_file(load):
+    """load(path), with every ParseError it raises naming path, so that a
+    table loader's errors read "<path> line <N>: <what>"."""
+    @functools.wraps(load)
+    def named(path):
+        try:
+            return load(path)
+        except ParseError as exc:
+            raise ParseError(exc.what, exc.line, path) from None
+    return named
 
 
 def read_lines(path, header=False):

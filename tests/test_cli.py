@@ -142,6 +142,18 @@ def test_eval_tdcf_requires_cost_config(workspace, tmp_path):
     assert run("eval", "--scores", p, "--metric", "tdcf") == 2
 
 
+def test_eval_cost_config_requires_tdcf(tmp_path, capsys):
+    """A cost model applies only to the t-DCF, so without --metric tdcf it is
+    a usage error, not an EER report that silently ignores it."""
+    p, out = tmp_path / "s.tsv", tmp_path / "r.csv"
+    p.write_text("t\t-\ttarget\t1\nu\t-\tnontarget\t0\n")
+    for metric in ([], ["--metric", "eer"]):
+        assert run("eval", "--scores", p, *metric, "--cost-config",
+                   CONFIGS / "tdcf_example.conf", "--out", out) == 2
+        assert "--cost-config applies to --metric tdcf only" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_train_needs_both_classes(workspace, tmp_path):
     rows = [("only", "s", "bonafide", "-", "-", str(workspace / "bona0.wav"))]
     write_manifest(tmp_path / "m.tsv", rows)
@@ -287,6 +299,29 @@ def test_score_cm_empty_manifest_exits_one(workspace, tmp_path, capsys):
     assert capsys.readouterr().err == "error: training needs both bonafide and spoof rows\n"
 
 
+def test_score_cm_rejects_the_pooled_group_name(workspace, tmp_path, capsys):
+    """An attack_id of 'ALL' would name a score-file group that eval rejects,
+    so score-cm refuses it up front; extract and train-cm accept it."""
+    for i in range(3):
+        write_wav(tmp_path / ("u%d.wav" % i), tone(120 + 40 * i, dur=0.5))
+    manifest = tmp_path / "m.tsv"
+    write_manifest(manifest, [("u0", "s0", "bonafide", "-", "-", str(tmp_path / "u0.wav")),
+                              ("u1", "s1", "spoof", "-", "ALL", str(tmp_path / "u1.wav")),
+                              ("u2", "s2", "spoof", "-", "ALL", str(tmp_path / "u2.wav"))])
+    feats, model = ["--features", "stft", "--feature-dir", tmp_path / "f"], tmp_path / "m.mdl"
+    assert run("extract", "--manifest", manifest, "--feature", "stft",
+               "--out-dir", tmp_path / "f") == 0
+    assert run("train-cm", *feats, "--manifest", manifest, "--out-model", model,
+               "--config", workspace / "fast.conf") == 0
+    capsys.readouterr()
+    scores = tmp_path / "s.tsv"
+    assert run("score-cm", "--model", model, *feats, "--manifest", manifest,
+               "--out-scores", scores) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: utterance u1: attack_id 'ALL' is reserved for the pooled row\n" % manifest)
+    assert not scores.exists()
+
+
 def test_train_bad_kind_list(workspace, tmp_path):
     assert run("train-cm", "--features", "pse,alien", "--manifest", workspace / "manifest.tsv",
                "--feature-dir", workspace / "feats", "--out-model", tmp_path / "m.mdl") == 2
@@ -369,8 +404,24 @@ def test_score_asv_huge_embedding_dim_exits_one(tmp_path, capsys):
     assert run("score-asv", "--pairs", tmp_path / "trials.tsv", "--embeddings",
                tmp_path / "emb.txt", "--out-scores", scores) == 1
     assert capsys.readouterr().err == (
-        "error: line 1: dimension 99999999999999999999 exceeds any array's size\n")
+        "error: %s line 1: dimension 99999999999999999999 exceeds any array's size\n"
+        % (tmp_path / "emb.txt"))
     assert not scores.exists()
+
+
+@pytest.mark.parametrize("trials, emb, at_fault, message", [
+    ("t0\tt1\tpositive\n", "dim=3\nt0\t1 2 3\nt1\t1 2\n", "trials.tsv",
+     "line 1: expected 4 fields"),
+    ("t0\tt1\tpositive\tR\n", "dim=3\nt0\t1 2 3\nt1\t1 2\n", "emb.txt",
+     "line 3: expected 3 values, got 2"),
+])
+def test_table_errors_name_their_file(tmp_path, capsys, trials, emb, at_fault, message):
+    """With two inputs, an error says which file is at fault."""
+    (tmp_path / "trials.tsv").write_text(trials)
+    (tmp_path / "emb.txt").write_text(emb)
+    assert run("score-asv", "--pairs", tmp_path / "trials.tsv", "--embeddings",
+               tmp_path / "emb.txt", "--out-scores", tmp_path / "asv.scores") == 1
+    assert capsys.readouterr().err == "error: %s %s\n" % (tmp_path / at_fault, message)
 
 
 @pytest.mark.parametrize("bad", ["manifest", "config", "scores", "trials", "embeddings"])
@@ -432,6 +483,30 @@ def test_pse_report_flags_errors(tmp_path, capsys):
     assert lines[1].startswith("u1,bonafide,") and lines[1] != "u1,bonafide,error"
     assert lines[2].startswith("u2,spoof,error")
     assert any(l.startswith("#histogram,bonafide") for l in lines)
+
+
+def test_pse_report_prints_failure_reasons(tmp_path, capsys):
+    """Each failed utterance's reason goes to stderr, in the FAIL line that
+    extract prints; stdout, the CSV and the exit code stay as they were."""
+    write_wav(tmp_path / "good.wav", tone(150))
+    (tmp_path / "bad.wav").write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+    write_manifest(tmp_path / "m.tsv", [
+        ("u1", "s1", "bonafide", "-", "-", str(tmp_path / "good.wav")),
+        ("u2", "s1", "spoof", "-", "-", str(tmp_path / "bad.wav")),
+        ("u3", "s1", "spoof", "-", "-", str(tmp_path / "missing.wav")),
+    ])
+    assert run("extract", "--manifest", tmp_path / "m.tsv", "--feature", "pse",
+               "--out-dir", tmp_path / "f", "--keep-going") == 0
+    fails = capsys.readouterr().err
+    assert fails.splitlines()[0].startswith("FAIL u2: MalformedRiff: ")
+    assert fails.splitlines()[1].startswith("FAIL u3: FileNotFoundError: ")
+    assert len(fails.splitlines()) == 2
+
+    out = tmp_path / "pse.csv"
+    assert run("pse-report", "--manifest", tmp_path / "m.tsv", "--out", out) == 0
+    assert capsys.readouterr() == ("pse-report: 1 ok, 2 errors\n", fails)
+    lines = out.read_text().splitlines()
+    assert lines[2:4] == ["u2,spoof,error", "u3,spoof,error"]
 
 
 def test_pse_report_bad_f0_band_is_an_error_row(workspace, tmp_path, capsys):

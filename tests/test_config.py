@@ -96,19 +96,20 @@ def test_lines_end_at_newlines_only(tmp_path):
     message = r"<config> line 1: bad value '80\x0cf0_ceil = 400' for f0_floor"
     with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
         parse_config_text("f0_floor = 80\x0cf0_ceil = 400")
-    # unreadable files still raise ConfigError, naming the path
+    # unreadable files still raise ConfigError, naming the path (and a bad byte's line)
     bad = tmp_path / "bad.conf"
     bad.write_bytes(b"f0_floor = 80\n\xff\n")
-    for path in (bad, tmp_path):  # undecodable, a directory
-        with pytest.raises(ConfigError, match="^cannot read config %s: " % re.escape(str(path))):
+    for path, where in ((bad, " line 2: "), (tmp_path, ": ")):  # undecodable, a directory
+        with pytest.raises(ConfigError, match="^cannot read config %s%s" % (re.escape(str(path)),
+                                                                          where)):
             load_config(str(path))
 
 
 def test_undecodable_config_names_its_line(tmp_path):
     path = tmp_path / "bad.conf"
     path.write_bytes(b"f0_floor = 80\r\n# comment\rf0_ceil = \xff400\n")
-    message = ("cannot read config %s: line 3: %s: 'utf-8' codec can't decode byte 0xff "
-               "in position 35: invalid start byte" % (path, path))
+    message = ("cannot read config %s line 3: 'utf-8' codec can't decode byte 0xff "
+               "in position 35: invalid start byte" % path)
     with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
         load_config(str(path))
 

@@ -7,7 +7,8 @@ as oracles, changed only in their names, in the parse loop's label column
 TrialSet through conftest.trial_set and reading it by iterating its rows,
 since a TrialSet is now columns too.  The columnar code must give equal rows, GroupReports compared with ==, byte-equal
 score, trial and report files, and on a faulty input the same exception
-class, message and line.
+class, message and line; a ParseError's message now starts with the file's
+path, and the rest of it must equal the loop's.
 """
 
 import io
@@ -197,7 +198,11 @@ def write_text(path, lines, newline="\n", trailing=True):
         fh.write(newline.join(lines) + (newline if trailing else ""))
 
 
-def assert_same_outcome(new, old):
+def assert_same_outcome(new, old, path=None):
+    """new equals old where old raised; a loader of the file at path names
+    it in a ParseError: the path, a space, then the loop's message."""
+    if old[:2] == ("raised", ParseError) and path is not None:
+        old = old[:2] + ("%s %s" % (path, old[2]),) + old[3:]
     if old[0] == "raised":
         assert new == old
     else:
@@ -208,14 +213,14 @@ def check_scorefile(path):
     """The columnar parse and evaluation against the loops on one file."""
     old = outcome(parse_scorefile_loop, path)
     new = outcome(parse_scorefile, path)
-    assert_same_outcome(new, old)
+    assert_same_outcome(new, old, path)
     if old[0] == "ok":
         assert exact(new[1]) == exact(old[1])
         assert len(new[1]) == len(old[1])
     for cost in (None, COST):
         old = outcome(evaluate_scorefile_loop, path, mode="tdcf" if cost else "eer", cost=cost)
         new = outcome(evaluate_scorefile, path, cost)
-        assert_same_outcome(new, old)
+        assert_same_outcome(new, old, path)
         if old[0] == "ok":
             assert new[1] == old[1]
             assert report_bytes(new[1]) == report_bytes(old[1])
@@ -224,7 +229,7 @@ def check_scorefile(path):
 def check_trials(path, tmpdir):
     old = outcome(load_trials_loop, path)
     new = outcome(load_trials, path)
-    assert_same_outcome(new, old)
+    assert_same_outcome(new, old, path)
     if old[0] == "ok":
         assert tuple(new[1]) == tuple(old[1])
         save_trials(os.path.join(tmpdir, "old.tsv"), old[1])

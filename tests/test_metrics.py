@@ -289,6 +289,6 @@ def test_decode_error_names_the_line(tmp_path):
         parse_scorefile(p)
     assert exc.value.line == 19001
     assert str(exc.value) == (
-        "line 19001: %s: 'utf-8' codec can't decode byte 0xff in position %d: "
+        "%s line 19001: 'utf-8' codec can't decode byte 0xff in position %d: "
         "invalid start byte" % (p, len(rows))
     )

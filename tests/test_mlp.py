@@ -161,6 +161,17 @@ def test_train_validation():
         score(m, np.zeros(5))
 
 
+def test_score_takes_one_row():
+    """score returns one number, so it takes one row: a (1, d) row scores as
+    the same 1-D vector does, and several rows, or none, are refused."""
+    m = init_model((3, 5, 4, 2), seed=2)
+    x = np.random.default_rng(4).normal(size=(5, 3))
+    assert score(m, x[1:2]) == score(m, x[1])
+    for rows in (x, x[:2], x[:0]):
+        with pytest.raises(ValueError, match="^score takes one row, got %d$" % len(rows)):
+            score(m, rows)
+
+
 def test_l2_shrinks_weights():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(30, 3))

@@ -5,13 +5,15 @@ The whole-file versions below are the original load_manifest and
 load_embeddings, kept as oracles and changed only in their names.  On
 every input the loaders must give equal manifest rows, or equal ids and
 bit-equal vectors, or raise the same exception class with the same message
-and line.  The inputs hold no utt_id that is empty or holds a '/': the
-manifest loader now rejects those (test_trials covers it), and the oracle
-accepts them.  One embedding outcome has changed on purpose: a dim= line too
-wide for any float64 array, in a file with no rows, made the oracle's final
-reshape raise numpy's bare ValueError, and is now a ParseError at line 1;
-the fuzz test compares with load_embeddings_typed, the oracle with that one
-outcome replaced, and still sends such files.
+and line; a ParseError's message now starts with the file's path, and the
+rest of it must equal the oracle's.  The inputs hold no utt_id that is
+empty or holds a '/': the manifest loader now rejects those (test_trials
+covers it), and the oracle accepts them.  One embedding outcome has
+changed on purpose: a dim= line too wide for any float64 array, in a file
+with no rows, made the oracle's final reshape raise numpy's bare
+ValueError, and is now a ParseError at line 1; the fuzz test compares with
+load_embeddings_typed, the oracle with that one outcome replaced, and still
+sends such files.
 """
 
 import math
@@ -141,11 +143,12 @@ DECODE_CHUNK = 8192  # bytes the text layer decodes at once
 
 
 def outcome(fn, path):
-    """("ok", result as comparable values) or ("raised", class, message, line)."""
+    """("ok", result as comparable values) or ("raised", class, message, line,
+    the path a ParseError names)."""
     try:
         result = fn(path)
     except Exception as e:  # parity covers every exception, not one class
-        return ("raised", type(e), str(e), getattr(e, "line", None))
+        return ("raised", type(e), str(e), getattr(e, "line", None), getattr(e, "path", None))
     if isinstance(result, Embeddings):  # bytes, so -0.0 and 0.0 differ
         v = result.vectors
         return ("ok", result.ids, v.dtype, v.shape, v.tobytes())
@@ -153,7 +156,13 @@ def outcome(fn, path):
 
 
 def check(path, new, old):
+    """new's outcome on path, which must equal old's, except that the loaders
+    name the file in a ParseError: the path, a space, then the oracle's
+    message.  A decode error comes from tsv.open_text, which the oracles
+    share, and names the file already."""
     expected = outcome(old, path)
+    if expected[:2] == ("raised", ParseError) and expected[4] is None:
+        expected = expected[:2] + ("%s %s" % (path, expected[2]), expected[3], path)
     assert outcome(new, path) == expected
     return expected
 
@@ -324,7 +333,7 @@ def test_manifest_fault_parity(tmp_path, kind, pos):
     path.write_text("\n".join(lines) + "\n")
     result = check(path, load_manifest, load_manifest_whole)
     lineno = lines.index(fault) + 1
-    assert result[1:] == {
+    assert result[1:4] == {
         "duplicate": (DuplicateUttId, "u3", None),
         "mimicked-missing": (MissingMimickedTarget, "line %d: bad" % lineno, None),
     }.get(kind, (ParseError, result[2], lineno))
@@ -433,7 +442,7 @@ def test_embeddings_fault_parity(tmp_path, kind, pos):
     path.write_text("\r\n".join(lines))
     result = check(path, load_embeddings, load_embeddings_whole)
     if kind == "duplicate":
-        assert result[1:] == (DuplicateUttId, "u3", None)
+        assert result[1:4] == (DuplicateUttId, "u3", None)
     else:
         assert result[1] is ParseError and result[3] == lines.index(fault) + 1
 

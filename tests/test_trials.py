@@ -203,7 +203,7 @@ def test_manifest_rejects_ids_that_name_other_paths(tmp_path, utt):
     """A utt_id names <dir>/<utt_id>.<kind>.ssft, so it is non-empty and holds no '/'."""
     p = tmp_path / "m.tsv"
     p.write_text("utt_id\tspeaker_id\trole\tpath\nok\ts\tbonafide\tx\n\n%s\ts\tspoof\ty\n" % utt)
-    message = "line 4: utt_id %r must be non-empty and hold no '/'" % utt
+    message = "%s line 4: utt_id %r must be non-empty and hold no '/'" % (p, utt)
     with pytest.raises(ParseError, match="^%s$" % re.escape(message)) as e:
         load_manifest(p)
     assert e.value.line == 4
@@ -212,7 +212,8 @@ def test_manifest_rejects_ids_that_name_other_paths(tmp_path, utt):
 def test_manifest_duplicate_column(tmp_path):
     p = tmp_path / "m.tsv"
     p.write_text("utt_id\tspeaker_id\trole\tpath\tpath\nu\ts\tbonafide\tx\ty\n")
-    with pytest.raises(ParseError, match="^line 1: duplicate column 'path'$") as e:
+    message = "%s line 1: duplicate column 'path'" % p
+    with pytest.raises(ParseError, match="^%s$" % re.escape(message)) as e:
         load_manifest(p)
     assert e.value.line == 1
 
@@ -241,7 +242,7 @@ def test_decode_error_names_the_line(tmp_path):
     head = b"utt_id\tspeaker_id\trole\tpath\r\na\ts\tbonafide\tx.wav\r"
     p = tmp_path / "manifest"
     p.write_bytes(head + b"\xffb\ts\tbonafide\tx.wav\n")
-    with pytest.raises(ParseError, match="^line 3: %s: 'utf-8' codec can't decode byte 0xff "
+    with pytest.raises(ParseError, match="^%s line 3: 'utf-8' codec can't decode byte 0xff "
                        "in position %d: invalid start byte$" % (re.escape(str(p)), len(head))):
         load_manifest(p)
 
