@@ -98,11 +98,11 @@ class ParseError(SpoofsenseError):
         self.what, self.line, self.path = what, line, path
 
 
-class DuplicateUttId(SpoofsenseError):
+class DuplicateUttId(ParseError):
     pass
 
 
-class MissingMimickedTarget(SpoofsenseError):
+class MissingMimickedTarget(ParseError):
     pass
 
 

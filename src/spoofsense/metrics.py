@@ -17,6 +17,7 @@ from .tsv import isin, names_file, parse_floats, raise_first, read_lines, split_
 
 POSITIVE_LABELS = frozenset(("target", "bonafide"))
 NEGATIVE_LABELS = frozenset(("nontarget", "spoof"))
+LABELS = POSITIVE_LABELS | NEGATIVE_LABELS
 POOLED = "ALL"  # the report row over every trial; no score-file group may take its name
 
 
@@ -157,15 +158,15 @@ def parse_scorefile(path):
     for linenos, (trial_id, group, label, score_text) in split_columns(
         read_lines(path), 4, "expected 4 tab-separated fields"
     ):
-        values, rejected = parse_floats(score_text)
-        raise_first(linenos, [
-            (~isin(label, POSITIVE_LABELS | NEGATIVE_LABELS),
-             lambda i: "unknown label %r" % label[i]),
-            (rejected, lambda i: "bad score %r" % score_text[i]),
-            (~np.isfinite(values), lambda i: "non-finite score"),
-            (isin(group, {POOLED}),
-             lambda i: "group name %r is reserved for the pooled row" % POOLED),
-        ])
+        values, rejected = parse_floats(score_text)  # a rejected text parses to NaN
+        if not (set(label) <= LABELS and np.isfinite(values).all() and POOLED not in group):
+            raise_first(linenos, [
+                (~isin(label, LABELS), lambda i: "unknown label %r" % label[i]),
+                (rejected, lambda i: "bad score %r" % score_text[i]),
+                (~np.isfinite(values), lambda i: "non-finite score"),
+                (isin(group, {POOLED}),
+                 lambda i: "group name %r is reserved for the pooled row" % POOLED),
+            ])
         ids += trial_id
         groups += map(sys.intern, group)  # one string per distinct group or label, not per row
         labels += map(sys.intern, label)
@@ -180,7 +181,9 @@ def evaluate_scorefile(path, cost=None):
     Ungrouped rows (group '-') are shared into every named group, mirroring
     protocols where one bonafide set is reused against each attack; the ALL
     row pools everything.  A group's trials are its own rows, then the
-    shared ones, each in file order.
+    shared ones, each in file order.  A file without trials, or a group
+    whose trials are all positive or all negative, raises DegenerateLabels
+    naming the file, and the group with its counts.
     """
     table = parse_scorefile(path)
     positive = isin(table.labels, POSITIVE_LABELS)
@@ -194,14 +197,21 @@ def evaluate_scorefile(path, cost=None):
         else:
             members = np.concatenate([np.flatnonzero(codes == code[group]), shared])
         labels = positive[members]
+        n_pos = int(labels.sum())
+        n_neg = len(labels) - n_pos
+        if not len(labels):
+            raise DegenerateLabels("%s: no trials" % path)
+        if not (n_pos and n_neg):
+            raise DegenerateLabels("%s: group %s has %d positive and %d negative trials"
+                                   % (path, group, n_pos, n_neg))
         s = ScoreSet(scores=table.scores[members], labels=labels)
         e = eer(s)
         td = min_tdcf(s, cost).min_tdcf_norm if cost is not None else None
         reports.append(
             GroupReport(
                 group=group,
-                n_pos=int(labels.sum()),
-                n_neg=int((~labels).sum()),
+                n_pos=n_pos,
+                n_neg=n_neg,
                 eer=e.eer,
                 threshold=e.threshold,
                 min_tdcf=td,

@@ -51,6 +51,9 @@ RULES = {
 }
 CATEGORIES = tuple(RULES)
 POSITIVE_CATEGORIES = frozenset(("R", "IAB"))
+# the (label, category) of every valid trial-list row
+TRIAL_ROWS = frozenset(("positive" if c in POSITIVE_CATEGORIES else "negative", c)
+                       for c in CATEGORIES)
 
 REQUIRED_COLUMNS = ("utt_id", "speaker_id", "role", "path")
 OPTIONAL_COLUMNS = ("mimicked_target_id", "attack_id")
@@ -72,7 +75,7 @@ class Manifest:
         seen = set()
         for r in self.rows:
             if r.utt_id in seen:
-                raise DuplicateUttId(r.utt_id)
+                raise DuplicateUttId("duplicate utt_id %r" % r.utt_id)
             seen.add(r.utt_id)
 
     def __len__(self):
@@ -97,7 +100,7 @@ def load_manifest(path):
         if col in header[:i]:
             raise ParseError("duplicate column %r" % col, line=1)
 
-    rows = []
+    rows, numbers = [], []
     message = "expected %d fields, got {got}" % len(header)
     for linenos, columns in split_columns(lines, len(header), message):
         rec = dict(zip(header, columns))
@@ -108,13 +111,19 @@ def load_manifest(path):
         raise_first(linenos, [
             (~isin(role, ROLES), lambda i: "unknown role %r" % role[i]),
             (impersonation & absent,
-             lambda i: MissingMimickedTarget("line %d: %s" % (linenos[i], utt[i]))),
+             lambda i: MissingMimickedTarget(
+                 "impersonation row %s has no mimicked_target_id" % utt[i], linenos[i])),
             (~impersonation & ~absent,
              lambda i: "mimicked_target_id only belongs on impersonation rows"),
             (np.array([not u or "/" in u for u in utt], bool),
              lambda i: "utt_id %r must be non-empty and hold no '/'" % utt[i]),
         ])
         rows += map(ManifestRow, utt, rec["speaker_id"], role, rec["path"], mim, attack)
+        numbers += linenos
+    seen = set()  # set.add gives None, so a first sighting is false
+    raise_first(numbers, [(np.array([r.utt_id in seen or seen.add(r.utt_id) for r in rows], bool),
+                           lambda i: DuplicateUttId("duplicate utt_id %r" % rows[i].utt_id,
+                                                    numbers[i]))])
     return Manifest(rows=rows)
 
 
@@ -201,12 +210,13 @@ def save_trials(path, ts):
 def load_trials(path):
     columns = ([], [], [], [])
     for linenos, (a, b, label, cat) in split_columns(read_lines(path), 4, "expected 4 fields"):
-        raise_first(linenos, [
-            (~isin(label, ("positive", "negative")), lambda i: "unknown label %r" % label[i]),
-            (~isin(cat, CATEGORIES), lambda i: "unknown category %r" % cat[i]),
-            (isin(label, {"positive"}) != isin(cat, POSITIVE_CATEGORIES),
-             lambda i: "label %r contradicts category %r" % (label[i], cat[i])),
-        ])
+        if not set(zip(label, cat)) <= TRIAL_ROWS:  # the block holds a faulty row
+            raise_first(linenos, [
+                (~isin(label, ("positive", "negative")), lambda i: "unknown label %r" % label[i]),
+                (~isin(cat, CATEGORIES), lambda i: "unknown category %r" % cat[i]),
+                (isin(label, {"positive"}) != isin(cat, POSITIVE_CATEGORIES),
+                 lambda i: "label %r contradicts category %r" % (label[i], cat[i])),
+            ])
         for col, part in zip(columns, (a, b, label, cat)):
             col += part
     return TrialSet(*columns)
@@ -252,7 +262,7 @@ def load_embeddings(path):
             (np.array([not p[2] for p in parts], bool), lambda i: "expected utt_id<TAB>values"),
             # an id seen before is repeated; ids.setdefault adds a new one
             (np.array([u in ids or ids.setdefault(u) for u in utt], bool),
-             lambda i: DuplicateUttId(utt[i])),
+             lambda i: DuplicateUttId("duplicate utt_id %r" % utt[i], linenos[i])),
             (np.bincount(owner, rejected, len(rows)) > 0, lambda i: "non-numeric embedding value"),
             (counts != dim, lambda i: "expected %d values, got %d" % (dim, counts[i])),
             (np.bincount(owner, ~np.isfinite(block), len(rows)) > 0,

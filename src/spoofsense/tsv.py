@@ -2,24 +2,27 @@
 files and trial lists all get their lines from one reader, read_lines.
 
 Files are read as text, and a line ends at "\n", "\r\n" or "\r" only, not
-at the other breaks that str.splitlines() knows.  read_lines yields a
-file's lines a block at a time, numbered; blank and whitespace-only lines
-are skipped but still counted, so a ParseError names the 1-based line of
-the file; names_file makes it name the file too.  A format's header is its
-line 1, blank or not.  Loaders check a block's rows whole columns at once
-(split_columns, raise_first); a faulty row is reported as the first one in
-file order, with the message of the first check it fails.
+at the other breaks that str.splitlines() knows.  read_lines reads a file
+BLOCK_CHARS characters at a time and yields its lines a block at a time,
+numbered; blank and whitespace-only lines are skipped but still counted, so
+a ParseError names the 1-based line of the file; names_file makes it name
+the file too.  A format's header is its line 1, blank or not.  Loaders
+check a block's rows whole columns at once (split_columns, raise_first); a
+faulty row is reported as the first one in file order, with the message of
+the first check it fails.
 """
 
 import functools
 from contextlib import contextmanager
-from itertools import compress, count, islice, repeat
+from itertools import compress, count
 
 import numpy as np
 
 from .errors import ParseError
 
-BLOCK_LINES = 4096  # lines split per step: bounds the memory of field strings
+# characters read per step: bounds the memory of a block's lines and field
+# strings, apart from a line longer than this, which is read whole
+BLOCK_CHARS = 1 << 16
 
 
 def split_lines(text):
@@ -57,32 +60,52 @@ def _decode_error(path, exc):
 
 def names_file(load):
     """load(path), with every ParseError it raises naming path, so that a
-    table loader's errors read "<path> line <N>: <what>"."""
+    table loader's errors read "<path> line <N>: <what>"; a subclass of
+    ParseError keeps its class."""
     @functools.wraps(load)
     def named(path):
         try:
             return load(path)
         except ParseError as exc:
-            raise ParseError(exc.what, exc.line, path) from None
+            raise type(exc)(exc.what, exc.line, path) from None
     return named
 
 
 def read_lines(path, header=False):
     """Yield (line numbers, lines) for successive blocks of path's non-blank
-    lines, each without its line end.  With header, line 1 comes first, on
-    its own and as it is: its text, blank or not, or None for an empty file.
+    lines, each without its line end; no block is empty.  With header, line
+    1 comes first, on its own and as it is: its text, blank or not, or None
+    for an empty file.
     """
-    with open_text(path) as fh:
+    with open_text(path) as fh:  # universal newlines: every line ends in "\n"
         start = 0
         if header:
             first = fh.readline()
             yield first.rstrip("\n") if first else None
             start = 1
-        while block := list(islice(fh, BLOCK_LINES)):
-            lines = "".join(block).split("\n")  # last one blank or unterminated
-            keep = list(map(bool, map(str.strip, lines)))
+        tail = []  # the pieces of a line that no chunk has ended yet
+        while chunk := fh.read(BLOCK_CHARS):
+            lines = chunk.split("\n")
+            if len(lines) == 1:
+                tail.append(chunk)
+                continue
+            tail.append(lines[0])
+            lines[0] = "".join(tail)
+            tail = [lines.pop()]
+            yield from _numbered(start, lines)
+            start += len(lines)
+        yield from _numbered(start, ["".join(tail)])  # an unterminated last line
+
+
+def _numbered(start, lines):
+    """The block (line numbers, lines) of the non-blank ones of lines, which
+    follow line start, if there are any."""
+    if "" in lines or any(map(str.isspace, lines)):
+        keep = list(map(bool, map(str.strip, lines)))
+        if any(keep):
             yield list(compress(count(start + 1), keep)), list(compress(lines, keep))
-            start += len(block)
+    else:
+        yield range(start + 1, start + 1 + len(lines)), lines
 
 
 def split_columns(blocks, nfields, message):
@@ -95,11 +118,18 @@ def split_columns(blocks, nfields, message):
     that checks each block before taking the next reports the first faulty
     line of the file.
     """
+    step = nfields + 1  # a row's fields, then the "\n" field that ends it
     for linenos, rows in blocks:
-        tabs = map(str.count, rows, repeat("\t"))
-        n = next(compress(count(), map((nfields - 1).__ne__, tabs)), len(rows))
-        flat = "\t".join(rows[:n]).split("\t") if n else []
-        yield linenos[:n], [flat[k::nfields] for k in range(nfields)]
+        # No field of a line holds "\n", so with the rows joined by "\t\n\t"
+        # each row has nfields fields iff every step-th field is "\n" and
+        # there are as many fields as that takes.  Only a block that fails
+        # this is searched for its first faulty row
+        flat = "\t\n\t".join(rows).split("\t")
+        n = len(rows)
+        if len(flat) != step * n - 1 or flat[nfields::step].count("\n") != n - 1:
+            n = next(k for k, row in enumerate(rows) if row.count("\t") != nfields - 1)
+            flat = "\t\n\t".join(rows[:n]).split("\t") if n else []
+        yield linenos[:n], [flat[k::step] for k in range(nfields)]
         if n < len(rows):
             raise ParseError(message.format(got=rows[n].count("\t") + 1), line=linenos[n])
 

@@ -103,3 +103,13 @@ def wav_bytes(samples, sample_rate=SR, channels=1, fmt_code=1, bits=16):
     chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     chunks += b"data" + struct.pack("<I", len(body)) + body
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+# a row position past the first block of tsv.BLOCK_CHARS characters: a test
+# that places a fault there checks that the rows before it hold more
+PAST_ONE_BLOCK = 4101
+
+
+def line_start(lines, k):
+    """The character offset of line k + 1 (lines[k]) in "\n".join(lines)."""
+    return len("\n".join(lines[:k])) + (k > 0)

@@ -424,6 +424,51 @@ def test_table_errors_name_their_file(tmp_path, capsys, trials, emb, at_fault, m
     assert capsys.readouterr().err == "error: %s %s\n" % (tmp_path / at_fault, message)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([("u1", "s", "impersonation", "-", "-", "x.wav")],
+     "line 2: impersonation row u1 has no mimicked_target_id"),
+    ([("u1", "s", "target-real", "-", "-", "x.wav"), ("u2", "s", "target-real", "-", "-", "y.wav"),
+      ("u1", "s", "target-real", "-", "-", "z.wav")],
+     "line 4: duplicate utt_id 'u1'"),
+], ids=["mimicked-missing", "duplicate"])
+def test_manifest_errors_name_file_and_fault(tmp_path, capsys, rows, message):
+    write_manifest(tmp_path / "m.tsv", rows)
+    out = tmp_path / "trials.tsv"
+    assert run("pairs", "--manifest", tmp_path / "m.tsv", "--category", "all", "--out", out) == 1
+    assert capsys.readouterr().err == "error: %s %s\n" % (tmp_path / "m.tsv", message)
+    assert not out.exists()
+
+
+def test_embeddings_duplicate_names_file_and_line(tmp_path, capsys):
+    (tmp_path / "trials.tsv").write_text("t0\tt1\tpositive\tR\n")
+    (tmp_path / "emb.txt").write_text("dim=2\nt0\t1 0\n\nt1\t0 1\nt0\t1 1\n")
+    assert run("score-asv", "--pairs", tmp_path / "trials.tsv", "--embeddings",
+               tmp_path / "emb.txt", "--out-scores", tmp_path / "asv.scores") == 1
+    assert capsys.readouterr().err == (
+        "error: %s line 5: duplicate utt_id 't0'\n" % (tmp_path / "emb.txt"))
+
+
+@pytest.mark.parametrize("scores, message", [
+    ("", "no trials"),
+    ("\n \t\n\n", "no trials"),
+    ("s0\tA01\tspoof\t1.5\ns1\tA01\tspoof\t-0.5\n",
+     "group A01 has 0 positive and 2 negative trials"),
+    ("b0\t-\tbonafide\t1.5\ns0\tA01\tspoof\t0.5\ns1\tA02\tbonafide\t2\n",
+     "group A02 has 2 positive and 0 negative trials"),
+    ("b0\t-\tbonafide\t1.5\nb1\t-\ttarget\t0.5\n",
+     "group ALL has 2 positive and 0 negative trials"),
+], ids=["empty", "blank-lines", "no-shared-pool", "no-negative", "pooled-only"])
+@pytest.mark.parametrize("metric", ["eer", "tdcf"])
+def test_eval_degenerate_file_names_file_and_group(tmp_path, capsys, scores, message, metric):
+    path = tmp_path / "s.scores"
+    path.write_text(scores)
+    out = tmp_path / "report.csv"
+    cost = ["--metric", "tdcf", "--cost-config", CONFIGS / "tdcf_example.conf"]
+    assert run("eval", "--scores", path, "--out", out, *(cost if metric == "tdcf" else [])) == 1
+    assert capsys.readouterr().err == "error: %s: %s\n" % (path, message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["manifest", "config", "scores", "trials", "embeddings"])
 def test_non_utf8_input_exits_one(tmp_path, capsys, bad):
     rows = [("t%d" % i, "T%d" % (i % 2), "target-real", "-", "-", "x.wav") for i in range(4)]

@@ -8,12 +8,20 @@ TrialSet through conftest.trial_set and reading it by iterating its rows,
 since a TrialSet is now columns too.  The columnar code must give equal rows, GroupReports compared with ==, byte-equal
 score, trial and report files, and on a faulty input the same exception
 class, message and line; a ParseError's message now starts with the file's
-path, and the rest of it must equal the loop's.
+path, and the rest of it must equal the loop's.  One message has changed on
+purpose, in evaluate_scorefile_loop too: a file without trials, or a group
+without positive or without negative trials, raises DegenerateLabels naming
+the file, and the group with its counts, before the group's sweep.
+
+The score file and trial list are read tsv.BLOCK_CHARS characters at a
+time; the tests at the bottom set that size as low as one character and
+compare with the loops.
 """
 
 import io
 import itertools
 import os
+import random
 import tempfile
 from types import SimpleNamespace
 
@@ -21,8 +29,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import embeddings, trial_set
-from spoofsense.errors import MissingEmbedding, ParseError, ZeroVector
+from conftest import PAST_ONE_BLOCK, embeddings, line_start, trial_set
+from spoofsense import tsv
+from spoofsense.errors import DegenerateLabels, MissingEmbedding, ParseError, ZeroVector
 from spoofsense.metrics import (
     NEGATIVE_LABELS,
     POSITIVE_LABELS,
@@ -45,7 +54,7 @@ from spoofsense.trials import (
     score_trials,
     write_scorefile,
 )
-from spoofsense.tsv import BLOCK_LINES
+from spoofsense.tsv import BLOCK_CHARS
 
 COST = CostModel(
     p_target=0.9405,
@@ -106,6 +115,11 @@ def evaluate_scorefile_loop(path, mode="eer", cost=None):
     for group in named + ["ALL"]:
         members = rows if group == "ALL" else [r for r in rows if r[1] == group] + shared
         labels = np.array([r[2] in POSITIVE_LABELS for r in members], dtype=bool)
+        if not members:
+            raise DegenerateLabels("%s: no trials" % path)
+        if labels.all() or not labels.any():
+            raise DegenerateLabels("%s: group %s has %d positive and %d negative trials"
+                                   % (path, group, labels.sum(), (~labels).sum()))
         scores = np.array([r[3] for r in members], dtype=np.float64)
         s = ScoreSet(scores=scores, labels=labels)
         e = eer(s)
@@ -344,10 +358,11 @@ def good_score_line(i):
 
 
 @pytest.mark.parametrize("kind", sorted(SCORE_FAULTS))
-@pytest.mark.parametrize("pos", [0, 6, 12, BLOCK_LINES + 5])
+@pytest.mark.parametrize("pos", [0, 6, 12, PAST_ONE_BLOCK])
 def test_scorefile_fault_parity(tmp_path, kind, pos):
     path = tmp_path / "s.tsv"
     lines = faulty_file(good_score_line, {pos: SCORE_FAULTS[kind]}, n=max(12, pos))
+    assert pos < PAST_ONE_BLOCK or line_start(lines, lines.index(SCORE_FAULTS[kind])) > BLOCK_CHARS
     write_text(path, lines)
     check_scorefile(path)
     with pytest.raises(ParseError) as e:
@@ -427,10 +442,11 @@ def test_trials_match_loop(n, blanks, newline, fault):
 
 
 @pytest.mark.parametrize("kind", sorted(TRIAL_FAULTS))
-@pytest.mark.parametrize("pos", [0, 6, 12, BLOCK_LINES + 5])
+@pytest.mark.parametrize("pos", [0, 6, 12, PAST_ONE_BLOCK])
 def test_trials_fault_parity(tmp_path, kind, pos):
     path = tmp_path / "t.tsv"
     lines = faulty_file(good_trial_line, {pos: TRIAL_FAULTS[kind]}, n=max(12, pos))
+    assert pos < PAST_ONE_BLOCK or line_start(lines, lines.index(TRIAL_FAULTS[kind])) > BLOCK_CHARS
     write_text(path, lines)
     check_trials(path, tmp_path)
     with pytest.raises(ParseError) as e:
@@ -523,3 +539,156 @@ def test_scoring_faults_in_one_pair(tmp_path, a, b, want):
     ts = trial_set([TrialPair(a, b, "negative", "TI")])
     new = check_scoring(ts, vectors, tmp_path)
     assert new[:2] == ("raised", want)
+
+
+# ---------------------------------------------------------------- chunk edges
+
+
+def random_table(rng, good, faults):
+    """good rows with blank lines, maybe one fault, mixed line ends and maybe
+    no final one, as bytes."""
+    lines = [good(i) for i in range(rng.choice([0, 1, 5, 30]))]
+    if rng.random() < 0.5:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(faults))
+    for _ in range(rng.randrange(4)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(BLANKS))
+    ends = [rng.choice(["\n", "\r\n", "\r"]) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return (text if rng.random() < 0.7 else text.rstrip("\r\n")).encode()
+
+
+@pytest.mark.parametrize("chars", [1, 5, 32])
+def test_tables_at_chunk_edges(tmp_path, monkeypatch, chars):
+    """Score files and trial lists against the loops with chunks so small that
+    blocks end inside rows, blank lines and line ends, and faults lie in
+    later blocks."""
+    monkeypatch.setattr(tsv, "BLOCK_CHARS", chars)
+    path = tmp_path / "t.tsv"
+    for seed in range(120):
+        rng = random.Random(seed)
+        path.write_bytes(random_table(rng, good_score_line, sorted(SCORE_FAULTS.values())))
+        check_scorefile(path)
+        path.write_bytes(random_table(rng, good_trial_line, sorted(TRIAL_FAULTS.values())))
+        check_trials(path, tmp_path)
+
+
+def straddling(good, fault, n, boundary):
+    """n good lines with one replaced by fault, its trial id padded so that it
+    holds character offset boundary of the file or starts at it; and that
+    line's index."""
+    lines = [good(i) for i in range(n)]
+    k = next(k for k in range(n) if line_start(lines, k + 1) > boundary)
+    lines[k] = "x" * max(0, len(lines[k]) - len(fault)) + fault
+    assert line_start(lines, k) <= boundary < line_start(lines, k + 1)
+    return lines, k
+
+
+@pytest.mark.parametrize("block", [2, 3])
+@pytest.mark.parametrize("kind", sorted(SCORE_FAULTS))
+def test_scorefile_fault_across_a_later_block_edge(tmp_path, kind, block):
+    """A faulty row that a later block edge cuts in two is reported at its line."""
+    path = tmp_path / "s.tsv"
+    lines, k = straddling(good_score_line, SCORE_FAULTS[kind], 4 * BLOCK_CHARS // 20,
+                          (block - 1) * BLOCK_CHARS)
+    write_text(path, lines, "\r\n")
+    check_scorefile(path)
+    with pytest.raises(ParseError) as e:
+        parse_scorefile(path)
+    assert e.value.line == k + 1
+
+
+@pytest.mark.parametrize("block", [2, 3])
+@pytest.mark.parametrize("kind", sorted(TRIAL_FAULTS))
+def test_trials_fault_across_a_later_block_edge(tmp_path, kind, block):
+    path = tmp_path / "t.tsv"
+    lines, k = straddling(good_trial_line, TRIAL_FAULTS[kind], 4 * BLOCK_CHARS // 20,
+                          (block - 1) * BLOCK_CHARS)
+    write_text(path, lines)
+    check_trials(path, tmp_path)
+    with pytest.raises(ParseError) as e:
+        load_trials(path)
+    assert e.value.line == k + 1
+
+
+def test_score_line_longer_than_a_chunk(tmp_path):
+    path = tmp_path / "s.tsv"
+    lines = [good_score_line(i) for i in range(8)]
+    lines[3] = "t" * (2 * BLOCK_CHARS) + lines[3]
+    write_text(path, lines, "\r\n", trailing=False)
+    check_scorefile(path)
+    assert parse_scorefile(path).trial_ids[3] == lines[3].split("\t")[0]
+
+
+# one faulty row in the middle of a block of valid rows, for each way a row
+# can pass the block's field-count test and fail a whole-block check:
+# (line, the message after "<path> line <N>: ")
+ONE_FAULT_IN_A_BLOCK = {
+    "label": ("bad\tA01\tTarget\t1.0", "unknown label 'Target'"),
+    "score-nan": ("bad\tA01\tspoof\tnan", "non-finite score"),
+    "score-inf": ("bad\t-\tbonafide\t-inf", "non-finite score"),
+    "score-overflow": ("bad\tA01\tspoof\t1e400", "non-finite score"),
+    "score-text": ("bad\tA01\tspoof\tabc", "bad score 'abc'"),
+    "group-pooled": ("bad\tALL\tspoof\t1.0", "group name 'ALL' is reserved for the pooled row"),
+}
+ONE_TRIAL_FAULT_IN_A_BLOCK = {
+    "positive-negative-category": ("a\tb\tpositive\tRI", "label 'positive' contradicts category 'RI'"),
+    "negative-positive-category": ("a\tb\tnegative\tIAB",
+                                   "label 'negative' contradicts category 'IAB'"),
+    "category": ("a\tb\tnegative\tR1", "unknown category 'R1'"),
+    "label": ("a\tb\tnegatives\tRI", "unknown label 'negatives'"),
+}
+
+
+def one_fault_in_a_block(good, fault):
+    """Rows filling two blocks, with fault in the middle of the second."""
+    lines = [good(i) for i in range(2 * BLOCK_CHARS // 20)]
+    k = next(k for k in range(len(lines)) if line_start(lines, k) > 1.5 * BLOCK_CHARS)
+    lines[k] = fault
+    return lines, k + 1
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_FAULT_IN_A_BLOCK))
+def test_one_faulty_row_in_a_valid_block(tmp_path, kind):
+    path = tmp_path / "s.tsv"
+    fault, message = ONE_FAULT_IN_A_BLOCK[kind]
+    lines, lineno = one_fault_in_a_block(good_score_line, fault)
+    write_text(path, lines)
+    if kind != "group-pooled":  # the loop has no reserved group
+        check_scorefile(path)
+    for run in (parse_scorefile, evaluate_scorefile):
+        with pytest.raises(ParseError) as e:
+            run(path)
+        assert (type(e.value), str(e.value), e.value.line) == (
+            ParseError, "%s line %d: %s" % (path, lineno, message), lineno)
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_TRIAL_FAULT_IN_A_BLOCK))
+def test_one_faulty_trial_in_a_valid_block(tmp_path, kind):
+    path = tmp_path / "t.tsv"
+    fault, message = ONE_TRIAL_FAULT_IN_A_BLOCK[kind]
+    lines, lineno = one_fault_in_a_block(good_trial_line, fault)
+    write_text(path, lines)
+    if "contradicts" not in message:  # the loop does not check the pairing
+        check_trials(path, tmp_path)
+    with pytest.raises(ParseError) as e:
+        load_trials(path)
+    assert (type(e.value), str(e.value), e.value.line) == (
+        ParseError, "%s line %d: %s" % (path, lineno, message), lineno)
+
+
+@pytest.mark.parametrize("first, second", [(3, 5), (5, 3), (2, 6), (1, 7)])
+def test_field_counts_that_cancel_in_one_block(tmp_path, first, second):
+    """Two faulty rows whose fields add up to four a row over the block: the
+    first is reported, at its line."""
+    def row(nfields):
+        return "\t".join(["bad", "A01", "spoof", "1.0", "x", "y", "z"][:nfields])
+    path = tmp_path / "s.tsv"
+    write_text(path, faulty_file(good_score_line, {3: row(first), 8: row(second)}))
+    check_scorefile(path)
+    trials = tmp_path / "t.tsv"
+    write_text(trials, faulty_file(good_trial_line, {3: row(first), 8: row(second)}))
+    check_trials(trials, tmp_path)
+    for load, where in ((parse_scorefile, path), (load_trials, trials)):
+        with pytest.raises(ParseError) as e:
+            load(where)
+        assert e.value.line == 4 + 2  # after two blank lines

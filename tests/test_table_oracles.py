@@ -13,7 +13,16 @@ changed on purpose: a dim= line too wide for any float64 array, in a file
 with no rows, made the oracle's final reshape raise numpy's bare
 ValueError, and is now a ParseError at line 1; the fuzz test compares with
 load_embeddings_typed, the oracle with that one outcome replaced, and still
-sends such files.
+sends such files.  Two manifest and embedding messages have changed on
+purpose, in the oracles too: a missing mimicked_target_id and a repeated
+utt_id now read like any ParseError, "<path> line <N>: <what>", at the
+line of the faulty row or of the repeat.  For that, load_manifest_whole
+finds the first repeated utt_id itself, after every row has passed its own
+checks, which is where Manifest found it.
+
+The block reader reads tsv.BLOCK_CHARS characters at a time; the tests at
+the bottom set that size as low as one character, so that every kind of
+line, line end and fault meets a chunk edge, and compare with the oracles.
 """
 
 import math
@@ -22,6 +31,8 @@ import random
 import numpy as np
 import pytest
 
+from conftest import PAST_ONE_BLOCK, line_start
+from spoofsense import tsv
 from spoofsense.errors import DuplicateUttId, MissingMimickedTarget, ParseError
 from spoofsense.trials import (
     OPTIONAL_COLUMNS,
@@ -33,7 +44,7 @@ from spoofsense.trials import (
     load_embeddings,
     load_manifest,
 )
-from spoofsense.tsv import BLOCK_LINES, open_text
+from spoofsense.tsv import BLOCK_CHARS, open_text, read_lines
 
 # ---------------------------------------------------------------- oracles
 
@@ -57,7 +68,7 @@ def load_manifest_whole(path):
         if col in header[:i]:
             raise ParseError("duplicate column %r" % col, line=1)
 
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -72,7 +83,8 @@ def load_manifest_whole(path):
             raise ParseError("unknown role %r" % role, line=lineno)
         mim = _none_if_empty(rec.get("mimicked_target_id", ""))
         if role == "impersonation" and mim is None:
-            raise MissingMimickedTarget("line %d: %s" % (lineno, rec["utt_id"]))
+            raise MissingMimickedTarget(
+                "impersonation row %s has no mimicked_target_id" % rec["utt_id"], line=lineno)
         if role != "impersonation" and mim is not None:
             raise ParseError(
                 "mimicked_target_id only belongs on impersonation rows", line=lineno
@@ -87,6 +99,12 @@ def load_manifest_whole(path):
                 attack_id=_none_if_empty(rec.get("attack_id", "")),
             )
         )
+        linenos.append(lineno)
+    seen = set()
+    for row, lineno in zip(rows, linenos):
+        if row.utt_id in seen:
+            raise DuplicateUttId("duplicate utt_id %r" % row.utt_id, line=lineno)
+        seen.add(row.utt_id)
     return Manifest(rows=rows)
 
 
@@ -110,7 +128,7 @@ def load_embeddings_whole(path):
         if not rest:
             raise ParseError("expected utt_id<TAB>values", line=lineno)
         if utt in ids:
-            raise DuplicateUttId(utt)
+            raise DuplicateUttId("duplicate utt_id %r" % utt, line=lineno)
         try:
             v = [float(tok) for tok in rest.split()]
         except ValueError:
@@ -157,11 +175,11 @@ def outcome(fn, path):
 
 def check(path, new, old):
     """new's outcome on path, which must equal old's, except that the loaders
-    name the file in a ParseError: the path, a space, then the oracle's
-    message.  A decode error comes from tsv.open_text, which the oracles
-    share, and names the file already."""
+    name the file in a ParseError, or one of its subclasses: the path, a
+    space, then the oracle's message.  A decode error comes from
+    tsv.open_text, which the oracles share, and names the file already."""
     expected = outcome(old, path)
-    if expected[:2] == ("raised", ParseError) and expected[4] is None:
+    if expected[0] == "raised" and issubclass(expected[1], ParseError) and expected[4] is None:
         expected = expected[:2] + ("%s %s" % (path, expected[2]), expected[3], path)
     assert outcome(new, path) == expected
     return expected
@@ -212,9 +230,10 @@ def other(rows, k, rng):
 
 
 def row_count(rng):
-    """Mostly small files; one in thirty runs past the first block."""
+    """Mostly small files; one in thirty runs past the first block (its rows
+    are mostly longer than 16 characters)."""
     if rng.random() < 0.033:
-        return BLOCK_LINES + rng.randrange(1, 40)
+        return BLOCK_CHARS // 16 + rng.randrange(1, 40)
     return rng.choice([0, 1, 3, 12, 40])
 
 
@@ -324,19 +343,30 @@ def faulty_lines(header, good, fault, pos, n):
     return [header] + lines
 
 
+def repeat_line(lines, utt):
+    """The line number of utt's second row."""
+    return [k + 1 for k, line in enumerate(lines) if line.split("\t")[0] == utt][1]
+
+
 @pytest.mark.parametrize("kind", sorted(MANIFEST_LINE_FAULTS))
-@pytest.mark.parametrize("pos", [0, 6, 12, BLOCK_LINES + 5])
+@pytest.mark.parametrize("pos", [0, 6, 12, PAST_ONE_BLOCK])
 def test_manifest_fault_parity(tmp_path, kind, pos):
     path = tmp_path / "m.tsv"
     fault = MANIFEST_LINE_FAULTS[kind]
     lines = faulty_lines(GOOD_HEADER, good_manifest_row, fault, pos, max(12, pos))
+    assert pos < PAST_ONE_BLOCK or line_start(lines, lines.index(fault)) > BLOCK_CHARS
     path.write_text("\n".join(lines) + "\n")
     result = check(path, load_manifest, load_manifest_whole)
     lineno = lines.index(fault) + 1
-    assert result[1:4] == {
-        "duplicate": (DuplicateUttId, "u3", None),
-        "mimicked-missing": (MissingMimickedTarget, "line %d: bad" % lineno, None),
-    }.get(kind, (ParseError, result[2], lineno))
+    if kind == "duplicate":
+        lineno = repeat_line(lines, "u3")
+        assert result[1:4] == (DuplicateUttId, "%s line %d: duplicate utt_id 'u3'" % (path, lineno),
+                               lineno)
+    elif kind == "mimicked-missing":
+        assert result[1:4] == (MissingMimickedTarget, "%s line %d: impersonation row bad has no "
+                               "mimicked_target_id" % (path, lineno), lineno)
+    else:
+        assert result[1] is ParseError and result[3] == lineno
 
 
 @pytest.mark.parametrize("header", ["", "\n", " \n", "utt_id\tspeaker_id\trole\n",
@@ -434,15 +464,18 @@ EMBEDDING_LINE_FAULTS = {
 
 
 @pytest.mark.parametrize("kind", sorted(EMBEDDING_LINE_FAULTS))
-@pytest.mark.parametrize("pos", [0, 6, 12, BLOCK_LINES + 5])
+@pytest.mark.parametrize("pos", [0, 6, 12, PAST_ONE_BLOCK])
 def test_embeddings_fault_parity(tmp_path, kind, pos):
     path = tmp_path / "e.txt"
     fault = EMBEDDING_LINE_FAULTS[kind]
     lines = faulty_lines("dim=3", good_embedding_row, fault, pos, max(12, pos))
+    assert pos < PAST_ONE_BLOCK or line_start(lines, lines.index(fault)) > BLOCK_CHARS
     path.write_text("\r\n".join(lines))
     result = check(path, load_embeddings, load_embeddings_whole)
     if kind == "duplicate":
-        assert result[1:4] == (DuplicateUttId, "u3", None)
+        repeat = repeat_line(lines, "u3")
+        assert result[1:4] == (DuplicateUttId, "%s line %d: duplicate utt_id 'u3'" % (path, repeat),
+                               repeat)
     else:
         assert result[1] is ParseError and result[3] == lines.index(fault) + 1
 
@@ -462,9 +495,97 @@ def test_embeddings_accept_any_whitespace(tmp_path):
 def test_undecodable_byte_past_one_block(tmp_path, load, whole, header, good):
     """A bad byte as a file's only fault is reported at its line, however far in."""
     path = tmp_path / "t.txt"
-    lines = [header] + [good(i) for i in range(BLOCK_LINES + 20)]
+    lines = [header] + [good(i) for i in range(BLOCK_CHARS // 8)]
+    k = next(k for k in range(len(lines)) if line_start(lines, k) > BLOCK_CHARS) + 5
     data = "\n".join(lines).encode()
-    at = len("\n".join(lines[: BLOCK_LINES + 5]).encode()) + 2  # inside line BLOCK_LINES + 6
+    at = line_start(lines, k) + 2  # inside line k + 1; the rows are ASCII
     path.write_bytes(data[:at] + b"\xff" + data[at:])
     result = check(path, load, whole)
-    assert result[1] is ParseError and result[3] == BLOCK_LINES + 6
+    assert result[1] is ParseError and result[3] == k + 1
+
+
+# ---------------------------------------------------------------- chunk edges
+
+def read_lines_whole(path, header=False):
+    """What read_lines yields, as (line number, line) pairs after the header,
+    from the whole file."""
+    with open_text(path) as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    pairs = [(k, line) for k, line in enumerate(lines, start=1) if line.strip()]
+    if not header:
+        return pairs
+    return (lines[0] if text else None), [(k, line) for k, line in pairs if k > 1]
+
+
+def read_lines_blocks(path, header=False):
+    """read_lines's output in read_lines_whole's form; no block may be empty."""
+    blocks = read_lines(path, header)
+    first = next(blocks) if header else None
+    pairs = []
+    for linenos, lines in blocks:
+        assert len(linenos) == len(lines) > 0
+        pairs += zip(linenos, lines)
+    return (first, pairs) if header else pairs
+
+
+LINE_FORMS = ["", " ", "\t", "  \t ", "a", "ab\tc", "ü\x0cé", "\x85x", " "]
+
+
+@pytest.mark.parametrize("chars", [1, 2, 3, 5, 8, 13])
+def test_read_lines_at_chunk_edges(tmp_path, monkeypatch, chars):
+    """Every line end (LF, CRLF, CR, none at the end), blank and whitespace-only
+    line and line longer than a chunk, at every offset from a chunk edge."""
+    monkeypatch.setattr(tsv, "BLOCK_CHARS", chars)
+    path = tmp_path / "t.txt"
+    for seed in range(150):
+        rng = random.Random(seed)
+        lines = [rng.choice(LINE_FORMS) if rng.random() < 0.7 else "x" * rng.randrange(1, 3 * chars)
+                 for _ in range(rng.randrange(10))]
+        path.write_bytes(encode(lines, rng, trailing=rng.random() < 0.7))
+        for header in (False, True):
+            assert read_lines_blocks(path, header) == read_lines_whole(path, header)
+
+
+@pytest.mark.parametrize("chars", [3, 8191, 8192, BLOCK_CHARS])
+@pytest.mark.parametrize("at", [DECODE_CHUNK - 2, DECODE_CHUNK - 1, DECODE_CHUNK])
+def test_read_lines_crlf_across_reads(tmp_path, monkeypatch, chars, at):
+    """A CRLF whose CR ends one read of the text layer, or of read_lines, and
+    whose LF starts the next is one line end."""
+    monkeypatch.setattr(tsv, "BLOCK_CHARS", chars)
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"a" * at + b"\r\nb\r\n\r\nc\rd")
+    assert read_lines_blocks(path) == [(1, "a" * at), (2, "b"), (4, "c"), (5, "d")]
+    assert read_lines_blocks(path) == read_lines_whole(path)
+
+
+@pytest.mark.parametrize("chars", [1, 7, 64])
+@pytest.mark.parametrize("load, whole, lines", [
+    (load_manifest, load_manifest_whole, manifest_lines),
+    (load_embeddings, load_embeddings_typed, embedding_lines),
+], ids=["manifest", "embeddings"])
+def test_loaders_at_chunk_edges(tmp_path, monkeypatch, chars, load, whole, lines):
+    """The fuzz parity of both loaders with chunks so small that blocks end
+    inside rows, blank lines and line ends, and faults lie in later blocks."""
+    monkeypatch.setattr(tsv, "BLOCK_CHARS", chars)
+    path = tmp_path / "t.txt"
+    outcomes = set()
+    for seed in range(1000, 1150):
+        rng = random.Random(seed)
+        write_fuzzed(path, lines(rng), rng)
+        result = check(path, load, whole)
+        outcomes.add(result[1] if result[0] == "raised" else "ok")
+    assert {"ok", ParseError, DuplicateUttId} <= outcomes
+
+
+def test_embedding_row_longer_than_a_chunk(tmp_path):
+    """A row of more than BLOCK_CHARS characters, among short ones, is read whole."""
+    path = tmp_path / "e.txt"
+    dim = BLOCK_CHARS // 4
+    rng = np.random.default_rng(0)
+    rows = ["u%d\t%s" % (i, " ".join(map(repr, rng.normal(size=dim).tolist()))) for i in range(3)]
+    assert len(rows[1]) > 2 * BLOCK_CHARS
+    path.write_text("dim=%d\n%s\n\n%s" % (dim, "\n".join(rows), rows[0].replace("u0", "u9")))
+    assert check(path, load_embeddings, load_embeddings_whole)[1] == ["u0", "u1", "u2", "u9"]
+    path.write_text("dim=%d\n%s\n\n%s\n" % (dim, "\n".join(rows), rows[0]))
+    assert check(path, load_embeddings, load_embeddings_whole)[3] == 6  # the repeated u0
