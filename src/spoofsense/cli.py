@@ -121,50 +121,78 @@ def cmd_pairs(args, parser):
     return 0
 
 
-def _pooled_vector(utt_id, kinds, feature_dir):
+def _kind_table(kinds, feature_dir):
+    """(kind, prefix, suffix, utterance-level?) of each kind, looked up once
+    per command rather than once per file.  An utterance's file is prefix +
+    utt_id + suffix: _feature_path, since a manifest's utt_id holds no '/'."""
+    prefix = os.path.join(feature_dir, "")
+    return [(kind, prefix, ".%s.ssft" % kind, KINDS[kind].utterance_level) for kind in kinds]
+
+
+def _pooled_vector(utt_id, table):
     """Concatenate per-kind vectors: an utterance-level kind's one row, or a
-    frame-level kind's frames mean-pooled in float64."""
+    frame-level kind's frames mean-pooled in float64.
+
+    Finiteness is checked once for the whole vector.  A float64 sum of
+    float32 values cannot overflow, so a part is finite exactly when every
+    entry of its file is; a non-finite part is still reported before any
+    fault of a later file, as a check file by file would.
+    """
     parts = []
-    for kind in kinds:
-        path = _feature_path(feature_dir, utt_id, kind)
-        try:
-            tag, _, data = read_payload(path)
-        except FileNotFoundError:
-            raise MissingFeatureFile(path) from None
-        if tag != kind:
-            raise KindDimsMismatch("%s holds kind %r, not %r" % (path, tag, kind))
-        if len(data) == 0:
-            raise InputTooShort("0-frame feature file %s" % path)
-        if not KINDS[kind].utterance_level:
-            part = data.astype(np.float64).mean(axis=0)
-        elif len(data) == 1:
-            part = data[0].astype(np.float64)
-        else:
-            raise KindDimsMismatch("%s holds %d rows, utterance-level kind %r holds 1"
-                                   % (path, len(data), kind))
-        # A float64 sum of float32 values cannot overflow, so the part is
-        # finite exactly when every entry of the file is.
+    try:
+        for kind, prefix, suffix, utterance_level in table:
+            path = prefix + utt_id + suffix
+            try:
+                tag, _, data = read_payload(path)
+            except FileNotFoundError:
+                raise MissingFeatureFile(path) from None
+            if tag != kind:
+                raise KindDimsMismatch("%s holds kind %r, not %r" % (path, tag, kind))
+            n = len(data)
+            if n == 0:
+                raise InputTooShort("0-frame feature file %s" % path)
+            if not utterance_level:  # mean(axis=0) of the widened frames
+                parts.append(np.add.reduce(data.astype(np.float64), 0) / n)
+            elif n == 1:
+                parts.append(data[0].astype(np.float64))
+            else:
+                raise KindDimsMismatch("%s holds %d rows, utterance-level kind %r holds 1"
+                                       % (path, n, kind))
+    except (SpoofsenseError, OSError):  # what main reports; an earlier part's fault first
+        _check_finite(parts, utt_id, table)
+        raise
+    vector = np.concatenate(parts)
+    if not np.isfinite(vector).all():
+        _check_finite(parts, utt_id, table)
+    return vector
+
+
+def _check_finite(parts, utt_id, table):
+    """Raise CorruptPayload for the file of the first non-finite part."""
+    for part, (_, prefix, suffix, _) in zip(parts, table):
         if not np.isfinite(part).all():
-            raise CorruptPayload("feature data contains non-finite entries: %s" % path)
-        parts.append(part)
-    return np.concatenate(parts)
+            raise CorruptPayload("feature data contains non-finite entries: %s"
+                                 % (prefix + utt_id + suffix)) from None
 
 
 def _parse_kinds(parser, spec_str):
     kinds = [k.strip() for k in spec_str.split(",") if k.strip()]
     if not kinds:
         parser.error("--features must name at least one feature kind")
-    for k in kinds:
+    for i, k in enumerate(kinds):
         if k not in KINDS:
             parser.error("unknown feature kind %r (choose from %s)" % (k, ", ".join(KINDS)))
+        if k in kinds[:i]:  # it would pool the same file twice
+            parser.error("--features names kind %r twice" % k)
     return kinds
 
 
 def _dataset(manifest, kinds, feature_dir):
     """Pooled vectors (one row per utterance) and their classes."""
+    table = _kind_table(kinds, feature_dir)
     xs, ys = [], []
     for row in manifest.rows:
-        xs.append(_pooled_vector(row.utt_id, kinds, feature_dir))
+        xs.append(_pooled_vector(row.utt_id, table))
         ys.append(CLASS_OF_ROLE[row.role])
         if len(xs[-1]) != len(xs[0]):
             raise DimMismatch("%s: pooled vector of length %d, %s's has %d"
@@ -208,6 +236,9 @@ def cmd_score_cm(args, parser):
         raise ParseError("utterance %s: attack_id %r is reserved for the pooled row"
                          % (pooled[0], POOLED), path=args.manifest)
     x, y = _dataset(manifest, kinds, args.feature_dir)
+    if x.shape[1] != model.dims[0]:
+        raise DimMismatch("model %s has input dim %d, but --features %s pools vectors of dim %d"
+                          % (args.model, model.dims[0], ",".join(kinds), x.shape[1]))
     write_scorefile(args.out_scores, ScoreTable(
         trial_ids=[r.utt_id for r in manifest.rows],
         groups=[r.attack_id or "-" for r in manifest.rows],

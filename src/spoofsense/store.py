@@ -6,6 +6,7 @@ row-major.  Writes go through a temp file + rename so readers never see a
 partial file.
 """
 
+import math
 import os
 import struct
 import tempfile
@@ -16,6 +17,8 @@ from .errors import BadMagic, CorruptPayload, TruncatedPayload
 from .spectral import FeatureMatrix, check_kind_dims
 
 MAGIC = b"SSFT1"
+_SHAPE = struct.Struct("<IId")  # dims, num_frames, hop: after the kind tag
+_F32 = np.dtype("<f4")
 
 
 def atomic_write_bytes(path, data):
@@ -43,27 +46,48 @@ def write_feature(path, m):
     atomic_write_bytes(path, head + payload.tobytes())
 
 
+def _read_file(path):
+    """The bytes of the file at path, read with one os.read of its size + 1.
+
+    A read of fewer bytes than that is the end of a regular file; a file that
+    grew since its fstat, or one that is not regular, is read on to its end.
+    An OSError names the path, as open() does.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        raw = os.read(fd, size + 1)
+        if len(raw) > size:
+            chunks = [raw]
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+            raw = b"".join(chunks)
+    except OSError as exc:  # os.read names no file: a directory reads EISDIR
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    return raw
+
+
 def read_payload(path):
     """Parse a feature file: (kind, hop, data), with data the read-only
     (num_frames, dims) float32 view of its payload.
 
     Checks the layout, the kind's dims and the hop, not the values:
-    read_feature checks those through FeatureMatrix, and cli._pooled_vector
-    on the pooled vector.
+    read_feature checks those through FeatureMatrix, and cli._dataset
+    on the pooled vectors.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_file(path)
     if raw[: len(MAGIC)] != MAGIC:
         raise BadMagic("not a feature file: %r" % raw[:5])
-    pos = len(MAGIC)
     try:
-        (klen,) = struct.unpack_from("<B", raw, pos)
-        # latin-1 decodes any byte, so a non-ascii tag is an unknown kind below
-        kind = raw[pos + 1 : pos + 1 + klen].decode("latin-1")
-        dims, num_frames, hop = struct.unpack_from("<IId", raw, pos + 1 + klen)
-    except struct.error:
+        pos = len(MAGIC) + 1 + raw[len(MAGIC)]  # past the u8 tag length and the tag
+        dims, num_frames, hop = _SHAPE.unpack_from(raw, pos)
+    except (IndexError, struct.error):
         raise TruncatedPayload("feature file header incomplete") from None
-    pos += 1 + klen + 16
+    # latin-1 decodes any byte, so a non-ascii tag is an unknown kind below
+    kind = raw[len(MAGIC) + 1 : pos].decode("latin-1")
+    pos += _SHAPE.size
 
     want = dims * num_frames * 4
     if len(raw) - pos != want:
@@ -71,10 +95,9 @@ def read_payload(path):
             "payload holds %d bytes, header declares %d" % (len(raw) - pos, want)
         )
     check_kind_dims(kind, dims)
-    if not (np.isfinite(hop) and hop >= 0):
+    if not 0.0 <= hop < math.inf:  # false for NaN too
         raise CorruptPayload("hop must be a finite nonnegative number of seconds: %s" % path)
-    data = np.frombuffer(raw, dtype="<f4", count=dims * num_frames, offset=pos)
-    return kind, hop, data.reshape(num_frames, dims)
+    return kind, hop, np.ndarray((num_frames, dims), _F32, raw, pos)
 
 
 def read_feature(path):

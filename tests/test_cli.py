@@ -6,7 +6,7 @@ import pytest
 
 from conftest import machine_buf, natural_buf, tone, wav_bytes, write_manifest
 from spoofsense.audio import write_wav
-from spoofsense.cli import _pooled_vector, main
+from spoofsense.cli import _kind_table, _pooled_vector, main
 from spoofsense.errors import MissingFeatureFile
 from spoofsense.metrics import parse_scorefile
 from spoofsense.spectral import KINDS, FeatureMatrix
@@ -172,7 +172,7 @@ def test_missing_or_unreadable_feature_file_exits_one(workspace, tmp_path, capsy
     path = feats / "bona1.pse.ssft"
     path.unlink()
     with pytest.raises(MissingFeatureFile, match="bona1.pse.ssft"):
-        _pooled_vector("bona1", ["pse"], str(feats))
+        _pooled_vector("bona1", _kind_table(["pse"], str(feats)))
     capsys.readouterr()
     argv = ("train-cm", "--features", "pse", "--manifest", manifest, "--feature-dir", feats,
             "--out-model", tmp_path / "m.mdl")
@@ -319,6 +319,49 @@ def test_score_cm_rejects_the_pooled_group_name(workspace, tmp_path, capsys):
                "--out-scores", scores) == 1
     assert capsys.readouterr().err == (
         "error: %s: utterance u1: attack_id 'ALL' is reserved for the pooled row\n" % manifest)
+    assert not scores.exists()
+
+
+def test_repeated_feature_kind_is_a_usage_error(workspace, tmp_path, capsys):
+    """A kind named twice would pool its file twice and double its columns."""
+    manifest, model = two_utt_manifest(tmp_path / "m.tsv"), tmp_path / "m.mdl"
+    write_features(tmp_path / "f", "pse", {"u1": ("pse", np.full((1, 1), 0.5)),
+                                           "u2": ("pse", np.full((1, 1), 0.7))})
+    feats = ["--manifest", manifest, "--feature-dir", tmp_path / "f"]
+    assert run("train-cm", "--features", "pse", *feats, "--out-model", model,
+               "--config", workspace / "fast.conf") == 0
+    for spec, kind in (("pse,pse", "pse"), ("stft, pse ,mfcc,pse", "pse"),
+                       ("stft,pse,stft", "stft")):
+        capsys.readouterr()
+        assert run("train-cm", "--features", spec, *feats,
+                   "--out-model", tmp_path / "m2.mdl") == 2
+        assert capsys.readouterr().err.endswith(
+            "error: --features names kind %r twice\n" % kind)
+        assert run("score-cm", "--model", model, "--features", spec, *feats,
+                   "--out-scores", tmp_path / "s.tsv") == 2
+        assert capsys.readouterr().err.endswith(
+            "error: --features names kind %r twice\n" % kind)
+    assert not (tmp_path / "m2.mdl").exists() and not (tmp_path / "s.tsv").exists()
+
+
+def test_score_cm_checks_the_model_width_once(workspace, tmp_path, capsys):
+    manifest, model = two_utt_manifest(tmp_path / "m.tsv"), tmp_path / "m.mdl"
+    (tmp_path / "f").mkdir()
+    for utt, value in (("u1", 0.5), ("u2", 0.7)):
+        write_feature(tmp_path / "f" / ("%s.pse.ssft" % utt),
+                      FeatureMatrix("pse", np.full((1, 1), value), 0.0))
+        write_feature(tmp_path / "f" / ("%s.jitter-shimmer.ssft" % utt),
+                      FeatureMatrix("jitter-shimmer", np.full((1, 2), value / 10), 0.0))
+    feats = ["--manifest", manifest, "--feature-dir", tmp_path / "f"]
+    assert run("train-cm", "--features", "pse", *feats, "--out-model", model,
+               "--config", workspace / "fast.conf") == 0
+    capsys.readouterr()
+    scores = tmp_path / "s.tsv"
+    assert run("score-cm", "--model", model, "--features", " jitter-shimmer,pse", *feats,
+               "--out-scores", scores) == 1
+    assert capsys.readouterr().err == (
+        "error: model %s has input dim 1, but --features jitter-shimmer,pse pools "
+        "vectors of dim 3\n" % model)
     assert not scores.exists()
 
 

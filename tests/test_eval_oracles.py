@@ -5,7 +5,11 @@ evaluate_scorefile, load_trials, score_trials and write_scorefile, kept
 as oracles, changed only in their names, in the parse loop's label column
 (the label string it read), in using the one EER rule, and in building a
 TrialSet through conftest.trial_set and reading it by iterating its rows,
-since a TrialSet is now columns too.  The columnar code must give equal rows, GroupReports compared with ==, byte-equal
+since a TrialSet is now columns too.  Two checks were added to the loops,
+since the columnar code makes them: the parse loop rejects the reserved
+group name 'ALL', after the score's finiteness, and the trial loop a label
+that contradicts its category, after the category.  The columnar code
+must give equal rows, GroupReports compared with ==, byte-equal
 score, trial and report files, and on a faulty input the same exception
 class, message and line; a ParseError's message now starts with the file's
 path, and the rest of it must equal the loop's.  One message has changed on
@@ -34,6 +38,7 @@ from spoofsense import tsv
 from spoofsense.errors import DegenerateLabels, MissingEmbedding, ParseError, ZeroVector
 from spoofsense.metrics import (
     NEGATIVE_LABELS,
+    POOLED,
     POSITIVE_LABELS,
     CostModel,
     GroupReport,
@@ -47,6 +52,7 @@ from spoofsense.metrics import (
 from spoofsense.trials import (
     CATEGORIES,
     CHUNK_PAIRS,
+    POSITIVE_CATEGORIES,
     TrialPair,
     cosine_score,
     load_trials,
@@ -93,6 +99,9 @@ def parse_scorefile_loop(path):
                 raise ParseError("bad score %r" % score_text, line=lineno) from None
             if not np.isfinite(score):
                 raise ParseError("non-finite score", line=lineno)
+            if group == POOLED:
+                raise ParseError("group name %r is reserved for the pooled row" % POOLED,
+                                 line=lineno)
             rows.append((trial_id, group, label, score))
     return rows
 
@@ -152,6 +161,8 @@ def load_trials_loop(path):
                 raise ParseError("unknown label %r" % label, line=lineno)
             if cat not in CATEGORIES:
                 raise ParseError("unknown category %r" % cat, line=lineno)
+            if (label == "positive") != (cat in POSITIVE_CATEGORIES):
+                raise ParseError("label %r contradicts category %r" % (label, cat), line=lineno)
             pairs.append(TrialPair(a, b, label=label, category=cat))
     return trial_set(pairs)
 
@@ -283,7 +294,7 @@ score_value = st.one_of(
     st.sampled_from(TIED), st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 )
 score_row = st.tuples(
-    st.sampled_from(["-", "A01", "A02", " B "]),
+    st.sampled_from(["-", "A01", "A02", " B ", "ALL "]),  # "ALL " is not the reserved name
     st.sampled_from(LABELS),
     score_value,
     st.sampled_from(FORMATS),
@@ -336,12 +347,13 @@ def test_scorefile_shapes_match_loops(tmp_path, groups, newline):
 
 
 # a faulty line of each kind, as the loop checks them: field count, label,
-# score text, finiteness
+# score text, finiteness, group name
 SCORE_FAULTS = {
     "fields": "bad\tA01\ttarget",
     "label": "bad\tA01\tbogus\t1.0",
     "score": "bad\tA01\tspoof\tone",
     "nonfinite": "bad\tA01\tspoof\t1e999",
+    "pooled-group": "bad\tALL\tspoof\t1.0",
 }
 
 
@@ -385,6 +397,8 @@ def test_scorefile_two_faults_parity(tmp_path, first, second):
         "bad\tA01\tbogus\tone",  # label before score text
         "bad\tA01\tbogus\tinf",  # label before finiteness
         "bad\tA01\tspoof\tnan\textra",  # field count first
+        "bad\tALL\tspoof\tnan",  # finiteness before the group name
+        "bad\tALL\tbogus\t1.0",  # label before the group name
     ],
 )
 def test_scorefile_faults_on_one_line_parity(tmp_path, line):
@@ -414,6 +428,7 @@ TRIAL_FAULTS = {
     "fields": "a\tb\tpositive",
     "label": "a\tb\tsame\tR",
     "category": "a\tb\tnegative\tXYZ",
+    "contradiction": "a\tb\tnegative\tR",
 }
 
 
@@ -653,8 +668,7 @@ def test_one_faulty_row_in_a_valid_block(tmp_path, kind):
     fault, message = ONE_FAULT_IN_A_BLOCK[kind]
     lines, lineno = one_fault_in_a_block(good_score_line, fault)
     write_text(path, lines)
-    if kind != "group-pooled":  # the loop has no reserved group
-        check_scorefile(path)
+    check_scorefile(path)
     for run in (parse_scorefile, evaluate_scorefile):
         with pytest.raises(ParseError) as e:
             run(path)
@@ -668,8 +682,7 @@ def test_one_faulty_trial_in_a_valid_block(tmp_path, kind):
     fault, message = ONE_TRIAL_FAULT_IN_A_BLOCK[kind]
     lines, lineno = one_fault_in_a_block(good_trial_line, fault)
     write_text(path, lines)
-    if "contradicts" not in message:  # the loop does not check the pairing
-        check_trials(path, tmp_path)
+    check_trials(path, tmp_path)
     with pytest.raises(ParseError) as e:
         load_trials(path)
     assert (type(e.value), str(e.value), e.value.line) == (

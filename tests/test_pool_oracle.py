@@ -114,6 +114,10 @@ def write_set(d, stored):
     return load_manifest(str(d / "m.tsv"))
 
 
+def pooled_vector(utt_id, kinds, feature_dir):
+    return cli._pooled_vector(utt_id, cli._kind_table(kinds, feature_dir))
+
+
 def same_array(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -148,7 +152,7 @@ def test_pooling_matches_oracle_bytes(tmp_path_factory, spec, n_utts, data):
     manifest = write_set(d, stored)
     kinds = [k for k, _ in spec]
     for utt, files in stored.items():
-        assert same_array(cli._pooled_vector(utt, kinds, str(d)),
+        assert same_array(pooled_vector(utt, kinds, str(d)),
                           oracle_pooled_vector(utt, kinds, str(d)))
         for kind in files:
             new, old = (f(_feature_path(str(d), utt, kind))
@@ -158,16 +162,39 @@ def test_pooling_matches_oracle_bytes(tmp_path_factory, spec, n_utts, data):
     assert same_array(x, ox) and same_array(y, oy)
 
 
+def adversarial(rows, cols):
+    """Values of mixed sign over nine decades, so the order of a float64
+    column sum shows in its low bits."""
+    j = np.arange(rows * cols)
+    scale = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4])[j % 9]
+    return (((j * 7919) % 1000 - 499.5) * scale).astype(np.float32).reshape(rows, cols)
+
+
 def test_long_single_column_pools_like_the_oracle(tmp_path):
     # One column longer than numpy's 8192-element cast buffer: pooling the
     # float32 view with mean(dtype=float64) sums it per buffer and differs.
-    j = np.arange(8207)
-    scale = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4])[j % 9]
-    f0 = (((j * 7919) % 1000 - 499.5) * scale).astype(np.float32).reshape(-1, 1)
+    f0 = adversarial(8207, 1)
     (tmp_path / "u.f0.ssft").write_bytes(ssft("f0", f0, 0.005))
     old = oracle_pooled_vector("u", ["f0"], str(tmp_path))
-    assert same_array(cli._pooled_vector("u", ["f0"], str(tmp_path)), old)
+    assert same_array(pooled_vector("u", ["f0"], str(tmp_path)), old)
     assert f0.mean(axis=0, dtype=np.float64).tobytes() != old.tobytes()
+
+
+@pytest.mark.parametrize("kind, rows, cols", [
+    ("stft", 8193, 2), ("sp", 8207, 3), ("ap", 12289, 5), ("mfcc", 8207, 39),
+    ("stft", 8207, 257), ("stft", 100003, 2)])
+def test_long_multi_column_pools_like_the_oracle(tmp_path, kind, rows, cols):
+    # Longer than the 300 frames the Hypothesis test draws, and than numpy's
+    # 8192-element buffers: each column is still summed row after row.
+    stored = {"u1": {kind: ssft(kind, adversarial(rows, cols), 0.01)},
+              "u2": {kind: ssft(kind, adversarial(rows, cols)[::-1], 0.01)}}
+    manifest = write_set(tmp_path, stored)
+    for utt in stored:
+        assert same_array(pooled_vector(utt, [kind], str(tmp_path)),
+                          oracle_pooled_vector(utt, [kind], str(tmp_path)))
+    (x, y), (ox, oy) = (cli._dataset(manifest, [kind], str(tmp_path)),
+                        oracle_dataset(manifest, [kind], str(tmp_path)))
+    assert same_array(x, ox) and same_array(y, oy)
 
 
 # --- single-fault files: the same class and message as the oracle ---
@@ -186,19 +213,24 @@ FAULTS = {
     "bad-magic": ("stft", b"XXXXX" + ssft("stft", STFT, 0.01)[5:]),
     "truncated-header": ("stft", ssft("stft", STFT, 0.01)[:12]),
     "truncated-payload": ("stft", ssft("stft", STFT, 0.01)[:-4]),
+    "extra-payload": ("stft", ssft("stft", STFT, 0.01) + b"\0\0\0\0"),
+    "wider-vector": ("stft", ssft("stft", np.ones((4, 5)), 0.01)),
     "unknown-kind": ("stft", ssft("stfx", STFT, 0.01)),
     "wrong-dims": ("jitter-shimmer", ssft("jitter-shimmer", np.ones((1, 3)), 0.0)),
     "nan-hop": ("stft", ssft("stft", STFT, float("nan"))),
     "negative-hop": ("stft", ssft("stft", STFT, -0.01)),
+    "inf-hop": ("stft", ssft("stft", STFT, float("inf"))),
     "wrong-tag": ("stft", ssft("mfcc", np.ones((2, 39)), 0.01)),
     "zero-frames": ("stft", ssft("stft", np.zeros((0, 3)), 0.01)),
     "missing": ("stft", None),
     "directory": ("stft", "dir"),
 }
+NON_FINITE = []
 for _kind, _arr in (("stft", STFT), ("jitter-shimmer", JS)):
     for _name, _value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
         for _where, _index in (("first", 0), ("middle", _arr.size // 2), ("last", _arr.size - 1)):
-            FAULTS["%s-%s-%s" % (_kind, _name, _where)] = with_value(_kind, _arr, _index, _value)
+            NON_FINITE.append("%s-%s-%s" % (_kind, _name, _where))
+            FAULTS[NON_FINITE[-1]] = with_value(_kind, _arr, _index, _value)
 
 
 def raised(fn, *args):
@@ -235,3 +267,27 @@ def test_single_fault_fails_like_the_oracle(tmp_path, capsys, fault):
                      "--out-scores", str(tmp_path / "s.tsv")]) == 1
     assert capsys.readouterr().err == "error: %s\n" % new
     assert not (tmp_path / "new.mdl").exists() and not (tmp_path / "s.tsv").exists()
+
+
+def test_non_finite_file_fails_before_a_later_files_fault(tmp_path):
+    """Finiteness is checked once per pooled vector, but a non-finite file
+    still fails before any fault of a later file of its utterance."""
+    assert len(NON_FINITE) == 18
+    for first in NON_FINITE:
+        for second in sorted(FAULTS):
+            (kind1, raw1), (kind2, raw2) = FAULTS[first], FAULTS[second]
+            if kind2 == kind1:
+                continue
+            d = tmp_path / ("%s.%s" % (first, second))
+            d.mkdir()
+            good = {k: ssft(k, STFT if k == "stft" else JS, 0.01 if k == "stft" else 0.0)
+                    for k in (kind1, kind2)}
+            bad = {kind1: raw1} if raw2 in (None, "dir") else {kind1: raw1, kind2: raw2}
+            manifest = write_set(d, {"u1": good, "u2": bad})
+            if raw2 == "dir":
+                (d / ("u2.%s.ssft" % kind2)).mkdir()
+            old = raised(oracle_dataset, manifest, [kind1, kind2], str(d))
+            new = raised(cli._dataset, manifest, [kind1, kind2], str(d))
+            path = _feature_path(str(d), "u2", kind1)
+            assert type(old) is type(new) is CorruptPayload
+            assert str(new) == str(old) + ": " + path

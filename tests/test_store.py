@@ -1,4 +1,6 @@
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spoofsense.errors import BadMagic, CorruptPayload, KindDimsMismatch, TruncatedPayload
+from spoofsense import store
 from spoofsense.spectral import FeatureMatrix
 from spoofsense.store import read_feature, read_payload, write_feature
 
@@ -118,7 +121,8 @@ def test_read_payload_is_the_unchecked_float32_view(tmp_path):
     (28, struct.pack("<f", np.inf)),
     (16, struct.pack("<d", np.nan)),
     (16, struct.pack("<d", -0.005)),
-], ids=["nan-payload", "inf-payload", "nan-hop", "negative-hop"])
+    (16, struct.pack("<d", np.inf)),
+], ids=["nan-payload", "inf-payload", "nan-hop", "negative-hop", "inf-hop"])
 def test_corrupt_values_rejected_on_read(tmp_path, offset, value):
     m = FeatureMatrix(kind="f0", data=np.ones((3, 1)), hop=0.005)
     p, _ = roundtrip(tmp_path, m)
@@ -134,3 +138,23 @@ def test_no_temp_litter_on_failure(tmp_path):
     with pytest.raises(ValueError):
         write_feature(tmp_path / "o.ssft", m)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shortfall", [0, 1, 100, None], ids=["exact", "1", "100", "zero"])
+def test_read_is_one_sized_read_or_runs_to_the_end(tmp_path, monkeypatch, shortfall):
+    """A regular file takes one os.read; a file longer than its fstat said (it
+    grew, or is not regular and reads size 0) is read on to its end."""
+    m = FeatureMatrix(kind="stft", data=np.arange(40000.0).reshape(200, 200), hop=0.01)
+    p, _ = roundtrip(tmp_path, m)  # 160 kB, more than one 64 kB read of the loop
+    fstat, read, reads = os.fstat, os.read, []
+    if shortfall:
+        monkeypatch.setattr(store.os, "fstat", lambda fd: SimpleNamespace(
+            st_size=fstat(fd).st_size - shortfall))
+    elif shortfall is None:
+        monkeypatch.setattr(store.os, "fstat", lambda fd: SimpleNamespace(st_size=0))
+    monkeypatch.setattr(store.os, "read", lambda fd, n: reads.append(n) or read(fd, n))
+    kind, hop, data = read_payload(p)
+    monkeypatch.undo()
+    assert (kind, hop) == ("stft", 0.01)
+    assert data.tobytes() == m.data.astype("<f4").tobytes()
+    assert len(reads) == 1 if shortfall == 0 else len(reads) > 1
