@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     SpoofsenseError,
 )
-from .metrics import POOLED, ScoreTable, evaluate_scorefile, write_report
+from .metrics import POOLED, Column, ScoreTable, evaluate_scorefile, write_report
 from .mlp import init_model, load_model, save_model, score, train
 from .spectral import KINDS
 from .store import read_payload, write_feature
@@ -241,8 +241,8 @@ def cmd_score_cm(args, parser):
                           % (args.model, model.dims[0], ",".join(kinds), x.shape[1]))
     write_scorefile(args.out_scores, ScoreTable(
         trial_ids=[r.utt_id for r in manifest.rows],
-        groups=[r.attack_id or "-" for r in manifest.rows],
-        labels=[CLASS_NAMES[c] for c in y.tolist()],
+        groups=Column.of([r.attack_id or "-" for r in manifest.rows]),
+        labels=Column.of([CLASS_NAMES[c] for c in y.tolist()]),
         scores=np.array([score(model, v) for v in x]),
     ))
     print("score-cm: %d utterances scored" % len(manifest))
@@ -265,7 +265,7 @@ def cmd_eval(args, parser):
     if args.metric == "tdcf":
         if args.cost_config is None:
             parser.error("--cost-config is required for --metric tdcf")
-        cost = load_config(args.cost_config).cost_model()
+        cost = load_config(args.cost_config).cost_model(args.cost_config)
     elif args.cost_config is not None:
         parser.error("--cost-config applies to --metric tdcf only")
     reports = evaluate_scorefile(args.scores, cost)

@@ -16,7 +16,7 @@ from .f0 import F0Config
 from .metrics import CostModel
 from .mlp import TrainConfig
 from .spectral import ApConfig, EnvelopeConfig, MfccConfig, StftConfig
-from .tsv import open_text, split_lines
+from .tsv import open_text, plain, split_lines
 
 ENV_VAR = "SPOOFSENSE_CONFIG"
 
@@ -45,10 +45,11 @@ class RunConfig:
         if self.hidden1 < 1 or self.hidden2 < 1:
             raise ValueError("hidden layer sizes must be >= 1")
 
-    def cost_model(self):
+    def cost_model(self, source="<config>"):
+        """The cost model; a config from source without one raises ConfigError."""
         if self.cost is None:
             missing = [f.name for f in fields(CostModel)]
-            raise ConfigError("cost model keys missing: %s" % ", ".join(missing))
+            raise ConfigError("%s: cost model keys missing: %s" % (source, ", ".join(missing)))
         return self.cost
 
 
@@ -105,8 +106,11 @@ def parse_config_text(text, source="<config>"):
         given = settings.setdefault(stage, {})
         if name in given:  # one key per field, so the key is a duplicate
             raise ConfigError("%s line %d: duplicate key %r" % (source, lineno, key))
+        parse = _TYPES[stage, name]
         try:
-            parsed = _TYPES[stage, name](value)
+            if parse is not str and not plain(value):  # a number int() or float() misreads
+                raise ValueError(value)
+            parsed = parse(value)
             if isinstance(parsed, float) and not math.isfinite(parsed):
                 raise ValueError(value)
         except ValueError:

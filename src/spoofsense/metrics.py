@@ -2,11 +2,19 @@
 
 Acceptance rule everywhere: a trial is accepted iff score >= threshold.
 Candidate thresholds are the distinct observed scores plus +inf (reject
-all); every achievable operating point appears in that sweep.
+all); every achievable operating point appears in that sweep.  A sweep
+sorts its scores once and reads FAR and FRR off exact counts of the labels
+below each distinct score; -0 sorts before 0, so a zero threshold is -0
+when any trial scores -0.
+
+A score file is held as a ScoreTable: the trial ids, the group and label
+columns coded (Column: the distinct names and an int32 code per row), and
+the scores.  evaluate_scorefile sorts the file's scores once and takes
+every group's trials, and the pooled row's, in that order, so that each
+sweep sorts scores that are sorted already.
 """
 
 import csv
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,23 +44,43 @@ class ScoreSet:
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "labels", l)
 
-    def split(self):
-        if not self.labels.any() or self.labels.all():
-            raise DegenerateLabels("need at least one positive and one negative trial")
-        return np.sort(self.scores[self.labels]), np.sort(self.scores[~self.labels])
-
     @cached_property
     def sweep(self):
         """Thresholds (ascending, +inf last) with FAR/FRR at each; computed
-        once per score set, however many metrics read it."""
-        pos, neg = self.split()
-        thresholds = np.unique(self.scores)
-        thresholds = np.append(thresholds, np.inf)
-        far = (len(neg) - np.searchsorted(neg, thresholds, side="left")) / len(neg)
-        frr = np.searchsorted(pos, thresholds, side="left") / len(pos)
+        once per score set, however many metrics read it.
+
+        The scores are sorted once; a threshold is the first of a run of
+        equal scores, and the trials below it are counted from there.  A
+        zero threshold is -0 if any of the trials scores -0, since -0 sorts
+        first.  Already sorted scores sort in a fraction of the time.
+        """
+        n_pos = int(self.labels.sum())
+        n_neg = len(self.labels) - n_pos
+        if not (n_pos and n_neg):
+            raise DegenerateLabels("need at least one positive and one negative trial")
+        order = np.argsort(_total_order(self.scores))
+        scores = self.scores[order]
+        # the first index of each distinct score, then the count of trials
+        ends = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1], [True])))
+        pos_below = np.cumsum(self.labels[order], dtype=np.intp)[ends - 1]
+        pos_below[0] = 0  # the positives below each threshold
+        thresholds = np.append(scores[ends[:-1]], np.inf)
+        far = (n_neg - ends + pos_below) / n_neg
+        frr = pos_below / n_pos
         for a in (thresholds, far, frr):  # shared by every reader
             a.flags.writeable = False
         return thresholds, far, frr
+
+
+def _total_order(scores):
+    """int64 keys of float64 scores that sort as the scores do, with -0
+    before 0 (IEEE 754 totalOrder), so that the order of the values a sort
+    gives does not depend on the sort."""
+    bits = scores.view(np.int64)
+    keys = bits >> 63  # -1 where the sign bit is set: flip the other bits there
+    keys &= np.int64(0x7FFFFFFFFFFFFFFF)
+    keys ^= bits
+    return keys
 
 
 @dataclass(frozen=True)
@@ -128,6 +156,46 @@ class GroupReport:
 
 
 @dataclass(frozen=True)
+class Column:
+    """A column of strings as its distinct names and one int32 code per row:
+    row k holds names[codes[k]]."""
+
+    names: tuple
+    codes: np.ndarray
+
+    @classmethod
+    def of(cls, strings):
+        """The Column of a sequence of strings."""
+        code = {}
+        codes = _encode(strings, code)
+        return cls(tuple(code), codes)
+
+    def renamed(self, rename):
+        """The Column whose row k holds rename(name of row k)."""
+        new = Column.of([rename(name) for name in self.names])
+        return Column(new.names, new.codes[self.codes])
+
+    def tolist(self):
+        """The rows' strings: one string object per distinct name."""
+        return np.array(self.names, dtype=object)[self.codes].tolist()
+
+    def mask(self, names):
+        """Bool array: which rows hold one of names."""
+        return np.array([n in names for n in self.names], bool)[self.codes]
+
+
+def _encode(strings, code):
+    """int32 codes of strings in code (name -> code), which first gets a new
+    code for each name it lacks, in sorted order."""
+    try:
+        return np.fromiter(map(code.__getitem__, strings), np.int32, len(strings))
+    except KeyError:
+        for name in sorted(set(strings) - code.keys()):
+            code[name] = len(code)
+        return np.fromiter(map(code.__getitem__, strings), np.int32, len(strings))
+
+
+@dataclass(frozen=True)
 class ScoreTable:
     """A score file as columns, one entry per row in file order.
 
@@ -135,15 +203,15 @@ class ScoreTable:
     """
 
     trial_ids: list
-    groups: list
-    labels: list  # one of POSITIVE_LABELS | NEGATIVE_LABELS
+    groups: Column
+    labels: Column  # names from POSITIVE_LABELS | NEGATIVE_LABELS
     scores: np.ndarray  # float64
 
     def __len__(self):
         return len(self.scores)
 
     def __iter__(self):
-        return zip(self.trial_ids, self.groups, self.labels, self.scores.tolist())
+        return zip(self.trial_ids, self.groups.tolist(), self.labels.tolist(), self.scores.tolist())
 
 
 @names_file
@@ -154,12 +222,18 @@ def parse_scorefile(path):
     row.  A faulty line raises ParseError for the first such line, checked
     in the order field count, label, score, finiteness, group name.
     """
-    ids, groups, labels, scores = [], [], [], [np.zeros(0)]
+    ids, scores = [], [np.zeros(0)]
+    group_code, label_code = {}, {}  # name -> code, in the order first seen
+    group_codes, label_codes = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
     for linenos, (trial_id, group, label, score_text) in split_columns(
         read_lines(path), 4, "expected 4 tab-separated fields"
     ):
         values, rejected = parse_floats(score_text)  # a rejected text parses to NaN
-        if not (set(label) <= LABELS and np.isfinite(values).all() and POOLED not in group):
+        # coded first, so that the dicts hold every name of the block
+        group_codes.append(_encode(group, group_code))
+        label_codes.append(_encode(label, label_code))
+        if not (label_code.keys() <= LABELS and np.isfinite(values).all()
+                and POOLED not in group_code):
             raise_first(linenos, [
                 (~isin(label, LABELS), lambda i: "unknown label %r" % label[i]),
                 (rejected, lambda i: "bad score %r" % score_text[i]),
@@ -168,10 +242,10 @@ def parse_scorefile(path):
                  lambda i: "group name %r is reserved for the pooled row" % POOLED),
             ])
         ids += trial_id
-        groups += map(sys.intern, group)  # one string per distinct group or label, not per row
-        labels += map(sys.intern, label)
         scores.append(values)
-    return ScoreTable(ids, groups, labels, np.concatenate(scores))
+    return ScoreTable(ids, Column(tuple(group_code), np.concatenate(group_codes)),
+                      Column(tuple(label_code), np.concatenate(label_codes)),
+                      np.concatenate(scores))
 
 
 def evaluate_scorefile(path, cost=None):
@@ -180,22 +254,26 @@ def evaluate_scorefile(path, cost=None):
 
     Ungrouped rows (group '-') are shared into every named group, mirroring
     protocols where one bonafide set is reused against each attack; the ALL
-    row pools everything.  A group's trials are its own rows, then the
-    shared ones, each in file order.  A file without trials, or a group
-    whose trials are all positive or all negative, raises DegenerateLabels
-    naming the file, and the group with its counts.
+    row pools everything.  The file's scores are sorted once, and each
+    group's trials, its own rows and the shared ones, are taken in that
+    order.  A file without trials, or a group whose trials are all positive
+    or all negative, raises DegenerateLabels naming the file, and the group
+    with its counts.
     """
     table = parse_scorefile(path)
-    positive = isin(table.labels, POSITIVE_LABELS)
-    code = {g: k for k, g in enumerate(sorted(set(table.groups) | {"-"}))}
-    codes = np.fromiter(map(code.__getitem__, table.groups), np.intp, len(table))
-    shared = np.flatnonzero(codes == code.pop("-"))
+    names = table.groups.names
+    order = np.argsort(table.scores)  # ties in any order: a sweep sorts them
+    scores = table.scores[order]
+    positive = table.labels.mask(POSITIVE_LABELS)[order]
+    shared = table.groups.mask({"-"})[order]
+    codes = table.groups.codes[order]
+    del table, order  # the trial ids, and the file-order columns
     reports = []
-    for group in list(code) + [POOLED]:
+    for group in sorted(set(names) - {"-"}) + [POOLED]:
         if group == POOLED:
             members = slice(None)
         else:
-            members = np.concatenate([np.flatnonzero(codes == code[group]), shared])
+            members = np.flatnonzero(shared | (codes == names.index(group)))
         labels = positive[members]
         n_pos = int(labels.sum())
         n_neg = len(labels) - n_pos
@@ -204,7 +282,7 @@ def evaluate_scorefile(path, cost=None):
         if not (n_pos and n_neg):
             raise DegenerateLabels("%s: group %s has %d positive and %d negative trials"
                                    % (path, group, n_pos, n_neg))
-        s = ScoreSet(scores=table.scores[members], labels=labels)
+        s = ScoreSet(scores=scores[members], labels=labels)
         e = eer(s)
         td = min_tdcf(s, cost).min_tdcf_norm if cost is not None else None
         reports.append(

@@ -21,8 +21,8 @@ from .errors import (
     ParseError,
     ZeroVector,
 )
-from .metrics import ScoreTable
-from .tsv import isin, names_file, parse_floats, raise_first, read_lines, split_columns
+from .metrics import Column, ScoreTable
+from .tsv import isin, names_file, parse_floats, plain, raise_first, read_lines, split_columns
 
 # the roles a manifest row may have -> the countermeasure class (0 bonafide, 1 spoof)
 CLASS_OF_ROLE = {"bonafide": 0, "target-real": 0, "impersonator-real": 0,
@@ -244,6 +244,8 @@ def load_embeddings(path):
     if not head.startswith("dim="):
         raise ParseError("embedding file must start with dim=<d>", line=1)
     try:
+        if not plain(head):
+            raise ValueError(head)
         dim = int(head[4:])
     except ValueError:
         raise ParseError("bad dimension %r" % head, line=1) from None
@@ -338,10 +340,11 @@ def score_trials(ts, emb):
         scores[start:start + CHUNK_PAIRS] = np.clip(dots / (norms[i] * norms[j]), -1.0, 1.0)
 
     positive = [label == "positive" for label in ts.labels]
+    groups = Column.of(["-" if pos else cat for cat, pos in zip(ts.categories, positive)])
     return ScoreTable(
         trial_ids=list(map("%s:%s".__mod__, zip(ts.utt_a, ts.utt_b))),
-        groups=["-" if pos else cat for cat, pos in zip(ts.categories, positive)],
-        labels=["target" if pos else "nontarget" for pos in positive],
+        groups=groups,
+        labels=groups.renamed(lambda group: "target" if group == "-" else "nontarget"),
         scores=scores,
     )
 

@@ -134,15 +134,26 @@ def split_columns(blocks, nfields, message):
             raise ParseError(message.format(got=rows[n].count("\t") + 1), line=linenos[n])
 
 
+def plain(text):
+    """Whether text holds only ASCII characters and no '_': float() and
+    int() also read digit groups such as '1_0' and the digits of other
+    scripts, which no number format of a file or config has."""
+    return text.isascii() and "_" not in text
+
+
 def parse_floats(texts):
-    """float() of each text as float64, and a mask of the texts it rejects."""
-    try:
-        return np.fromiter(map(float, texts), np.float64, len(texts)), np.zeros(len(texts), bool)
-    except ValueError:
-        pass
+    """float() of each text as float64, and a mask of the texts it rejects
+    or that are not plain."""
+    if plain("".join(texts)):  # one check for the column
+        try:
+            return np.fromiter(map(float, texts), np.float64, len(texts)), np.zeros(len(texts), bool)
+        except ValueError:
+            pass
     values, rejected = np.full(len(texts), np.nan), np.zeros(len(texts), bool)
     for i, text in enumerate(texts):
         try:
+            if not plain(text):
+                raise ValueError(text)
             values[i] = float(text)
         except ValueError:
             rejected[i] = True

@@ -6,11 +6,13 @@ import pytest
 
 from conftest import machine_buf, natural_buf, tone, wav_bytes, write_manifest
 from spoofsense.audio import write_wav
+from spoofsense import cli
 from spoofsense.cli import _kind_table, _pooled_vector, main
 from spoofsense.errors import MissingFeatureFile
 from spoofsense.metrics import parse_scorefile
 from spoofsense.spectral import KINDS, FeatureMatrix
 from spoofsense.store import read_feature, write_feature
+from spoofsense.trials import write_scorefile
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FAST_CONF = "epochs = 8\nhidden1 = 6\nhidden2 = 4\n"
@@ -152,6 +154,75 @@ def test_eval_cost_config_requires_tdcf(tmp_path, capsys):
                    CONFIGS / "tdcf_example.conf", "--out", out) == 2
         assert "--cost-config applies to --metric tdcf only" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_eval_tdcf_config_without_cost_model_names_it(tmp_path, capsys):
+    """A config without the cost keys fails naming the file, as a partial
+    cost block does."""
+    p, out = tmp_path / "s.tsv", tmp_path / "r.csv"
+    p.write_text("t\t-\ttarget\t1\nu\t-\tnontarget\t0\n")
+    config = CONFIGS / "default.conf"
+    assert run("eval", "--scores", p, "--metric", "tdcf", "--cost-config", config,
+               "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: cost model keys missing: p_target, p_nontarget, p_spoof, c_miss_asv, "
+        "c_fa_asv, c_miss_cm, c_fa_cm, p_miss_asv, p_fa_asv, p_miss_spoof_asv\n" % config)
+    assert not out.exists()
+    partial = tmp_path / "c.conf"
+    partial.write_text("p_target = 0.9\n")
+    assert run("eval", "--scores", p, "--metric", "tdcf", "--cost-config", partial) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: %s: cost model is all-or-nothing; missing p_nontarget, " % partial)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "1\u0660"])
+def test_numbers_only_float_reads_are_rejected(tmp_path, capsys, text):
+    """float() reads '1_0' as 10 and the digits of other scripts; a score or
+    an embedding value written so is rejected like any bad number."""
+    scores = tmp_path / "s.tsv"
+    scores.write_text("t0\tA\ttarget\t1\nt1\tA\tspoof\t%s\n" % text, encoding="utf-8")
+    assert run("eval", "--scores", scores) == 1
+    assert capsys.readouterr().err == "error: %s line 2: bad score %r\n" % (scores, text)
+    trials, emb = tmp_path / "trials.tsv", tmp_path / "emb.txt"
+    trials.write_text("a\tb\tnegative\tRI\n")
+    emb.write_text("dim=2\na\t1 2\nb\t3 %s\n" % text, encoding="utf-8")
+    assert run("score-asv", "--pairs", trials, "--embeddings", emb,
+               "--out-scores", tmp_path / "o.scores") == 1
+    assert capsys.readouterr().err == "error: %s line 3: non-numeric embedding value\n" % emb
+    assert not (tmp_path / "o.scores").exists()
+
+
+def test_score_tables_round_trip(workspace, tmp_path, monkeypatch):
+    """The tables that score-cm and score-asv build write, parse and iterate
+    as the same rows, and write again as the same bytes."""
+    tables = []
+
+    def write_and_keep(path, table):
+        tables.append((path, table))
+        write_scorefile(path, table)
+
+    monkeypatch.setattr(cli, "write_scorefile", write_and_keep)
+    feats, model = tmp_path / "feats", tmp_path / "m.mdl"
+    manifest = workspace / "manifest.tsv"
+    assert run("extract", "--manifest", manifest, "--feature", "pse", "--out-dir", feats) == 0
+    assert run("train-cm", "--features", "pse", "--manifest", manifest, "--feature-dir", feats,
+               "--out-model", model, "--config", workspace / "fast.conf") == 0
+    assert run("score-cm", "--model", model, "--manifest", manifest, "--features", "pse",
+               "--feature-dir", feats, "--out-scores", tmp_path / "cm.scores") == 0
+    trials, emb = tmp_path / "trials.tsv", tmp_path / "emb.txt"
+    trials.write_text("a\tb\tpositive\tR\na\tc\tnegative\tRI\nb\tc\tnegative\tTI\n"
+                      "c\td\tnegative\tRI\n")
+    emb.write_text("dim=2\na\t1 2\nb\t1 2.5\nc\t-3 1\nd\t0.25 -4\n")
+    assert run("score-asv", "--pairs", trials, "--embeddings", emb,
+               "--out-scores", tmp_path / "asv.scores") == 0
+    assert [os.path.basename(path) for path, _ in tables] == ["cm.scores", "asv.scores"]
+    for path, table in tables:
+        parsed = parse_scorefile(path)
+        assert [(t, g, l, float("%.12g" % s)) for t, g, l, s in table] == list(parsed)
+        assert set(parsed.groups.names) == set(table.groups.names)
+        assert set(parsed.labels.names) == set(table.labels.names)
+        write_scorefile(tmp_path / "again.scores", parsed)
+        assert (tmp_path / "again.scores").read_bytes() == Path(path).read_bytes()
 
 
 def test_train_needs_both_classes(workspace, tmp_path):

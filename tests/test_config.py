@@ -73,6 +73,10 @@ REJECTIONS = {
     "f0_hop = inf": "<config> line 1: bad value 'inf' for f0_hop",
     "learning_rate = nan": "<config> line 1: bad value 'nan' for learning_rate",
     "fmax = inf": "<config> line 1: bad value 'inf' for fmax",
+    # numbers that int() and float() read but no number format writes
+    "hidden1 = 3_2": "<config> line 1: bad value '3_2' for hidden1",
+    "f0_floor = \u0668\u0660": "<config> line 1: bad value '\u0668\u0660' for f0_floor",
+    "learning_rate = 0.0_1": "<config> line 1: bad value '0.0_1' for learning_rate",
     # two faults: the top-level check is reported before the stage checks,
     # and the stage checks before the cost block
     "sample_rate = 0\nf0_floor = 600": "<config>: sample_rate must be >= 1",
@@ -115,8 +119,12 @@ def test_undecodable_config_names_its_line(tmp_path):
 
 
 def test_cost_model_missing_raises():
-    with pytest.raises(ConfigError):
+    missing = ("cost model keys missing: p_target, p_nontarget, p_spoof, c_miss_asv, c_fa_asv, "
+               "c_miss_cm, c_fa_cm, p_miss_asv, p_fa_asv, p_miss_spoof_asv")
+    with pytest.raises(ConfigError, match="^<config>: %s$" % missing):
         RunConfig().cost_model()
+    with pytest.raises(ConfigError, match="^c.conf: %s$" % missing):
+        RunConfig().cost_model("c.conf")
 
 
 def test_env_fallback_and_precedence(tmp_path, monkeypatch):

@@ -20,6 +20,19 @@ the file, and the group with its counts, before the group's sweep.
 The score file and trial list are read tsv.BLOCK_CHARS characters at a
 time; the tests at the bottom set that size as low as one character and
 compare with the loops.
+
+The parse loop rejects a score text that holds '_' or a non-ASCII
+character, as parse_scorefile does: float() reads '1_0' as 10 and '١' as 1,
+which no score format writes.
+
+The threshold sweep sorts each score set once and counts labels, and
+evaluate_scorefile sorts a file's scores once for every group.  The sweep
+and evaluate_scorefile as they were before, with np.unique and
+np.searchsorted on each group's scores, are kept below as oracles too
+(OracleScoreSet.sweep, evaluate_scorefile_sorted_per_group); the reports
+must be equal, apart from one thing the old sweep left to the sort: a zero
+threshold is now -0 when any trial of the group scores -0 and 0 otherwise,
+where np.unique printed whichever zero its sort put first.
 """
 
 import io
@@ -27,6 +40,8 @@ import itertools
 import os
 import random
 import tempfile
+from dataclasses import replace
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,7 +75,7 @@ from spoofsense.trials import (
     score_trials,
     write_scorefile,
 )
-from spoofsense.tsv import BLOCK_CHARS
+from spoofsense.tsv import BLOCK_CHARS, isin
 
 COST = CostModel(
     p_target=0.9405,
@@ -94,6 +109,8 @@ def parse_scorefile_loop(path):
             if label not in POSITIVE_LABELS | NEGATIVE_LABELS:
                 raise ParseError("unknown label %r" % label, line=lineno)
             try:
+                if not (score_text.isascii() and "_" not in score_text):
+                    raise ValueError(score_text)
                 score = float(score_text)
             except ValueError:
                 raise ParseError("bad score %r" % score_text, line=lineno) from None
@@ -195,6 +212,81 @@ def write_scorefile_loop(path, scored):
             fh.write("%s\t%s\t%s\t%.12g\n" % (trial_id, group, label, score))
 
 
+class OracleScoreSet(ScoreSet):
+    """A ScoreSet whose sweep is the one from before the count-based sweep."""
+
+    def split(self):
+        if not self.labels.any() or self.labels.all():
+            raise DegenerateLabels("need at least one positive and one negative trial")
+        return np.sort(self.scores[self.labels]), np.sort(self.scores[~self.labels])
+
+    @cached_property
+    def sweep(self):
+        """Thresholds (ascending, +inf last) with FAR/FRR at each; computed
+        once per score set, however many metrics read it."""
+        pos, neg = self.split()
+        thresholds = np.unique(self.scores)
+        thresholds = np.append(thresholds, np.inf)
+        far = (len(neg) - np.searchsorted(neg, thresholds, side="left")) / len(neg)
+        frr = np.searchsorted(pos, thresholds, side="left") / len(pos)
+        for a in (thresholds, far, frr):  # shared by every reader
+            a.flags.writeable = False
+        return thresholds, far, frr
+
+
+def evaluate_scorefile_sorted_per_group(path, cost=None):
+    """evaluate_scorefile as it was before the one sort per file, on the
+    parse loop's columns and with OracleScoreSet for ScoreSet."""
+    rows = parse_scorefile_loop(path)
+    table = SimpleNamespace(groups=[r[1] for r in rows], labels=[r[2] for r in rows],
+                            scores=np.array([r[3] for r in rows], dtype=np.float64))
+    positive = isin(table.labels, POSITIVE_LABELS)
+    code = {g: k for k, g in enumerate(sorted(set(table.groups) | {"-"}))}
+    codes = np.fromiter(map(code.__getitem__, table.groups), np.intp, len(table.groups))
+    shared = np.flatnonzero(codes == code.pop("-"))
+    reports = []
+    for group in list(code) + [POOLED]:
+        if group == POOLED:
+            members = slice(None)
+        else:
+            members = np.concatenate([np.flatnonzero(codes == code[group]), shared])
+        labels = positive[members]
+        n_pos = int(labels.sum())
+        n_neg = len(labels) - n_pos
+        if not len(labels):
+            raise DegenerateLabels("%s: no trials" % path)
+        if not (n_pos and n_neg):
+            raise DegenerateLabels("%s: group %s has %d positive and %d negative trials"
+                                   % (path, group, n_pos, n_neg))
+        s = OracleScoreSet(scores=table.scores[members], labels=labels)
+        e = eer(s)
+        td = min_tdcf(s, cost).min_tdcf_norm if cost is not None else None
+        reports.append(
+            GroupReport(
+                group=group,
+                n_pos=n_pos,
+                n_neg=n_neg,
+                eer=e.eer,
+                threshold=e.threshold,
+                min_tdcf=td,
+            )
+        )
+    return reports
+
+
+def zero_sign_rule(reports, rows):
+    """reports with each zero threshold -0 when a trial of its group scores
+    -0, else 0; rows are the file's (trial_id, group, label, score)."""
+    out = []
+    for r in reports:
+        if r.threshold == 0:
+            members = [s for _, g, _, s in rows if r.group == POOLED or g in (r.group, "-")]
+            signed = any(np.signbit(s) for s in members if s == 0)
+            r = replace(r, threshold=-0.0 if signed else 0.0)
+        out.append(r)
+    return out
+
+
 # ---------------------------------------------------------------- helpers
 
 
@@ -249,6 +341,12 @@ def check_scorefile(path):
         if old[0] == "ok":
             assert new[1] == old[1]
             assert report_bytes(new[1]) == report_bytes(old[1])
+        old = outcome(evaluate_scorefile_sorted_per_group, path, cost)
+        assert_same_outcome(new, old, path)
+        if old[0] == "ok":
+            assert new[1] == old[1]
+            rows = parse_scorefile_loop(path)
+            assert report_bytes(new[1]) == report_bytes(zero_sign_rule(old[1], rows))
 
 
 def check_trials(path, tmpdir):
@@ -354,6 +452,8 @@ SCORE_FAULTS = {
     "score": "bad\tA01\tspoof\tone",
     "nonfinite": "bad\tA01\tspoof\t1e999",
     "pooled-group": "bad\tALL\tspoof\t1.0",
+    "digit-group": "bad\tA01\tspoof\t1_0",  # float() reads 10
+    "other-script": "bad\tA01\tspoof\t\u0661",  # ARABIC-INDIC DIGIT ONE, which float() reads
 }
 
 
@@ -420,6 +520,114 @@ def test_scorefile_random_fault_parity(rows, fault, at):
         path = os.path.join(d, "s.tsv")
         write_text(path, lines)
         check_scorefile(path)
+
+
+# ---------------------------------------------------------------- the sweep
+
+# every way to write a zero, and a few values that tie with each other
+ZERO_TEXTS = ["0", "-0", "0.0", "-0.0", "+0", "0e0", "-0e5"]
+TIED_TEXTS = ZERO_TEXTS + ["1", "-1", "0.5", "2", "1.0", "-1e0"]
+
+
+@given(
+    scores=st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.5]) | score_value,
+                    min_size=1, max_size=60),
+    labels=st.lists(st.booleans(), min_size=60, max_size=60),
+)
+@settings(max_examples=200, deadline=None)
+def test_sweep_matches_the_oracle(scores, labels):
+    """The count-based sweep against np.unique + np.searchsorted: the same
+    FAR and FRR bits and threshold values, and the same EER and min t-DCF;
+    a zero threshold is -0 when any score is -0."""
+    scores, labels = np.array(scores), np.array(labels[:len(scores)])
+    new = outcome(lambda: ScoreSet(scores, labels).sweep)
+    old = outcome(lambda: OracleScoreSet(scores, labels).sweep)
+    assert new[0] == old[0]
+    if old[0] == "raised":
+        assert new == old
+        return
+    (t, far, frr), (t_old, far_old, frr_old) = new[1], old[1]
+    assert far.tobytes() == far_old.tobytes() and frr.tobytes() == frr_old.tobytes()
+    assert np.array_equal(t, t_old)
+    zero = t == 0
+    if zero.any():
+        assert np.signbit(t[zero]) == np.signbit(scores[scores == 0]).any()
+    assert eer(ScoreSet(scores, labels)) == eer(OracleScoreSet(scores, labels))
+    assert min_tdcf(ScoreSet(scores, labels), COST) == min_tdcf(OracleScoreSet(scores, labels), COST)
+
+
+tied_row = st.tuples(
+    st.sampled_from(["-", "-", "A", "A", "B", "C"]),  # C is often a one-row group
+    st.sampled_from(LABELS),
+    st.sampled_from(TIED_TEXTS),
+)
+
+
+@given(
+    rows=st.lists(tied_row, max_size=40),
+    shared_only=st.booleans(),
+    one_label=st.sampled_from([None, "target", "spoof"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_tied_files_match_the_oracles(rows, shared_only, one_label):
+    """Files of heavy ties and zeros written every way, with one-row groups,
+    files of only shared rows, and groups of one label: equal reports, or the
+    same exception, as the loops and the sweep per group."""
+    lines = []
+    for i, (group, label, text) in enumerate(rows):
+        if shared_only:
+            group = "-"
+        if one_label and group == "B":  # B's own trials all of one label
+            label = one_label
+        lines.append("t%d\t%s\t%s\t%s" % (i, group, label, text))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "s.tsv")
+        write_text(path, lines)
+        check_scorefile(path)
+
+
+def test_tied_file_past_one_block(tmp_path):
+    """More than a block of rows in eleven groups, of heavy ties and zeros of
+    both signs, compared with the oracles."""
+    rng = random.Random(5)
+    groups = ["-", "-", "-"] + ["A%02d" % k for k in range(10)] + ["Z"]
+    lines = []
+    for i in range(BLOCK_CHARS // 12):
+        group = rng.choice(groups[:-1]) if i != 4000 else "Z"  # Z: one row, past a block
+        lines.append("t%d\t%s\t%s\t%s" % (i, group, rng.choice(LABELS), rng.choice(TIED_TEXTS)))
+    path = tmp_path / "s.tsv"
+    write_text(path, lines)
+    assert line_start(lines, 4000) > BLOCK_CHARS
+    check_scorefile(path)
+    assert [r.group for r in evaluate_scorefile(path)][-2:] == ["Z", "ALL"]
+
+
+@pytest.mark.parametrize("zeros, threshold", [
+    (["-0", "0", "0"], "-0"),  # the file's first zero is -0
+    (["0", "0", "-0"], "-0"),  # its last
+    (["0", "0.0", "+0"], "0"),
+    (["-0.0", "-0", "-0e1"], "-0"),
+])
+def test_signed_zero_threshold(tmp_path, zeros, threshold):
+    """A zero threshold prints as -0 when any trial of the group scores -0,
+    wherever that trial is, and as 0 otherwise."""
+    path = tmp_path / "s.tsv"
+    base = ["A\tbonafide\t%s" % zeros[0], "A\tbonafide\t%s" % zeros[1], "A\tspoof\t-1",
+            "A\tbonafide\t1", "A\tspoof\t%s" % zeros[2]]
+    lines = ["t%d\t%s" % (i, row) for i, row in enumerate(base * 8)]  # past a sort's small cases
+    write_text(path, lines)
+    check_scorefile(path)
+    assert report_bytes(evaluate_scorefile(path)).splitlines()[1:] == [
+        "A,24,16,0.25,%s" % threshold, "ALL,24,16,0.25,%s" % threshold]
+
+
+def test_signed_zero_report(tmp_path):
+    path = tmp_path / "s.tsv"
+    write_text(path, ["t0\tA\tbonafide\t-0", "t1\tA\tbonafide\t0", "t2\tA\tspoof\t-1",
+                      "t3\tA\tbonafide\t1", "t4\tA\tspoof\t0"])
+    check_scorefile(path)
+    assert report_bytes(evaluate_scorefile(path)) == (
+        "group,n_pos,n_neg,eer,threshold\r\nA,3,2,0.25,-0\r\nALL,3,2,0.25,-0\r\n")
 
 
 # ---------------------------------------------------------------- trial lists
@@ -643,6 +851,9 @@ ONE_FAULT_IN_A_BLOCK = {
     "score-inf": ("bad\t-\tbonafide\t-inf", "non-finite score"),
     "score-overflow": ("bad\tA01\tspoof\t1e400", "non-finite score"),
     "score-text": ("bad\tA01\tspoof\tabc", "bad score 'abc'"),
+    "score-digit-group": ("bad\tA01\tspoof\t1_0", "bad score '1_0'"),
+    "score-other-script": ("bad\tA01\tspoof\t2\u0661", "bad score '2\u0661'"),
+    "score-other-space": ("bad\tA01\tspoof\t\u20031", "bad score '\\u20031'"),  # as repr shows it
     "group-pooled": ("bad\tALL\tspoof\t1.0", "group name 'ALL' is reserved for the pooled row"),
 }
 ONE_TRIAL_FAULT_IN_A_BLOCK = {

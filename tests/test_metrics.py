@@ -206,13 +206,17 @@ def test_parse_scorefile_errors(tmp_path):
 
 
 def test_score_table_labels_are_shared_strings(tmp_path):
-    """The label column holds one string object per distinct label, not one per row."""
+    """The label column holds one string object per distinct label, not one
+    per row: the distinct names, and a small int code per row."""
     p = tmp_path / "s.tsv"
     p.write_text("".join("t%d\t-\t%s\t%d\n" % (i, ("target", "spoof")[i % 2], i)
                          for i in range(50)))
     table = parse_scorefile(p)
-    assert len(table) == 50 and table.labels[:2] == ["target", "spoof"]
-    assert len({id(label) for label in table.labels}) == 2
+    assert len(table) == 50 and table.labels.tolist()[:2] == ["target", "spoof"]
+    assert sorted(table.labels.names) == ["spoof", "target"]
+    assert table.labels.codes.dtype == np.int32 and len(table.labels.codes) == 50
+    assert len({id(label) for label in table.labels.tolist()}) == 2
+    assert len({id(label) for _, _, label, _ in table}) == 2
     assert list(table)[1] == ("t1", "-", "spoof", 1.0)
 
 
@@ -222,8 +226,10 @@ def test_score_table_groups_are_shared_strings(tmp_path):
     p.write_text("".join("t%d\t%s\tspoof\t%d\n" % (i, ("A07", "A08", "-")[i % 3], i)
                          for i in range(60)))
     table = parse_scorefile(p)
-    assert table.groups[:3] == ["A07", "A08", "-"]
-    assert len({id(group) for group in table.groups}) == 3
+    assert table.groups.tolist()[:3] == ["A07", "A08", "-"]
+    assert sorted(table.groups.names) == ["-", "A07", "A08"]
+    assert table.groups.codes.dtype == np.int32 and len(table.groups.codes) == 60
+    assert len({id(group) for group in table.groups.tolist()}) == 3
 
 
 def test_group_named_all_is_rejected(tmp_path):

@@ -18,7 +18,10 @@ purpose, in the oracles too: a missing mimicked_target_id and a repeated
 utt_id now read like any ParseError, "<path> line <N>: <what>", at the
 line of the faulty row or of the repeat.  For that, load_manifest_whole
 finds the first repeated utt_id itself, after every row has passed its own
-checks, which is where Manifest found it.
+checks, which is where Manifest found it.  The embedding oracle rejects a
+value or dim= text that holds '_' or a non-ASCII character, as
+load_embeddings does, with its messages: int() and float() read '1_0' as
+10 and the digits of other scripts, which no number format writes.
 
 The block reader reads tsv.BLOCK_CHARS characters at a time; the tests at
 the bottom set that size as low as one character, so that every kind of
@@ -114,6 +117,8 @@ def load_embeddings_whole(path):
     if not lines[0].startswith("dim="):
         raise ParseError("embedding file must start with dim=<d>", line=1)
     try:
+        if not plain(lines[0][4:]):
+            raise ValueError(lines[0])
         dim = int(lines[0][4:])
     except ValueError:
         raise ParseError("bad dimension %r" % lines[0], line=1) from None
@@ -130,6 +135,8 @@ def load_embeddings_whole(path):
         if utt in ids:
             raise DuplicateUttId("duplicate utt_id %r" % utt, line=lineno)
         try:
+            if not all(map(plain, rest.split())):
+                raise ValueError(rest)
             v = [float(tok) for tok in rest.split()]
         except ValueError:
             raise ParseError("non-numeric embedding value", line=lineno) from None
@@ -140,6 +147,12 @@ def load_embeddings_whole(path):
         ids[utt] = None
         rows.append(v)
     return Embeddings(list(ids), np.array(rows, dtype=np.float64).reshape(len(rows), dim))
+
+
+def plain(text):
+    """float() and int() also read '1_0' and the digits of other scripts,
+    which no number format has; the loaders reject such a text."""
+    return text.isascii() and "_" not in text
 
 
 def load_embeddings_typed(path):
@@ -418,10 +431,10 @@ def _with_values(row, change):
     return utt + "\t" + " ".join(change(rest.split()))
 
 
-NON_NUMERIC = ["x", "0x10", "1,5", "--1"]
+NON_NUMERIC = ["x", "0x10", "1,5", "--1", "1_0", "\u0661", "2\u00b2"]
 NON_FINITE = ["inf", "-inf", "nan", "1e999"]
 EMBEDDING_HEADER_FAULTS = ["", " dim=2", "DIM=2", "dim=", "dim=x", "dim=2.0", "dim=0", "dim=-3",
-                           "dim=99999999999999999999"]
+                           "dim=99999999999999999999", "dim=1_0", "dim=\u0662"]
 EMBEDDING_ROW_FAULTS = {
     "no-tab": lambda row, other, rng: row.replace("\t", " "),
     "no-values": lambda row, other, rng: row.partition("\t")[0] + "\t",
@@ -458,6 +471,8 @@ EMBEDDING_LINE_FAULTS = {
     "no-tab": "bad 1 2 3",
     "duplicate": "u3\t1 2 3",
     "non-numeric": "bad\t1 two 3",
+    "digit-group": "bad\t1 2_0 3",
+    "other-script": "bad\t1 \u0662 3",
     "count": "bad\t1 2",
     "non-finite": "bad\t1 nan 3",
 }
