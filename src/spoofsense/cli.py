@@ -42,6 +42,7 @@ from .trials import (
     score_trials,
     write_scorefile,
 )
+from .tsv import plain
 
 CLASS_NAMES = ("bonafide", "spoof")
 
@@ -292,6 +293,18 @@ def cmd_pse_report(args, parser):
     return 0 if summary.per_utt else 1
 
 
+def _integer(text):
+    """int(text), as the argparse type of an integer option.  Text that is
+    not plain is rejected as int() rejects 'x': int() also reads digit
+    groups such as '1_0' and the digits of other scripts."""
+    try:
+        if plain(text):
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="spoofsense",
@@ -305,7 +318,7 @@ def build_parser():
     ext.add_argument("--feature", required=True, choices=KINDS)
     ext.add_argument("--out-dir", required=True)
     ext.add_argument("--config", default=None)
-    ext.add_argument("--jobs", type=int, default=1)
+    ext.add_argument("--jobs", type=_integer, default=1)
     ext.add_argument("--keep-going", action="store_true",
                      help="log per-utterance failures but exit 0")
 
@@ -315,8 +328,8 @@ def build_parser():
     pr.add_argument("--category", required=True,
                     choices=CATEGORIES + ("all",))
     pr.add_argument("--out", required=True)
-    pr.add_argument("--sample", type=int, default=None)
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--sample", type=_integer, default=None)
+    pr.add_argument("--seed", type=_integer, default=0)
 
     tr = sub.add_parser("train-cm", help="train the countermeasure MLP")
     tr.set_defaults(run=cmd_train_cm)

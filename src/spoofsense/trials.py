@@ -2,8 +2,12 @@
 
 RULES defines the pair categories.  Pairs are unordered, emitted once with
 utt_a < utt_b lexicographically, sorted; construction is exhaustive over
-qualifying combinations.  A trial list is held as columns (TrialSet), the
-way a score file is (metrics.ScoreTable).
+qualifying combinations.  The rules run on int codes, not strings: each
+utt_id is coded as its rank in sorted order and speaker and mimicked
+target ids by one shared table, so a pair is sorted as two ints and its
+ids are looked up once at the end.  A trial list is held as columns
+(TrialSet), the way a score file is (metrics.ScoreTable); trial lists and
+score files are written a chunk of rows at a time by tsv.write_rows.
 """
 
 from collections import namedtuple
@@ -22,7 +26,16 @@ from .errors import (
     ZeroVector,
 )
 from .metrics import Column, ScoreTable
-from .tsv import isin, names_file, parse_floats, plain, raise_first, read_lines, split_columns
+from .tsv import (
+    isin,
+    names_file,
+    parse_floats,
+    plain,
+    raise_first,
+    read_lines,
+    split_columns,
+    write_rows,
+)
 
 # the roles a manifest row may have -> the countermeasure class (0 bonafide, 1 spoof)
 CLASS_OF_ROLE = {"bonafide": 0, "target-real": 0, "impersonator-real": 0,
@@ -150,45 +163,82 @@ def _columns(ts):
     return ts.utt_a, ts.utt_b, ts.labels, ts.categories
 
 
-def _role_grid(manifest, role, shape):
-    """The manifest's rows of one role as a ManifestRow of object arrays
-    reshaped to shape, so that a rule on two such grids broadcasts."""
-    table = np.array([r for r in manifest.rows if r.role == role], dtype=object)
-    columns = table.reshape(-1, len(ManifestRow._fields)).T
-    return ManifestRow._make(col.reshape(shape) for col in columns)
+def _coded_rows(manifest):
+    """The manifest's columns as arrays for RULES, one entry per row, as a
+    ManifestRow, and its utt_ids in sorted order as an object array.
+
+    utt_id holds each id's rank in that order, which orders pairs as the
+    ids do, since a manifest's ids are unique; speaker_id and
+    mimicked_target_id hold codes from one table, so that two entries of
+    either column have equal codes iff they are equal (an absent target,
+    None, has a code of its own).  role holds the role strings; path and
+    attack_id, which no rule reads, are None.
+    """
+    rows = manifest.rows
+    ids = [r.utt_id for r in rows]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), np.intp)
+    rank[order] = np.arange(len(ids))
+    code = {}  # name -> code; setdefault gives a new name the next code
+    speaker = np.array([code.setdefault(r.speaker_id, len(code)) for r in rows], np.intp)
+    target = np.array([code.setdefault(r.mimicked_target_id, len(code)) for r in rows], np.intp)
+    role = np.array([r.role for r in rows], dtype=object)
+    return ManifestRow(rank, speaker, role, None, target), np.array(ids, dtype=object)[order]
+
+
+def _role_grid(coded, role, shape):
+    """coded's rows of one role, each column reshaped to shape, so that a
+    rule on two such grids broadcasts."""
+    keep = np.flatnonzero(coded.role == role)
+    return ManifestRow._make(None if col is None else col[keep].reshape(shape) for col in coded)
+
+
+def _ranked_pairs(coded, category):
+    """category's pairs as two arrays of utt_id ranks, lo < hi in each
+    pair, ordered by lo, then hi."""
+    role_a, role_b, rule = RULES[category]
+    a = _role_grid(coded, role_a, (-1, 1))
+    b = _role_grid(coded, role_b, (1, -1))
+    keep = np.broadcast_to(rule(a, b), (a.utt_id.size, b.utt_id.size))
+    if role_a == role_b:  # any two rows of one role: row i with each row j > i
+        keep = np.triu(keep, 1)
+    i, j = np.nonzero(keep)
+    ra, rb = a.utt_id[i, 0], b.utt_id[0, j]
+    lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+    order = np.lexsort((hi, lo))
+    return lo[order], hi[order]
+
+
+def _trial_set(manifest, categories):
+    """The TrialSet of the pairs of each of categories in turn; a category
+    without pairs adds none.  The manifest is coded once for all of them."""
+    coded, ids = _coded_rows(manifest)
+    lo, hi, labels, cats = [], [], [], []
+    for cat in categories:
+        a, b = _ranked_pairs(coded, cat)
+        lo.append(a)
+        hi.append(b)
+        labels += ["positive" if cat in POSITIVE_CATEGORIES else "negative"] * a.size
+        cats += [cat] * a.size
+    return TrialSet(ids[np.concatenate(lo)].tolist(), ids[np.concatenate(hi)].tolist(),
+                    labels, cats)
 
 
 def build_pairs(manifest, category):
     if category not in RULES:
         raise ValueError("unknown category %r" % category)
-    role_a, role_b, rule = RULES[category]
-    a = _role_grid(manifest, role_a, (-1, 1))
-    b = _role_grid(manifest, role_b, (1, -1))
-    keep = np.broadcast_to(rule(a, b), (a.utt_id.size, b.utt_id.size))
-    if role_a == role_b:  # any two rows of one role: row i with each row j > i
-        keep = np.triu(keep, 1)
-    i, j = np.nonzero(keep)
-    ids = sorted(zip(*np.sort([a.utt_id[i, 0], b.utt_id[0, j]], axis=0)))
-    if not ids:
+    ts = _trial_set(manifest, [category])
+    if not len(ts):
         raise EmptyCategory("no qualifying pairs for category %s" % category)
-    label = "positive" if category in POSITIVE_CATEGORIES else "negative"
-    utt_a, utt_b = map(list, zip(*ids))
-    return TrialSet(utt_a, utt_b, [label] * len(ids), [category] * len(ids))
+    return ts
 
 
 def build_all_pairs(manifest):
     """Every category that has qualifying pairs, in canonical order."""
-    columns = ([], [], [], [])
-    for cat in CATEGORIES:
-        try:
-            ts = build_pairs(manifest, cat)
-        except EmptyCategory:
-            continue
-        for col, part in zip(columns, _columns(ts)):
-            col += part
-    if not columns[0]:
+    ts = _trial_set(manifest, CATEGORIES)
+    if not len(ts):
         raise EmptyCategory("no category has qualifying pairs")
-    return TrialSet(*columns)
+    return ts
 
 
 def sample_pairs(ts, n, seed=0):
@@ -201,9 +251,7 @@ def sample_pairs(ts, n, seed=0):
 
 
 def save_trials(path, ts):
-    with open(path, "w") as fh:
-        for row in zip(*_columns(ts)):  # a loop: % formats faster than a map over str.__mod__
-            fh.write("%s\t%s\t%s\t%s\n" % row)
+    write_rows(path, _columns(ts))
 
 
 @names_file
@@ -342,7 +390,7 @@ def score_trials(ts, emb):
     positive = [label == "positive" for label in ts.labels]
     groups = Column.of(["-" if pos else cat for cat, pos in zip(ts.categories, positive)])
     return ScoreTable(
-        trial_ids=list(map("%s:%s".__mod__, zip(ts.utt_a, ts.utt_b))),
+        trial_ids=list(map(":".join, zip(ts.utt_a, ts.utt_b))),
         groups=groups,
         labels=groups.renamed(lambda group: "target" if group == "-" else "nontarget"),
         scores=scores,
@@ -350,5 +398,7 @@ def score_trials(ts, emb):
 
 
 def write_scorefile(path, table):
-    with open(path, "w") as fh:
-        fh.writelines(map("%s\t%s\t%s\t%.12g\n".__mod__, table))
+    # the scores are formatted as they are written: a float64 scalar prints
+    # as its Python float does, and no list of the column is made
+    write_rows(path, (table.trial_ids, table.groups.tolist(), table.labels.tolist(),
+                      map("%.12g".__mod__, table.scores)))

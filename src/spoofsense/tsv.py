@@ -1,5 +1,7 @@
-"""Reading of tab-separated text files: manifests, embedding files, score
-files and trial lists all get their lines from one reader, read_lines.
+"""Reading and writing of tab-separated text files: manifests, embedding
+files, score files and trial lists all get their lines from one reader,
+read_lines, and trial lists and score files are written by one writer,
+write_rows.
 
 Files are read as text, and a line ends at "\n", "\r\n" or "\r" only, not
 at the other breaks that str.splitlines() knows.  read_lines reads a file
@@ -10,11 +12,17 @@ the file too.  A format's header is its line 1, blank or not.  Loaders
 check a block's rows whole columns at once (split_columns, raise_first); a
 faulty row is reported as the first one in file order, with the message of
 the first check it fails.
+
+write_rows writes a table given as columns of strings, WRITE_ROWS rows at
+a time: each row is its fields joined by "\t" and ended by "\n", so the
+file is the same as one written a row at a time with "%s\t%s...\n".  It
+takes the columns as iterables and holds no more than one chunk's text at
+once, so a column can be formatted as it is written.
 """
 
 import functools
 from contextlib import contextmanager
-from itertools import compress, count
+from itertools import compress, count, islice
 
 import numpy as np
 
@@ -23,6 +31,8 @@ from .errors import ParseError
 # characters read per step: bounds the memory of a block's lines and field
 # strings, apart from a line longer than this, which is read whole
 BLOCK_CHARS = 1 << 16
+# rows joined per write: bounds the memory of the text of one write
+WRITE_ROWS = 1 << 12
 
 
 def split_lines(text):
@@ -106,6 +116,17 @@ def _numbered(start, lines):
             yield list(compress(count(start + 1), keep)), list(compress(lines, keep))
     else:
         yield range(start + 1, start + 1 + len(lines)), lines
+
+
+def write_rows(path, columns):
+    """Write the table whose columns are the equal-length iterables of
+    strings in columns to path, one line per row; a table without rows
+    writes an empty file."""
+    rows = map("\t".join, zip(*columns))
+    with open(path, "w") as fh:
+        while chunk := list(islice(rows, WRITE_ROWS)):
+            fh.write("\n".join(chunk))
+            fh.write("\n")
 
 
 def split_columns(blocks, nfields, message):

@@ -13,6 +13,7 @@ from spoofsense.metrics import parse_scorefile
 from spoofsense.spectral import KINDS, FeatureMatrix
 from spoofsense.store import read_feature, write_feature
 from spoofsense.trials import write_scorefile
+from test_trial_oracles import write_scorefile_rows
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FAST_CONF = "epochs = 8\nhidden1 = 6\nhidden2 = 4\n"
@@ -194,7 +195,8 @@ def test_numbers_only_float_reads_are_rejected(tmp_path, capsys, text):
 
 def test_score_tables_round_trip(workspace, tmp_path, monkeypatch):
     """The tables that score-cm and score-asv build write, parse and iterate
-    as the same rows, and write again as the same bytes."""
+    as the same rows, and write again as the same bytes; the row writer that
+    write_scorefile replaced writes them as the same bytes too."""
     tables = []
 
     def write_and_keep(path, table):
@@ -223,6 +225,8 @@ def test_score_tables_round_trip(workspace, tmp_path, monkeypatch):
         assert set(parsed.labels.names) == set(table.labels.names)
         write_scorefile(tmp_path / "again.scores", parsed)
         assert (tmp_path / "again.scores").read_bytes() == Path(path).read_bytes()
+        write_scorefile_rows(tmp_path / "rows.scores", table)
+        assert (tmp_path / "rows.scores").read_bytes() == Path(path).read_bytes()
 
 
 def test_train_needs_both_classes(workspace, tmp_path):
@@ -497,6 +501,26 @@ def test_pairs_rejects_negative_seed(tmp_path, capsys):
     assert run("pairs", "--manifest", tmp_path / "asv.tsv", "--category", "all",
                "--out", out, "--sample", 2, "--seed", -1) == 2
     assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# int() reads each of these: as 10, 1 and 10
+@pytest.mark.parametrize("text", ["1_0", "١", "1٠"])
+@pytest.mark.parametrize("option", ["--jobs", "--sample", "--seed"])
+def test_integer_options_take_plain_text_only(workspace, tmp_path, option, text, capsys):
+    out = tmp_path / "out"
+    if option == "--jobs":
+        argv = ["extract", "--manifest", workspace / "manifest.tsv", "--feature", "f0",
+                "--out-dir", out, "--jobs", text]
+    else:
+        rows = [("t%d" % i, "T", "target-real", "-", "-", "x.wav") for i in range(3)]
+        write_manifest(tmp_path / "asv.tsv", rows)
+        argv = ["pairs", "--manifest", tmp_path / "asv.tsv", "--category", "R",
+                "--out", out, option, text]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "spoofsense %s: error: argument %s: invalid int value: '%s'" % (
+        argv[0], option, text)
     assert not out.exists()
 
 
