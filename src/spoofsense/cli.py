@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .audio import read_wav, resample
+from .audio import read_wav, resample, serial_blocks
 from .config import load_config
 from .entropy import summarize_pse, write_pse_report
 from .errors import (
@@ -71,7 +71,10 @@ def _extract_all(rows, feature, cfg, out_dir=None, jobs=1):
     """_extract_one over rows, sorted by utt_id."""
     work = (rows, [feature] * len(rows), [cfg] * len(rows), [out_dir] * len(rows))
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+        # each worker runs its frame kernels' blocks itself: the workers
+        # already share the cores, and a forked one has no helper threads
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
+                                                    initializer=serial_blocks) as ex:
             results = list(ex.map(_extract_one, *work))
     else:
         results = list(map(_extract_one, *work))

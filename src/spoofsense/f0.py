@@ -8,9 +8,11 @@ The correlation of a w-sample frame is taken through an FFT of
 next_fast_len(w + kmax + 1) points, the shortest length at which the
 circular correlation has no wrapped term at any lag read (864 points for
 the 640-sample frames of the 16 kHz defaults).  Frames are tracked in
-blocks of audio.BLOCK_ROWS, each on its own, so that the spectra and
-correlations of one block stay in cache; the contour is the same bits as
-from one whole-utterance array.
+blocks of audio.BLOCK_ROWS, so that the spectra and correlations of one
+block stay in cache, and audio.by_row_blocks shares the blocks between the
+calling thread and a helper thread per extra core.  Each block's frames
+are treated on their own, so the contour is the same bits as from one
+whole-utterance array on one thread.
 """
 
 from dataclasses import dataclass
@@ -89,19 +91,19 @@ def _nccf(frames, squares, kmin, kmax):
     return np.arange(kmin - 1, kmax + 2), out
 
 
-def _pick_peak(lags, nccf, kmin, kmax):
+def _pick_peak(lags, nccf):
     """Per row: smallest-lag local maximum within SUBHARMONIC_RATIO of the row's best.
 
-    Returns (lag, peak) arrays with the parabolically refined lag of the
-    chosen peak and its NCCF value.  An empty [kmin, kmax] band raises
-    ValueError from the max over it.
+    lags and nccf are _nccf's, for lags kmin-1 .. kmax+1.  Returns (lag,
+    peak) arrays with the parabolically refined lag of the chosen peak and
+    its NCCF value.  An empty [kmin, kmax] band raises ValueError from the
+    max over it.
     """
-    interior = nccf[:, 1:-1]  # interior of the padded lag range
+    interior = nccf[:, 1:-1]  # lags kmin .. kmax, inside the padded range
     is_max = (interior >= nccf[:, :-2]) & (interior >= nccf[:, 2:])
-    in_band = (lags[1:-1] >= kmin) & (lags[1:-1] <= kmax)
-    best = np.max(interior[:, in_band], axis=1, keepdims=True)
-    cand = is_max & in_band & (interior >= SUBHARMONIC_RATIO * best)
-    fallback = in_band & (interior == best)
+    best = np.max(interior, axis=1, keepdims=True)
+    cand = is_max & (interior >= SUBHARMONIC_RATIO * best)
+    fallback = interior == best
     first = np.where(cand.any(axis=1), cand.argmax(axis=1), fallback.argmax(axis=1))
     rows = np.arange(len(nccf))
     i = first + 1  # back to padded-row indexing
@@ -140,7 +142,7 @@ def estimate_f0(buf, cfg=None):
         live = np.flatnonzero(energy > residue)
         if len(live):  # all silent: nothing to pick, even from an empty lag band
             lags, nccf = _nccf(frames, squares, kmin, kmax)
-            lag, peak = _pick_peak(lags, nccf[live], kmin, kmax)
+            lag, peak = _pick_peak(lags, nccf[live])
             values[live] = np.where(
                 peak < cfg.voicing_threshold, 0.0, np.clip(sr / lag, cfg.floor, cfg.ceil)
             )

@@ -220,7 +220,7 @@ def estimate_f0_whole(buf, cfg=None):
     # residue, which is near-constant too and so has an NCCF of 1 at every lag
     live = np.flatnonzero(energy > raw_energy * (frame_len * np.finfo(float).eps) ** 2)
     if len(live):  # all silent: nothing to pick, even from an empty lag band
-        lag, peak = _pick_peak(lags, nccf[live], kmin, kmax)
+        lag, peak = _pick_peak(lags, nccf[live])
         values[live] = np.where(
             peak < cfg.voicing_threshold, 0.0, np.clip(sr / lag, cfg.floor, cfg.ceil)
         )
