@@ -6,9 +6,11 @@ minimal: PCM16, PCM24 and float32, plain or WAVE_FORMAT_EXTENSIBLE, 1-2
 channels, little-endian, nothing else.
 """
 
+import contextvars
 import functools
 import os
 import struct
+import threading
 import wave
 from dataclasses import dataclass
 from math import gcd
@@ -204,11 +206,14 @@ def by_row_blocks(fn, *arrays):
     one length), its results stacked in row order; with no rows, fn of the
     empty arrays.  Exact for an fn that treats each row on its own.
 
-    The first block runs on the calling thread; the calling thread and this
-    process's block helpers share the rest, each writing its own rows of the
-    result, so every row comes from the same operations as in a serial loop.
-    If blocks raise, the first failing one in row order raises, once no
-    helper writes into the result any more.
+    The first block runs on the calling thread and fixes the result's shape.
+    The calling thread and this process's helper threads share the rest:
+    each takes block starts in order from one iterator and writes its own
+    rows of the result, so every row comes from the same operations as in
+    a serial loop.  A helper runs under a copy of the caller's context, so
+    an np.errstate holds there too.  A block that raises stops the hand-out;
+    once every block handed out has ended, the failing one with the smallest
+    start raises, as in a serial loop: every start below it was handed out.
     """
     first = fn(*(a[:BLOCK_ROWS] for a in arrays))
     n = len(arrays[0])
@@ -216,95 +221,42 @@ def by_row_blocks(fn, *arrays):
         return first
     out = np.empty((n,) + first.shape[1:], first.dtype)
     out[:BLOCK_ROWS] = first
+    starts = range(BLOCK_ROWS, n, BLOCK_ROWS)
+    pending, lock, errors = iter(starts), threading.Lock(), []
 
-    def block(i):
-        out[i : i + BLOCK_ROWS] = fn(*(a[i : i + BLOCK_ROWS] for a in arrays))
-
-    _block_helpers().run(block, range(BLOCK_ROWS, n, BLOCK_ROWS))
-    return out
-
-
-class BlockHelpers:
-    """`count` threads that run blocks beside the calling thread.
-
-    numpy's FFTs and ufunc loops release the GIL, so a helper on another
-    core computes while the caller does.  The threads start on the first
-    run with more than one block and then wait, idle, for the next one;
-    they belong to the process that made them (see _block_helpers).
-    """
-
-    def __init__(self, count):
-        self.count = count
-        self.pid = os.getpid()
-        self._tasks = None  # the helpers' queue, once they run
-
-    def run(self, block, starts):
-        """block(i) once for each i in starts, on this thread and up to
-        `count` helpers, each under a copy of this thread's context (so an
-        np.errstate holds in the helpers too).  A block that raises stops
-        the hand-out of further starts; once every start handed out is done,
-        the exception of the smallest failing start is raised."""
-        helpers = min(self.count, len(starts) - 1)
-        if helpers <= 0:
-            for i in starts:
-                block(i)
-            return
-        import contextvars  # threads only for a call with blocks to share
-        import threading
-        from queue import SimpleQueue
-
-        if self._tasks is None:
-            self._tasks = SimpleQueue()
-            for _ in range(self.count):
-                threading.Thread(target=_serve, args=(self._tasks,), daemon=True,
-                                 name="spoofsense-blocks").start()
-        drain, done = _Drain(block, starts, threading.Lock()), SimpleQueue()
-        for _ in range(helpers):
-            self._tasks.put((drain, contextvars.copy_context(), done))
-        drain()
-        for _ in range(helpers):
-            done.get()
-        drain.raise_first()
-
-
-class _Drain:
-    """Hands the block starts out in order, to every thread that calls it,
-    until they run out or a block has raised."""
-
-    def __init__(self, block, starts, lock):
-        self.block = block
-        self.starts = iter(starts)
-        self.lock = lock
-        self.errors = []  # (start, exception) of each block that raised
-
-    def __call__(self):
+    def drain():
         while True:
-            with self.lock:
-                i = None if self.errors else next(self.starts, None)
+            with lock:
+                i = None if errors else next(pending, None)
             if i is None:
                 return
             try:
-                self.block(i)
+                out[i : i + BLOCK_ROWS] = fn(*(a[i : i + BLOCK_ROWS] for a in arrays))
             except BaseException as e:
-                with self.lock:
-                    self.errors.append((i, e))
+                with lock:
+                    errors.append((i, e))
 
-    def raise_first(self):
-        """Every start below a failing one was handed out before it, so
-        with all handed-out blocks done this is the first failure in row
-        order, as in a serial loop."""
-        if self.errors:
-            raise min(self.errors, key=lambda err: err[0])[1]
+    _pid, count, pool = _block_helpers()
+    helpers = [pool.submit(contextvars.copy_context().run, drain)
+               for _ in range(min(count, len(starts) - 1))]
+    drain()
+    for h in helpers:
+        h.result()
+    if errors:
+        raise min(errors, key=lambda err: err[0])[1]
+    return out
 
 
-def _serve(tasks):
-    """A helper thread: run each drain it is handed, under its context."""
-    while True:
-        drain, ctx, done = tasks.get()
-        try:
-            ctx.run(drain)
-        finally:
-            done.put(None)
+def helper_pool(count):
+    """(pid, count, pool): a ThreadPoolExecutor of `count` threads, or None
+    for 0, that run blocks beside this process's calling thread.  numpy's
+    FFTs and ufunc loops release the GIL, so a helper on another core
+    computes while the caller does.  The threads start on the first call
+    with blocks to share and then wait, idle, for the next one."""
+    from concurrent.futures import ThreadPoolExecutor  # slow to import: not with this module
+
+    pool = ThreadPoolExecutor(count, thread_name_prefix="spoofsense-blocks") if count else None
+    return os.getpid(), count, pool
 
 
 def _cores():
@@ -313,15 +265,15 @@ def _cores():
     return os.cpu_count() or 1
 
 
-_helpers = None  # this process's BlockHelpers, made on first use
+_helpers = None  # this process's helper_pool, made on first use
 
 
 def _block_helpers():
-    """This process's BlockHelpers, one thread per core beyond the caller's.
+    """This process's helper_pool, one thread per core beyond the caller's.
     A forked child never reuses its parent's: their threads did not fork."""
     global _helpers
-    if _helpers is None or _helpers.pid != os.getpid():
-        _helpers = BlockHelpers(_cores() - 1)
+    if _helpers is None or _helpers[0] != os.getpid():
+        _helpers = helper_pool(_cores() - 1)
     return _helpers
 
 
@@ -330,7 +282,7 @@ def serial_blocks():
     ProcessPoolExecutor initializer of `extract --jobs N`, whose worker
     processes already share the cores."""
     global _helpers
-    _helpers = BlockHelpers(0)
+    _helpers = helper_pool(0)
 
 
 _WINDOWS = {

@@ -68,11 +68,13 @@ def _extract_one(row, feature, cfg, out_dir=None):
 
 
 def _extract_all(rows, feature, cfg, out_dir=None, jobs=1):
-    """_extract_one over rows, sorted by utt_id."""
+    """_extract_one over rows, sorted by utt_id, on at most one worker
+    process per row: a pool forks all its workers on the first submit."""
     work = (rows, [feature] * len(rows), [cfg] * len(rows), [out_dir] * len(rows))
+    jobs = min(jobs, len(rows))
     if jobs > 1:
-        # each worker runs its frame kernels' blocks itself: the workers
-        # already share the cores, and a forked one has no helper threads
+        # each worker runs its frame kernels' blocks itself, with no
+        # ThreadPoolExecutor of block helpers: the workers share the cores
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
                                                     initializer=serial_blocks) as ex:
             results = list(ex.map(_extract_one, *work))

@@ -10,9 +10,9 @@ circular correlation has no wrapped term at any lag read (864 points for
 the 640-sample frames of the 16 kHz defaults).  Frames are tracked in
 blocks of audio.BLOCK_ROWS, so that the spectra and correlations of one
 block stay in cache, and audio.by_row_blocks shares the blocks between the
-calling thread and a helper thread per extra core.  Each block's frames
-are treated on their own, so the contour is the same bits as from one
-whole-utterance array on one thread.
+calling thread and a ThreadPoolExecutor of one helper thread per extra
+core.  Each block's frames are treated on their own, so the contour is the
+same bits as from one whole-utterance array on one thread.
 """
 
 from dataclasses import dataclass

@@ -35,7 +35,6 @@ def atomic_write_bytes(path, data):
 
 
 def write_feature(path, m):
-    check_kind_dims(m.kind, m.dims)
     with np.errstate(over="ignore"):  # the isfinite check below handles it
         payload = m.data.astype("<f4")
     if not np.all(np.isfinite(payload)):

@@ -175,15 +175,12 @@ def _coded_rows(manifest):
     attack_id, which no rule reads, are None.
     """
     rows = manifest.rows
-    ids = [r.utt_id for r in rows]
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    rank = np.empty(len(ids), np.intp)
-    rank[order] = np.arange(len(ids))
+    ids = Column.of([r.utt_id for r in rows])  # codes in sorted order: the ranks
     code = {}  # name -> code; setdefault gives a new name the next code
     speaker = np.array([code.setdefault(r.speaker_id, len(code)) for r in rows], np.intp)
     target = np.array([code.setdefault(r.mimicked_target_id, len(code)) for r in rows], np.intp)
     role = np.array([r.role for r in rows], dtype=object)
-    return ManifestRow(rank, speaker, role, None, target), np.array(ids, dtype=object)[order]
+    return ManifestRow(ids.codes, speaker, role, None, target), np.array(ids.names, dtype=object)
 
 
 def _role_grid(coded, role, shape):

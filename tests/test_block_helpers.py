@@ -1,4 +1,5 @@
-"""audio.by_row_blocks on the calling thread and its block helpers.
+"""audio.by_row_blocks on the calling thread and its block helpers, the
+threads of a ThreadPoolExecutor.
 
 serial_by_row_blocks is the earlier by_row_blocks, verbatim: every block on
 the calling thread, in row order.  Helper threads must change nothing a
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import natural_buf, write_manifest
 from spoofsense import audio, f0 as f0_module, spectral
-from spoofsense.audio import BLOCK_ROWS, BlockHelpers, by_row_blocks, write_wav
+from spoofsense.audio import BLOCK_ROWS, by_row_blocks, helper_pool, write_wav
 from spoofsense.errors import InputTooShort
 from spoofsense.f0 import F0Config, F0Contour, estimate_f0
 from spoofsense.spectral import EnvelopeConfig, band_aperiodicity, spectral_envelope
@@ -49,7 +50,7 @@ def serial_by_row_blocks(fn, *arrays):
 
 
 # made once: their threads, once started, stay for the whole test process
-POOLS = {k: BlockHelpers(k) for k in (0, 1, 3)}
+POOLS = {k: helper_pool(k) for k in (0, 1, 3)}
 
 
 @contextlib.contextmanager
@@ -158,32 +159,45 @@ def _recording_block(fail, slow, log, lock):
 
 
 @given(
-    n_starts=st.integers(0, 9),
+    n_blocks=st.integers(1, 10),
     k=st.sampled_from([0, 1, 3]),
     fail=st.sets(st.integers(0, 9)),
     slow=st.sets(st.integers(0, 9)),
 )
 @settings(max_examples=60, deadline=None)
-def test_run_hands_out_each_start_once(n_starts, k, fail, slow):
-    starts = range(0, 10 * n_starts, 10)
-    fail, slow = {10 * i for i in fail}, {10 * i for i in slow}
+def test_run_hands_out_each_start_once(n_blocks, k, fail, slow):
+    """The first block is the caller's alone; blocks 1.. are handed out."""
+    rows = np.arange(n_blocks * B, dtype=np.float64)
+    fail, slow = {B * i for i in fail}, {B * i for i in slow}
     log, lock = [], threading.Lock()
     block = _recording_block(fail, slow, log, lock)
+
+    def fn(r):
+        block(int(r[0]))
+        return r
+
+    starts = range(0, n_blocks * B, B)
     first_failure = min(fail & set(starts), default=None)
-    if first_failure is None:
-        POOLS[k].run(block, starts)
-    else:
-        with pytest.raises(Failed) as e:
-            POOLS[k].run(block, starts)
-        assert e.value.args == (first_failure,)
-    # done when run returns or raises: every block that started has ended
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost hand-out would show
+    try:
+        with helpers(k):
+            if first_failure is None:
+                assert by_row_blocks(fn, rows).tobytes() == rows.tobytes()
+            else:
+                with pytest.raises(Failed) as e:
+                    by_row_blocks(fn, rows)
+                assert e.value.args == (first_failure,)
+    finally:
+        sys.setswitchinterval(interval)
+    # done when by_row_blocks returns or raises: every block that started has ended
     ran = [i for what, i, _ in log if what == "start"]
     assert sorted(i for what, i, _ in log if what == "end") == sorted(ran)
     assert len(set(ran)) == len(ran)
     if first_failure is None:
         assert sorted(ran) == list(starts)
     else:  # every start before the first failure ran
-        assert set(range(0, first_failure, 10)) <= set(ran)
+        assert set(range(0, first_failure, B)) <= set(ran)
 
 
 @given(
@@ -240,19 +254,64 @@ def test_errstate_holds_on_every_thread(overflow_on, over):
 
 
 def test_helpers_belong_to_their_process(monkeypatch):
-    mine = BlockHelpers(1)
+    mine = helper_pool(1)
     monkeypatch.setattr(audio, "_helpers", mine)
     assert audio._block_helpers() is mine
-    mine.pid = -1  # as a forked child sees its parent's
-    fresh = audio._block_helpers()
-    assert fresh is not mine and fresh.pid == os.getpid()
-    assert fresh.count == len(os.sched_getaffinity(0)) - 1
+    monkeypatch.setattr(audio, "_helpers", (-1,) + mine[1:])  # as a forked child sees its parent's
+    pid, count, pool = audio._block_helpers()
+    assert pid == os.getpid() and pool is not mine[2]
+    assert count == len(os.sched_getaffinity(0)) - 1
 
 
 def test_pool_workers_run_blocks_serially():
     with concurrent.futures.ProcessPoolExecutor(1, initializer=audio.serial_blocks) as ex:
-        theirs = ex.submit(audio._block_helpers).result()
-    assert theirs.count == 0 and theirs.pid != os.getpid()
+        pid, count, pool = ex.submit(audio._block_helpers).result()
+    assert count == 0 and pool is None and pid != os.getpid()
+
+
+def _threads():
+    return set(threading.enumerate())
+
+
+def test_repeated_calls_start_no_new_threads(monkeypatch):
+    """The pool is made once per process: its two threads start in the first
+    call with blocks to share, and further calls run on them."""
+    monkeypatch.setattr(audio, "_cores", lambda: 3)
+    monkeypatch.setattr(audio, "_helpers", None)
+    rows = np.arange(10 * B, dtype=np.float64)
+    seen, barrier = set(), threading.Barrier(3)
+
+    def first_call(r):  # each thread holds its first block until all three hold one
+        if r[0] and threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait(10.0)
+        return np.sqrt(r)
+
+    before = _threads()
+    assert by_row_blocks(first_call, rows).tobytes() == np.sqrt(rows).tobytes()
+    after_first = _threads()
+    assert len(after_first - before) == 2 and len(seen) == 3
+    for _ in range(20):
+        assert by_row_blocks(np.sqrt, rows).tobytes() == np.sqrt(rows).tobytes()
+    assert _threads() == after_first
+    audio._helpers[2].shutdown()
+
+
+def test_one_core_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(audio, "_cores", lambda: 1)
+    monkeypatch.setattr(audio, "_helpers", None)
+    rows = np.arange(5 * B + 3, dtype=np.float64)
+    callers = set()
+
+    def fn(r):
+        callers.add(threading.get_ident())
+        return np.sqrt(r)[:, None] * np.arange(3.0)
+
+    before = _threads()
+    got = _outcome(by_row_blocks, fn, rows)
+    assert got == _outcome(serial_by_row_blocks, fn, rows)
+    assert _threads() == before and callers == {threading.get_ident()}
+    assert audio._helpers[1:] == (0, None)
 
 
 # ------------------------------------------------------------ fork safety
@@ -265,7 +324,7 @@ from spoofsense.audio import AudioBuffer, BLOCK_ROWS
 from spoofsense.cli import main
 from spoofsense.f0 import estimate_f0
 
-audio._helpers = audio.BlockHelpers(1)  # one helper, however many cores
+audio._helpers = audio.helper_pool(1)  # one helper, however many cores
 c = estimate_f0(AudioBuffer(np.sin(np.arange(16000) * 0.05) * 0.5, 16000))
 assert len(c) > 2 * BLOCK_ROWS and threading.active_count() > 1
 manifest, out = sys.argv[1:]

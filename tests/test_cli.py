@@ -59,6 +59,40 @@ def test_extract_jobs_deterministic(workspace):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("jobs, n_rows", [(2, 6), (6, 6), (7, 6), (5000, 6), (5000, 1)])
+def test_extract_asks_for_at_most_one_worker_per_row(workspace, tmp_path, monkeypatch,
+                                                     jobs, n_rows):
+    """A process pool forks all its workers on the first submit, so extract
+    asks for no more workers than rows, and runs one row in-process.  The
+    recording pool maps in-process: no worker is ever forked."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    lines = (workspace / "manifest.tsv").read_text().splitlines(keepends=True)
+    (tmp_path / "m.tsv").write_text("".join(lines[: 1 + n_rows]))
+    args = ["extract", "--manifest", tmp_path / "m.tsv", "--feature", "f0", "--out-dir"]
+    assert run(*args, tmp_path / "serial") == 0
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert run(*args, tmp_path / "pooled", "--jobs", jobs) == 0
+    assert made == ([min(jobs, n_rows)] if n_rows > 1 else [])
+    names = sorted(os.listdir(tmp_path / "serial"))
+    assert len(names) == n_rows and names == sorted(os.listdir(tmp_path / "pooled"))
+    for name in names:
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pooled" / name).read_bytes()
+
+
 def test_extract_failure_policy(workspace, tmp_path):
     rows = [
         ("ok", "s", "bonafide", "-", "-", str(workspace / "bona0.wav")),

@@ -48,7 +48,7 @@ def test_traced_calls_stay_on_the_calling_thread(tmp_path, monkeypatch):
     or not."""
     for m in _tracer.TRACED:
         importlib.import_module("spoofsense." + m)
-    monkeypatch.setattr(audio, "_helpers", audio.BlockHelpers(1))
+    monkeypatch.setattr(audio, "_helpers", audio.helper_pool(1))
     write_wav(tmp_path / "u.wav", natural_buf(120, seed=3, dur=1.2))
     write_manifest(tmp_path / "m.tsv", [("u", "s", "bonafide", "-", "-", str(tmp_path / "u.wav"))])
     tracer = _ThreadTracer()
