@@ -202,57 +202,82 @@ BLOCK_ROWS = 64
 
 
 def by_row_blocks(fn, *arrays):
-    """fn applied to successive BLOCK_ROWS-row slices of the arrays (all of
-    one length), its results stacked in row order; with no rows, fn of the
-    empty arrays.  Exact for an fn that treats each row on its own.
+    """fn applied to row blocks of the arrays (all of one length), its
+    results stacked in row order; with no rows, fn of the empty arrays.
+    Exact for an fn that treats each row on its own.
 
-    The first block runs on the calling thread and fixes the result's shape.
-    The calling thread and this process's helper threads share the rest:
-    each takes block starts in order from one iterator and writes its own
-    rows of the result, so every row comes from the same operations as in
-    a serial loop.  A helper runs under a copy of the caller's context, so
-    an np.errstate holds there too.  A block that raises stops the hand-out;
-    once every block handed out has ended, the failing one with the smallest
-    start raises, as in a serial loop: every start below it was handed out.
+    fn of the empty arrays fixes the result's trailing shape and dtype.  The
+    rows are cut into the fewest blocks of at most BLOCK_ROWS rows, with
+    sizes that differ by at most one (a 193-row utterance is 48/48/48/49
+    rows, not 64/64/64/1), and run_tasks shares the blocks between the
+    calling thread and this process's helper threads from the first block
+    on.  Each block writes its own rows of the result, so every row comes
+    from the same operations as in a serial loop; if blocks raise, the one
+    with the smallest start does, once every started block has ended.
     """
-    first = fn(*(a[:BLOCK_ROWS] for a in arrays))
+    empty = fn(*(a[:0] for a in arrays))
     n = len(arrays[0])
-    if n <= BLOCK_ROWS:
-        return first
-    out = np.empty((n,) + first.shape[1:], first.dtype)
-    out[:BLOCK_ROWS] = first
-    starts = range(BLOCK_ROWS, n, BLOCK_ROWS)
-    pending, lock, errors = iter(starts), threading.Lock(), []
+    if n == 0:
+        return empty
+    out = np.empty((n,) + empty.shape[1:], empty.dtype)
+    count = -(-n // BLOCK_ROWS)
+    cuts = [j * n // count for j in range(count + 1)]
+
+    def block(j):
+        lo, hi = cuts[j], cuts[j + 1]
+        out[lo:hi] = fn(*(a[lo:hi] for a in arrays))
+
+    run_tasks(block, range(count))
+    return out
+
+
+def run_tasks(task, items):
+    """task(item) for each of the items, shared between the calling thread
+    and this process's helper threads.
+
+    The helpers are submitted first, so that they work from the first item
+    on; then every thread takes items in order from one iterator, so each
+    item is handed out once.  A helper runs under a copy of the caller's
+    context, so an np.errstate holds there too.  A task that raises stops
+    the hand-out; once every task handed out has ended, the failing one
+    that comes first among the items raises, as in a serial loop: every
+    item before it was handed out.
+
+    A task must not call a function that perfbench's tracer wraps, whose
+    spans nest only on the calling thread, nor run_tasks: a helper would
+    wait for helpers of its own pool, which may all be waiting too.
+    """
+    pending, lock, errors = iter(enumerate(items)), threading.Lock(), []
 
     def drain():
         while True:
             with lock:
-                i = None if errors else next(pending, None)
-            if i is None:
+                nxt = None if errors else next(pending, None)
+            if nxt is None:
                 return
+            j, item = nxt
             try:
-                out[i : i + BLOCK_ROWS] = fn(*(a[i : i + BLOCK_ROWS] for a in arrays))
+                task(item)
             except BaseException as e:
                 with lock:
-                    errors.append((i, e))
+                    errors.append((j, e))
 
     _pid, count, pool = _block_helpers()
     helpers = [pool.submit(contextvars.copy_context().run, drain)
-               for _ in range(min(count, len(starts) - 1))]
+               for _ in range(min(count, len(items) - 1))]
     drain()
     for h in helpers:
         h.result()
     if errors:
         raise min(errors, key=lambda err: err[0])[1]
-    return out
 
 
 def helper_pool(count):
     """(pid, count, pool): a ThreadPoolExecutor of `count` threads, or None
-    for 0, that run blocks beside this process's calling thread.  numpy's
-    FFTs and ufunc loops release the GIL, so a helper on another core
-    computes while the caller does.  The threads start on the first call
-    with blocks to share and then wait, idle, for the next one."""
+    for 0, that run_tasks shares tasks with beside this process's calling
+    thread.  numpy's FFTs and ufunc loops release the GIL, so a helper on
+    another core computes while the caller does.  The threads start on the
+    first call with tasks to share and then wait, idle, for the next one."""
     from concurrent.futures import ThreadPoolExecutor  # slow to import: not with this module
 
     pool = ThreadPoolExecutor(count, thread_name_prefix="spoofsense-blocks") if count else None
@@ -278,7 +303,7 @@ def _block_helpers():
 
 
 def serial_blocks():
-    """Run every block of this process on the calling thread: the
+    """Run every task of this process on the calling thread: the
     ProcessPoolExecutor initializer of `extract --jobs N`, whose worker
     processes already share the cores."""
     global _helpers

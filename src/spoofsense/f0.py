@@ -8,18 +8,19 @@ The correlation of a w-sample frame is taken through an FFT of
 next_fast_len(w + kmax + 1) points, the shortest length at which the
 circular correlation has no wrapped term at any lag read (864 points for
 the 640-sample frames of the 16 kHz defaults).  Frames are tracked in
-blocks of audio.BLOCK_ROWS, so that the spectra and correlations of one
-block stay in cache, and audio.by_row_blocks shares the blocks between the
-calling thread and a ThreadPoolExecutor of one helper thread per extra
-core.  Each block's frames are treated on their own, so the contour is the
-same bits as from one whole-utterance array on one thread.
+blocks of at most audio.BLOCK_ROWS, so that the spectra and correlations of
+one block stay in cache, and audio.by_row_blocks shares the blocks between
+the calling thread and a ThreadPoolExecutor of one helper thread per extra
+core.  Each block's frames, their energy residue included, are treated on
+their own, so the contour is the same bits as from one whole-utterance
+array on one thread.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, by_row_blocks, frame_signal
+from .audio import by_row_blocks, frame_signal
 from .errors import EmptyAfterTrim, InputTooShort
 
 # a shorter-lag peak this close to the global best wins; guards against
@@ -129,10 +130,10 @@ def estimate_f0(buf, cfg=None):
     kmax = int(np.floor(sr / cfg.floor))
     if kmin < 2:
         raise ValueError("ceil too close to the sample rate")
-    raw_energy = np.sum(frame_signal(AudioBuffer(buf.samples**2, sr), frame_len, hop), axis=1)
-    residue = raw_energy * (frame_len * np.finfo(float).eps) ** 2
+    rounding = (frame_len * np.finfo(float).eps) ** 2
 
-    def track(raw, residue):
+    def track(raw):
+        residue = np.sum(raw**2, axis=1) * rounding
         frames = raw - raw.mean(axis=1, keepdims=True)
         squares = frames**2
         energy = np.sum(squares, axis=1)
@@ -148,7 +149,7 @@ def estimate_f0(buf, cfg=None):
             )
         return values
 
-    values = by_row_blocks(track, raw, residue)
+    values = by_row_blocks(track, raw)
     return F0Contour(values=values, hop=cfg.hop, floor=cfg.floor, ceil=cfg.ceil)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import by_row_blocks, frame_signal, window_coeffs
+from .audio import by_row_blocks, frame_signal, run_tasks, window_coeffs
 from .entropy import utterance_pse
 from .errors import AlignmentMismatch, InputTooShort, KindDimsMismatch
 from .f0 import contour_framing, estimate_f0
@@ -140,18 +140,18 @@ class ApConfig:
             raise ValueError("n_fft must be >= 2")
 
 
-def _windowed_frames(buf, frame_len, hop, window, n_fft):
-    """The buffer's frames times the window; n_fft must cover a frame."""
+def _frames(buf, frame_len, hop, n_fft):
+    """The buffer's frames, unwindowed; n_fft must cover a frame."""
     if n_fft < frame_len:
         raise ValueError("n_fft must cover the analysis window")
-    return frame_signal(buf, frame_len, hop) * window_coeffs(window, frame_len)
+    return frame_signal(buf, frame_len, hop)
 
 
 def _stft_frames(buf, cfg, window):
     """Windowed frames of an stft config: win_seconds every hop_seconds."""
     win_len = int(round(cfg.win_seconds * buf.sample_rate))
     hop = int(round(cfg.hop_seconds * buf.sample_rate))
-    frames = _windowed_frames(buf, win_len, hop, window, cfg.n_fft)
+    frames = _frames(buf, win_len, hop, cfg.n_fft) * window_coeffs(window, win_len)
     if len(frames) == 0:
         raise InputTooShort("need at least %d samples" % win_len)
     return frames
@@ -223,14 +223,17 @@ def mfcc(buf, cfg=None, stft=None):
 
 
 def _contour_frames(buf, contour, n_fft):
-    """Frame exactly as the contour was framed; lengths must agree."""
+    """(frames, Hann window): the read-only view of the buffer framed exactly
+    as the contour was, lengths must agree, and the window for it.  The
+    kernels window their frames a block at a time, so that no windowed copy
+    of the whole utterance is made."""
     frame_len, hop = contour_framing(buf.sample_rate, contour)
-    frames = _windowed_frames(buf, frame_len, hop, "hann", n_fft)
+    frames = _frames(buf, frame_len, hop, n_fft)
     if len(frames) != len(contour):
         raise AlignmentMismatch(
             "contour has %d frames, buffer frames to %d" % (len(contour), len(frames))
         )
-    return frames, frame_len, hop
+    return frames, window_coeffs("hann", frame_len)
 
 
 def spectral_envelope(buf, contour, cfg=None):
@@ -240,7 +243,7 @@ def spectral_envelope(buf, contour, cfg=None):
     (unvoiced), discarding harmonic fine structure but keeping resonances.
     """
     cfg = cfg or EnvelopeConfig()
-    frames, _, _ = _contour_frames(buf, contour, cfg.n_fft)
+    frames, window = _contour_frames(buf, contour, cfg.n_fft)
     sr = buf.sample_rate
     f0 = contour.values[:, None]
     with np.errstate(divide="ignore"):
@@ -250,7 +253,7 @@ def spectral_envelope(buf, contour, cfg=None):
     q = np.arange(cfg.n_fft)
 
     def envelope(frames, cut):
-        logp = np.log(_power(frames, cfg.n_fft) + LOG_EPS)
+        logp = np.log(_power(frames * window, cfg.n_fft) + LOG_EPS)
         ceps = np.fft.irfft(logp, cfg.n_fft, axis=1)
         ceps[(q >= cut) & (q <= cfg.n_fft - cut)] = 0.0
         return np.exp(np.fft.rfft(ceps, axis=1).real)
@@ -272,16 +275,16 @@ def band_aperiodicity(buf, contour, cfg=None):
     1.0 everywhere by convention.
     """
     cfg = cfg or ApConfig()
-    frames, frame_len, _ = _contour_frames(buf, contour, cfg.n_fft)
+    frames, window = _contour_frames(buf, contour, cfg.n_fft)
     sr = buf.sample_rate
-    power = by_row_blocks(lambda frames: _power(frames, cfg.n_fft), frames)
+    power = by_row_blocks(lambda frames: _power(frames * window, cfg.n_fft), frames)
     freqs = np.arange(cfg.n_fft // 2 + 1) * (sr / cfg.n_fft)
     edges = band_edges(cfg.n_bands, sr / 2.0)
     # bands are contiguous bin ranges [lo, hi); only the last one is closed
     lo = np.searchsorted(freqs, edges[:-1], side="left")
     hi = np.searchsorted(freqs, edges[1:], side="left")
     hi[-1] = np.searchsorted(freqs, edges[-1], side="right")
-    notch_hw = 2.0 * sr / frame_len  # main-lobe half-width of the hann window
+    notch_hw = 2.0 * sr / len(window)  # main-lobe half-width of the hann window
 
     out = np.ones((frames.shape[0], cfg.n_bands))
     voiced = np.flatnonzero(contour.values > 0)
@@ -298,7 +301,8 @@ def band_aperiodicity(buf, contour, cfg=None):
     # f / f0 included.  k = 0 counts: a periodic cycle with nonzero mean puts
     # a line at DC.
     close = np.flatnonzero(f0[:, 0] <= 2.0 * notch_hw * (1 + 1e-6))
-    for b in range(cfg.n_bands):
+
+    def band(b):  # writes column b of out
         p = power[voiced, lo[b] : hi[b]]
         total = p.sum(axis=1)
         f = freqs[lo[b] : hi[b]]
@@ -323,6 +327,10 @@ def band_aperiodicity(buf, contour, cfg=None):
             res[rows] = np.clip(residual / total[rows], 0.0, 1.0)
         res[total <= 0.0] = 1.0
         out[voiced, b] = res
+
+    # each band a task, widest first (the 4-8 kHz band holds 257 of the
+    # 513 bins at the defaults), so that the last ones handed out are short
+    run_tasks(band, sorted(range(cfg.n_bands), key=lambda b: lo[b] - hi[b]))
     return FeatureMatrix(kind="ap", data=out, hop=contour.hop)
 
 

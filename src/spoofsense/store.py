@@ -9,7 +9,6 @@ partial file.
 import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -21,12 +20,15 @@ _SHAPE = struct.Struct("<IId")  # dims, num_frames, hop: after the kind tag
 _F32 = np.dtype("<f4")
 
 
-def atomic_write_bytes(path, data):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".")
+def atomic_write_bytes(path, *parts):
+    """Write the parts (bytes-like, C-contiguous) one after the other to a
+    temporary file beside path, then rename it to path.  The file gets the
+    mode open(path, "w") would give it: 0o666 less the umask."""
+    fd, tmp = _create_beside(path)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -34,15 +36,28 @@ def atomic_write_bytes(path, data):
         raise
 
 
+def _create_beside(path):
+    """(fd, name) of a new empty file path.<random hex> in path's directory,
+    made as open() makes one, with O_EXCL: its mode is 0o666 less the umask,
+    where tempfile.mkstemp's is always 0o600."""
+    d, base = os.path.split(os.path.abspath(path))
+    while True:
+        tmp = os.path.join(d, "%s.%s" % (base, os.urandom(6).hex()))
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def write_feature(path, m):
     with np.errstate(over="ignore"):  # the isfinite check below handles it
-        payload = m.data.astype("<f4")
+        payload = m.data.astype("<f4", order="C")
     if not np.all(np.isfinite(payload)):
         raise ValueError("feature values overflow float32")
     kind = m.kind.encode("ascii")
     head = MAGIC + struct.pack("<B", len(kind)) + kind
     head += struct.pack("<IId", m.dims, m.num_frames, m.hop)
-    atomic_write_bytes(path, head + payload.tobytes())
+    atomic_write_bytes(path, head, payload)  # the payload's own buffer, not a copy
 
 
 def _read_file(path):

@@ -1,12 +1,13 @@
-"""audio.by_row_blocks on the calling thread and its block helpers, the
-threads of a ThreadPoolExecutor.
+"""audio.by_row_blocks and audio.run_tasks on the calling thread and its
+block helpers, the threads of a ThreadPoolExecutor.
 
-serial_by_row_blocks is the earlier by_row_blocks, verbatim: every block on
-the calling thread, in row order.  Helper threads must change nothing a
-caller can see: the frame kernels give the same bytes with 0, 1 or 3
-helpers, the first failing block in row order raises, and only once no
-helper runs a block any more, and an np.errstate of the caller holds on
-every thread.
+serial_by_row_blocks is an earlier by_row_blocks, verbatim: every block on
+the calling thread, in row order, BLOCK_ROWS rows at a time.  Helper
+threads must change nothing a caller can see: the frame kernels give the
+same bytes with 0, 1 or 3 helpers, each row block and each aperiodicity
+band runs once, the first failing one raises, and only once no helper runs
+a task any more, and an np.errstate of the caller holds on every thread.
+A helper starts on a task while the caller is still on its first.
 """
 
 import concurrent.futures
@@ -27,7 +28,13 @@ from spoofsense import audio, f0 as f0_module, spectral
 from spoofsense.audio import BLOCK_ROWS, by_row_blocks, helper_pool, write_wav
 from spoofsense.errors import InputTooShort
 from spoofsense.f0 import F0Config, F0Contour, estimate_f0
-from spoofsense.spectral import EnvelopeConfig, band_aperiodicity, spectral_envelope
+from spoofsense.spectral import (
+    ApConfig,
+    EnvelopeConfig,
+    band_aperiodicity,
+    band_edges,
+    spectral_envelope,
+)
 from test_kernel_oracles import _framed_buf
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -49,13 +56,18 @@ def serial_by_row_blocks(fn, *arrays):
     return out
 
 
+def serial_run_tasks(task, items):
+    for item in items:
+        task(item)
+
+
 # made once: their threads, once started, stay for the whole test process
 POOLS = {k: helper_pool(k) for k in (0, 1, 3)}
 
 
 @contextlib.contextmanager
 def helpers(k):
-    """by_row_blocks with k helper threads, however many cores there are."""
+    """by_row_blocks and run_tasks with k helper threads, however many cores there are."""
     saved = audio._helpers
     audio._helpers = POOLS[k]
     try:
@@ -66,12 +78,13 @@ def helpers(k):
 
 @contextlib.contextmanager
 def serial_kernels():
-    saved = f0_module.by_row_blocks, spectral.by_row_blocks
+    saved = f0_module.by_row_blocks, spectral.by_row_blocks, spectral.run_tasks
     f0_module.by_row_blocks = spectral.by_row_blocks = serial_by_row_blocks
+    spectral.run_tasks = serial_run_tasks
     try:
         yield
     finally:
-        f0_module.by_row_blocks, spectral.by_row_blocks = saved
+        f0_module.by_row_blocks, spectral.by_row_blocks, spectral.run_tasks = saved
 
 
 def _outcome(fn, *args):
@@ -137,110 +150,210 @@ def test_empty_lag_band_raises_from_last_block(k):
     assert want[0] is ValueError
 
 
-# ------------------------------------------------------- the block hand-out
+# ------------------------------------------------------------- the hand-out
 
 
 class Failed(Exception):
     pass
 
 
-def _recording_block(fail, slow, log, lock):
-    def block(i):
-        with lock:
-            log.append(("start", i, threading.get_ident()))
-        time.sleep(0.002 if i in slow else 0.0)
+class Recorder:
+    """Logs the start and end of each task, with its thread; a task can be
+    made slow, or made to raise."""
+
+    def __init__(self):
+        self.log, self.lock = [], threading.Lock()
+
+    def __call__(self, key, slow=False, error=None):
+        with self.lock:
+            self.log.append(("start", key, threading.get_ident()))
         try:
-            if i in fail:
-                raise Failed(i)
+            time.sleep(0.002 if slow else 0.0)
+            if error is not None:
+                raise error
         finally:
-            with lock:
-                log.append(("end", i, threading.get_ident()))
-    return block
+            with self.lock:
+                self.log.append(("end", key, threading.get_ident()))
+
+    def started(self):
+        """The keys of the tasks that started, each checked to have ended
+        and to have started once."""
+        ran = [key for what, key, _ in self.log if what == "start"]
+        assert sorted(key for what, key, _ in self.log if what == "end") == sorted(ran)
+        assert len(set(ran)) == len(ran)
+        return ran
 
 
-@given(
-    n_blocks=st.integers(1, 10),
-    k=st.sampled_from([0, 1, 3]),
-    fail=st.sets(st.integers(0, 9)),
-    slow=st.sets(st.integers(0, 9)),
-)
-@settings(max_examples=60, deadline=None)
-def test_run_hands_out_each_start_once(n_blocks, k, fail, slow):
-    """The first block is the caller's alone; blocks 1.. are handed out."""
-    rows = np.arange(n_blocks * B, dtype=np.float64)
-    fail, slow = {B * i for i in fail}, {B * i for i in slow}
-    log, lock = [], threading.Lock()
-    block = _recording_block(fail, slow, log, lock)
-
-    def fn(r):
-        block(int(r[0]))
-        return r
-
-    starts = range(0, n_blocks * B, B)
-    first_failure = min(fail & set(starts), default=None)
+@contextlib.contextmanager
+def switching_often():
+    """Threads switch every microsecond, so that a lost hand-out would show."""
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so a lost hand-out would show
+    sys.setswitchinterval(1e-6)
     try:
-        with helpers(k):
-            if first_failure is None:
-                assert by_row_blocks(fn, rows).tobytes() == rows.tobytes()
-            else:
-                with pytest.raises(Failed) as e:
-                    by_row_blocks(fn, rows)
-                assert e.value.args == (first_failure,)
+        yield
     finally:
         sys.setswitchinterval(interval)
-    # done when by_row_blocks returns or raises: every block that started has ended
-    ran = [i for what, i, _ in log if what == "start"]
-    assert sorted(i for what, i, _ in log if what == "end") == sorted(ran)
-    assert len(set(ran)) == len(ran)
-    if first_failure is None:
-        assert sorted(ran) == list(starts)
-    else:  # every start before the first failure ran
-        assert set(range(0, first_failure, B)) <= set(ran)
 
 
 @given(
-    n=st.integers(0, 3 * B + 5),
+    n=st.integers(0, 10 * B + 5),
     k=st.sampled_from([0, 1, 3]),
-    fail=st.sets(st.integers(0, 3)),
+    fail=st.sets(st.integers(0, 10 * B + 5), max_size=4),
+    slow=st.sets(st.integers(0, 10 * B + 5), max_size=8),
 )
 @settings(max_examples=60, deadline=None)
-def test_by_row_blocks_matches_serial(n, k, fail):
+def test_run_hands_out_each_start_once(n, k, fail, slow):
+    """Each row is computed once, in the fewest blocks of at most BLOCK_ROWS
+    rows, of sizes that differ by at most one; if blocks fail, the first
+    failing row's error raises once every started block has ended."""
+    rows = np.arange(n, dtype=np.float64)
+    record = Recorder()
+
+    def fn(r):
+        if len(r):  # the empty call that fixes the result's shape is not a block
+            lo, hi = int(r[0]), int(r[-1]) + 1
+            failing = sorted(fail.intersection(range(lo, hi)))
+            record((lo, hi), slow=bool(slow.intersection(range(lo, hi))),
+                   error=Failed(failing[0]) if failing else None)
+        return r
+
+    first_failure = min(fail & set(range(n)), default=None)
+    with helpers(k), switching_often():
+        if first_failure is None:
+            assert by_row_blocks(fn, rows).tobytes() == rows.tobytes()
+        else:
+            with pytest.raises(Failed) as e:
+                by_row_blocks(fn, rows)
+            assert e.value.args == (first_failure,)
+    # done when by_row_blocks returns or raises: every block that started has ended
+    blocks = sorted(record.started())
+    sizes = [hi - lo for lo, hi in blocks]
+    assert all(0 < size <= B for size in sizes)
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    if first_failure is None:  # each row computed once, in the fewest blocks
+        assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(n))
+        assert len(blocks) == -(-n // B)
+    else:  # every row before the first failing one was handed out
+        covered = set().union(*(range(lo, hi) for lo, hi in blocks))
+        assert set(range(first_failure + 1)) <= covered
+
+
+@given(
+    n=st.integers(0, 5 * B + 5),
+    k=st.sampled_from([0, 1, 3]),
+    fail=st.sets(st.integers(0, 5 * B + 5), max_size=3),
+    dtype=st.sampled_from([np.float64, np.float32]),
+)
+@settings(max_examples=60, deadline=None)
+def test_by_row_blocks_matches_serial(n, k, fail, dtype):
+    """The result's bytes, shape and dtype, or the first failing row's error:
+    a block raises for its first failing row, so the serial loop raises for
+    the first failing row of all."""
     rows = np.arange(n, dtype=np.float64)
     cols = np.arange(3.0)
 
     def fn(r):
-        if len(r) and int(r[0]) // B in fail:
-            raise Failed(int(r[0]))
-        return np.sqrt(r)[:, None] * cols
+        failing = sorted(fail.intersection(r.astype(int).tolist()))
+        if failing:
+            raise Failed(failing[0])
+        return (np.sqrt(r)[:, None] * cols).astype(dtype)
 
     want = _outcome(serial_by_row_blocks, fn, rows)
     with helpers(k):
         got = _outcome(by_row_blocks, fn, rows)
     assert got == want
+    assert got[0] == (Failed if fail & set(range(n)) else np.dtype(dtype))
+
+
+def _voice(n_bands):
+    buf = natural_buf(120, seed=7, dur=0.4)
+    return buf, estimate_f0(buf), ApConfig(n_bands=n_bands)
+
+
+@contextlib.contextmanager
+def band_tasks(wrap):
+    """band_aperiodicity with each band task b run as wrap(task, b); yields
+    the list of each call's band order."""
+    orders, real = [], spectral.run_tasks
+
+    def run(task, items):
+        orders.append(list(items))
+        real(lambda b: wrap(task, b), orders[-1])
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "run_tasks", run)
+        yield orders
+
+
+@given(
+    n_bands=st.integers(1, 7),
+    k=st.sampled_from([0, 1, 3]),
+    fail=st.sets(st.integers(0, 6), max_size=3),
+    slow=st.sets(st.integers(0, 6)),
+)
+@settings(max_examples=30, deadline=None)
+def test_band_tasks_hand_out_each_band_once(n_bands, k, fail, slow):
+    """Each band is one task, handed out once, widest first; if bands fail,
+    the first failing one in that order raises once every started band has
+    ended, and without failures the result is the serial one, byte for byte."""
+    buf, c, cfg = _voice(n_bands)
+    with serial_kernels():
+        want = _outcome(band_aperiodicity, buf, c, cfg)
+    record = Recorder()
+
+    def wrap(task, b):
+        record(b, slow=b in slow, error=Failed(b) if b in fail else None)
+        task(b)
+
+    with band_tasks(wrap) as orders, helpers(k), switching_often():
+        got = _outcome(band_aperiodicity, buf, c, cfg)
+    (order,) = orders
+    freqs = np.arange(cfg.n_fft // 2 + 1) * (buf.sample_rate / cfg.n_fft)
+    width = np.histogram(freqs, band_edges(n_bands, buf.sample_rate / 2.0))[0]
+    assert sorted(order) == list(range(n_bands))
+    assert list(width[order]) == sorted(width, reverse=True)
+    ran = record.started()
+    failing = [b for b in order if b in fail]
+    if failing:
+        assert got == (Failed, str(failing[0]))
+        assert set(order[: order.index(failing[0]) + 1]) <= set(ran)
+    else:
+        assert got == want and sorted(ran) == list(range(n_bands))
+
+
+class Overflow:
+    """A task's probe: the first task on the thread named `on` overflows
+    (under the caller's np.errstate), and every other task waits for it."""
+
+    def __init__(self, on):
+        self.main, self.on = threading.get_ident(), on
+        self.done, self.threads = threading.Event(), []
+
+    def __call__(self, x):
+        on_caller = threading.get_ident() == self.main
+        if on_caller != (self.on == "caller") or self.threads:
+            assert self.done.wait(10.0)
+            return x * 1.0
+        self.threads.append(threading.get_ident())
+        try:
+            return x * 1e308
+        finally:
+            self.done.set()
+
+    def check(self):
+        assert len(self.threads) == 1
+        assert (self.threads[0] == self.main) == (self.on == "caller")
 
 
 @pytest.mark.parametrize("overflow_on", ["caller", "helper"])
 @pytest.mark.parametrize("over", ["raise", "ignore"])
 def test_errstate_holds_on_every_thread(overflow_on, over):
-    """Blocks B and 2B are split between the caller and one helper; the one
-    on the thread named overflow_on overflows, the other waits for it."""
-    main = threading.get_ident()
-    overflowed, threads = threading.Event(), []
+    """Three blocks shared by the caller and one helper: the block on the
+    thread named overflow_on overflows, the others wait for it."""
+    overflow = Overflow(overflow_on)
 
     def fn(r):
-        if r[0] == rows[0]:  # the first block, always the caller's
-            return r * 1.0
-        on_caller = threading.get_ident() == main
-        if on_caller != (overflow_on == "caller") or threads:
-            assert overflowed.wait(10.0)
-            return r * 1.0
-        threads.append(threading.get_ident())
-        try:
-            return r * 1e308
-        finally:
-            overflowed.set()
+        return overflow(r) if len(r) else r
 
     rows = np.arange(3 * B, dtype=np.float64) + 2.0
     with helpers(1), np.errstate(over=over):
@@ -248,9 +361,79 @@ def test_errstate_holds_on_every_thread(overflow_on, over):
             with pytest.raises(FloatingPointError):
                 by_row_blocks(fn, rows)
         else:
-            out = by_row_blocks(fn, rows)
-            assert np.isinf(out[B:]).sum() == B
-    assert len(threads) == 1 and (threads[0] == main) == (overflow_on == "caller")
+            assert np.isinf(by_row_blocks(fn, rows)).sum() == B
+    overflow.check()
+
+
+@pytest.mark.parametrize("overflow_on", ["caller", "helper"])
+@pytest.mark.parametrize("over", ["raise", "ignore"])
+def test_band_errstate_holds_on_every_thread(overflow_on, over):
+    overflow = Overflow(overflow_on)
+
+    def wrap(task, b):
+        overflow(np.full(3, 2.0))
+        task(b)
+
+    buf, c, cfg = _voice(5)
+    with band_tasks(wrap), helpers(1), np.errstate(over=over):
+        if over == "raise":
+            with pytest.raises(FloatingPointError):
+                band_aperiodicity(buf, c, cfg)
+        else:
+            assert band_aperiodicity(buf, c, cfg).data.shape == (len(c), 5)
+    overflow.check()
+
+
+class Overlap:
+    """A task's probe: the caller's first task waits until a helper is in a
+    task, and a helper's task until the caller has waited, so that the
+    caller takes a task whoever starts first."""
+
+    def __init__(self):
+        self.main = threading.get_ident()
+        self.helper_busy, self.caller_waited = threading.Event(), threading.Event()
+        self.waits = []
+
+    def __call__(self):
+        if threading.get_ident() != self.main:
+            self.helper_busy.set()
+            self.caller_waited.wait(10.0)
+        elif not self.waits:
+            self.waits.append(self.helper_busy.wait(10.0))
+            self.caller_waited.set()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [B + 1, 2 * B, 5 * B])
+def test_helper_starts_with_the_callers_first_block(k, n):
+    overlap = Overlap()
+
+    def fn(r):
+        if len(r):
+            overlap()
+        return r
+
+    rows = np.arange(n, dtype=np.float64)
+    with helpers(k):
+        assert by_row_blocks(fn, rows).tobytes() == rows.tobytes()
+    assert overlap.waits == [True]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n_bands", [2, 5])
+def test_helper_starts_with_the_callers_first_band(k, n_bands):
+    overlap = Overlap()
+
+    def wrap(task, b):
+        overlap()
+        task(b)
+
+    buf, c, cfg = _voice(n_bands)
+    with serial_kernels():
+        want = band_aperiodicity(buf, c, cfg).data
+    with band_tasks(wrap), helpers(k):
+        assert band_aperiodicity(buf, c, cfg).data.tobytes() == want.tobytes()
+    assert overlap.waits == [True]
 
 
 def test_helpers_belong_to_their_process(monkeypatch):
@@ -282,7 +465,7 @@ def test_repeated_calls_start_no_new_threads(monkeypatch):
     seen, barrier = set(), threading.Barrier(3)
 
     def first_call(r):  # each thread holds its first block until all three hold one
-        if r[0] and threading.get_ident() not in seen:
+        if len(r) and threading.get_ident() not in seen:
             seen.add(threading.get_ident())
             barrier.wait(10.0)
         return np.sqrt(r)

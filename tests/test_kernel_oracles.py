@@ -18,6 +18,14 @@ versions of today's kernels, verbatim: one (frames x n_fft) array per step
 instead of audio.BLOCK_ROWS rows at a time.  Every step treats each frame on
 its own, so the blocked kernels must match them exactly, across block
 boundaries, silent blocks and the empty-lag-band error included.
+
+_windowed_frames and _contour_frames are the earlier framing of the
+envelope and aperiodicity, verbatim: the whole utterance windowed at once,
+where the kernels now window a block at a time.  The oracles frame with
+them, not with the module's, so that a change to the kernels' framing
+cannot change the oracles along with it.  Every test here runs with one
+block helper thread, however many cores there are, so that the kernels'
+blocks and bands run on two threads.
 """
 
 import tracemalloc
@@ -27,9 +35,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SR, machine_buf, natural_buf
-from spoofsense.audio import BLOCK_ROWS, AudioBuffer, frame_signal, resample
-from spoofsense import f0 as f0_module
-from spoofsense.errors import InputTooShort
+from spoofsense import audio, f0 as f0_module
+from spoofsense.audio import (
+    BLOCK_ROWS,
+    AudioBuffer,
+    frame_signal,
+    helper_pool,
+    resample,
+    window_coeffs,
+)
+from spoofsense.errors import AlignmentMismatch, InputTooShort
 from spoofsense.f0 import (
     SUBHARMONIC_RATIO,
     F0Config,
@@ -44,7 +59,6 @@ from spoofsense.spectral import (
     ApConfig,
     EnvelopeConfig,
     FeatureMatrix,
-    _contour_frames,
     _hz_to_mel,
     _mel_to_hz,
     band_aperiodicity,
@@ -54,7 +68,37 @@ from spoofsense.spectral import (
 )
 
 
+@pytest.fixture(autouse=True, scope="module")
+def one_helper():
+    """One block helper thread for every test here, however many cores."""
+    saved = audio._helpers
+    audio._helpers = helper_pool(1)
+    try:
+        yield
+    finally:
+        audio._helpers[2].shutdown()
+        audio._helpers = saved
+
+
 # ---------------------------------------------------------------- oracles
+
+
+def _windowed_frames(buf, frame_len, hop, window, n_fft):
+    """The buffer's frames times the window; n_fft must cover a frame."""
+    if n_fft < frame_len:
+        raise ValueError("n_fft must cover the analysis window")
+    return frame_signal(buf, frame_len, hop) * window_coeffs(window, frame_len)
+
+
+def _contour_frames(buf, contour, n_fft):
+    """Frame exactly as the contour was framed; lengths must agree."""
+    frame_len, hop = contour_framing(buf.sample_rate, contour)
+    frames = _windowed_frames(buf, frame_len, hop, "hann", n_fft)
+    if len(frames) != len(contour):
+        raise AlignmentMismatch(
+            "contour has %d frames, buffer frames to %d" % (len(contour), len(frames))
+        )
+    return frames, frame_len, hop
 
 
 def _nccf_2w(frames, kmin, kmax):

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from spoofsense.errors import BadMagic, CorruptPayload, KindDimsMismatch, TruncatedPayload
 from spoofsense import store
+from spoofsense.mlp import init_model, load_model, save_model
 from spoofsense.spectral import FeatureMatrix
 from spoofsense.store import read_feature, read_payload, write_feature
 
@@ -131,6 +132,34 @@ def test_corrupt_values_rejected_on_read(tmp_path, offset, value):
     (tmp_path / "c.ssft").write_bytes(bytes(raw))
     with pytest.raises(CorruptPayload):
         read_feature(tmp_path / "c.ssft")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_take_the_umask(tmp_path, umask, mode):
+    """A feature or model file gets the mode open(path, "w") gives a new
+    file, as a score file does, and no temporary file is left beside it."""
+    m = FeatureMatrix(kind="pse", data=np.array([[0.37]]), hop=0.0)
+    model = init_model([3, 4, 4, 2], seed=1)
+    saved = os.umask(umask)
+    try:
+        write_feature(tmp_path / "f.ssft", m)
+        save_model(tmp_path / "m.bin", model)
+        with open(tmp_path / "s.tsv", "w"):
+            pass
+    finally:
+        os.umask(saved)
+    for name in ("f.ssft", "m.bin", "s.tsv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+    assert sorted(os.listdir(tmp_path)) == ["f.ssft", "m.bin", "s.tsv"]
+    assert read_feature(tmp_path / "f.ssft").data[0, 0] == np.float32(0.37)
+    assert load_model(tmp_path / "m.bin").weights[0].tobytes() == model.weights[0].tobytes()
+
+
+def test_column_major_data_is_written_row_major(tmp_path):
+    data = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+    p, back = roundtrip(tmp_path, FeatureMatrix(kind="stft", data=data, hop=0.01))
+    assert np.array_equal(back.data, data)
+    assert p.read_bytes()[-48:] == data.astype("<f4").tobytes(order="C")
 
 
 def test_no_temp_litter_on_failure(tmp_path):

@@ -45,12 +45,17 @@ class _ThreadTracer(_tracer.Tracer):
 def test_traced_calls_stay_on_the_calling_thread(tmp_path, monkeypatch):
     """The tracer keeps one span stack, so its spans nest only if every
     traced function runs on the thread that called extract, block helpers
-    or not."""
+    or not.  Three rows, so that rows shared between threads would show;
+    the 3 s one has ten blocks of frames to share."""
     for m in _tracer.TRACED:
         importlib.import_module("spoofsense." + m)
     monkeypatch.setattr(audio, "_helpers", audio.helper_pool(1))
-    write_wav(tmp_path / "u.wav", natural_buf(120, seed=3, dur=1.2))
-    write_manifest(tmp_path / "m.tsv", [("u", "s", "bonafide", "-", "-", str(tmp_path / "u.wav"))])
+    rows = []
+    for i, dur in enumerate((1.2, 3.0, 0.6)):
+        wav = tmp_path / ("u%d.wav" % i)
+        write_wav(wav, natural_buf(100 + 40 * i, seed=3 + i, dur=dur))
+        rows.append(("u%d" % i, "s", "bonafide", "-", "-", str(wav)))
+    write_manifest(tmp_path / "m.tsv", rows)
     tracer = _ThreadTracer()
     tracer.install()
     try:
@@ -63,4 +68,4 @@ def test_traced_calls_stay_on_the_calling_thread(tmp_path, monkeypatch):
     assert {"f0.estimate_f0", "spectral.spectral_envelope",
             "spectral.band_aperiodicity"} <= names
     assert {ident for _, ident in tracer.calls} == {threading.get_ident()}
-    assert len(os.listdir(tmp_path / "out")) == len(KINDS) == 7
+    assert len(os.listdir(tmp_path / "out")) == 3 * len(KINDS) == 21
