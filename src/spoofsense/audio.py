@@ -244,8 +244,7 @@ def run_tasks(task, items):
     item before it was handed out.
 
     A task must not call a function that perfbench's tracer wraps, whose
-    spans nest only on the calling thread, nor run_tasks: a helper would
-    wait for helpers of its own pool, which may all be waiting too.
+    spans nest only on the calling thread.
     """
     pending, lock, errors = iter(enumerate(items)), threading.Lock(), []
 
@@ -267,7 +266,7 @@ def run_tasks(task, items):
                for _ in range(min(count, len(items) - 1))]
     drain()
     for h in helpers:
-        h.result()
+        h.cancel() or h.result()  # a drain still queued has nothing left to hand out
     if errors:
         raise min(errors, key=lambda err: err[0])[1]
 

@@ -7,7 +7,6 @@ whose variation is concentrated at few frequencies scores near zero.
 """
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,42 +53,27 @@ def utterance_pse(contour, detrend=False):
     return power_spectral_entropy(trim_contour(contour).values, detrend=detrend)
 
 
-@dataclass
-class PseSummary:
-    per_utt: dict = field(default_factory=dict)    # utt_id -> PSE
-    errors: dict = field(default_factory=dict)     # utt_id -> message
-    labels: dict = field(default_factory=dict)     # utt_id -> label, every row
-    hist_edges: np.ndarray = None
-    hist_counts: dict = field(default_factory=dict)  # label -> counts
+HIST_BINS = 50  # bins of each label's pse-report histogram
 
 
-def summarize_pse(values_by_utt, labels_by_utt, errors, n_bins=50):
-    """Histogram finite PSE values per class label over their common range."""
-    s = PseSummary(per_utt=dict(values_by_utt), errors=dict(errors), labels=dict(labels_by_utt))
-    vals = np.array([v for v in values_by_utt.values()], dtype=np.float64)
-    if len(vals) == 0:
-        return s
+def write_pse_report(values, labels, fh):
+    """CSV of each utt_id of labels (utt_id -> role) with its PSE in values,
+    or "error" if it has none, then each role's histogram over all values' range."""
+    w = csv.writer(fh)
+    w.writerow(["utt_id", "label", "pse"])
+    for utt in sorted(labels):
+        pse = "%.12g" % values[utt] if utt in values else "error"
+        w.writerow([utt, labels[utt], pse])
+    if not values:
+        return
+    vals = np.array(list(values.values()), dtype=np.float64)
     lo, hi = float(vals.min()), float(vals.max())
     if hi <= lo:
         hi = lo + 1.0  # all values identical; give the histogram some width
-    s.hist_edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, HIST_BINS + 1)
     by_label = {}
-    for utt, v in values_by_utt.items():
-        by_label.setdefault(labels_by_utt[utt], []).append(v)
-    for label, v in by_label.items():
-        s.hist_counts[label] = np.histogram(v, bins=s.hist_edges)[0]
-    return s
-
-
-def write_pse_report(s, fh):
-    """Per-utterance PSE ("error" for failed rows), then per-label histograms, as CSV."""
-    w = csv.writer(fh)
-    w.writerow(["utt_id", "label", "pse"])
-    for utt in sorted(s.labels):
-        pse = "%.12g" % s.per_utt[utt] if utt in s.per_utt else "error"
-        w.writerow([utt, s.labels[utt], pse])
-    if s.hist_edges is not None:
-        for label in sorted(s.hist_counts):
-            for i, n in enumerate(s.hist_counts[label]):
-                lo, hi = s.hist_edges[i], s.hist_edges[i + 1]
-                w.writerow(["#histogram", label, "%.12g" % lo, "%.12g" % hi, int(n)])
+    for utt, v in values.items():
+        by_label.setdefault(labels[utt], []).append(v)
+    for label in sorted(by_label):
+        for i, n in enumerate(np.histogram(by_label[label], bins=edges)[0]):
+            w.writerow(["#histogram", label, "%.12g" % edges[i], "%.12g" % edges[i + 1], int(n)])

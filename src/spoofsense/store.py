@@ -21,12 +21,18 @@ _F32 = np.dtype("<f4")
 
 
 def atomic_write_bytes(path, *parts):
-    """Write the parts (bytes-like, C-contiguous) one after the other to a
-    temporary file beside path, then rename it to path.  The file gets the
-    mode open(path, "w") would give it: 0o666 less the umask."""
-    fd, tmp = _create_beside(path)
+    """Write the parts (bytes-like, C-contiguous) in turn to a new file
+    path.<random hex>, then rename that to path.  open(tmp, "xb") gives it
+    open(path, "w")'s mode, 0o666 less the umask; mkstemp's is 0o600."""
+    while True:
+        tmp = "%s.%s" % (os.path.abspath(path), os.urandom(6).hex())
+        try:
+            fh = open(tmp, "xb")  # O_EXCL: a name taken already raises
+            break
+        except FileExistsError:
+            continue
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             for part in parts:
                 fh.write(part)
         os.replace(tmp, path)
@@ -34,19 +40,6 @@ def atomic_write_bytes(path, *parts):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _create_beside(path):
-    """(fd, name) of a new empty file path.<random hex> in path's directory,
-    made as open() makes one, with O_EXCL: its mode is 0o666 less the umask,
-    where tempfile.mkstemp's is always 0o600."""
-    d, base = os.path.split(os.path.abspath(path))
-    while True:
-        tmp = os.path.join(d, "%s.%s" % (base, os.urandom(6).hex()))
-        try:
-            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
-        except FileExistsError:
-            continue
 
 
 def write_feature(path, m):

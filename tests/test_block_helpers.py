@@ -7,7 +7,8 @@ threads must change nothing a caller can see: the frame kernels give the
 same bytes with 0, 1 or 3 helpers, each row block and each aperiodicity
 band runs once, the first failing one raises, and only once no helper runs
 a task any more, and an np.errstate of the caller holds on every thread.
-A helper starts on a task while the caller is still on its first.
+A helper starts on a task while the caller is still on its first, and a
+task may run tasks of its own.
 """
 
 import concurrent.futures
@@ -519,6 +520,25 @@ for kind in ("f0", "sp", "ap"):
 """
 
 
+def _run_child(script, *args, timeout):
+    """Run script in a new interpreter, in a session of its own; its stderr.
+    A child that has not ended after timeout seconds is killed, with every
+    process it started, and the test fails."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("SPOOFSENSE_CONFIG", None)
+    p = subprocess.Popen([sys.executable, "-c", script, *map(str, args)], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                         start_new_session=True)
+    try:
+        _, err = p.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:  # a hung pool worker too, not just the script
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        pytest.fail("the child did not finish in %d s" % timeout)
+    assert p.returncode == 0, err
+    return err
+
+
 def test_extract_jobs_after_helpers_started(tmp_path):
     """Helpers running in the parent, then `extract --jobs 2`: its forked
     workers must not wait on threads that did not fork with them."""
@@ -528,19 +548,36 @@ def test_extract_jobs_after_helpers_started(tmp_path):
         write_wav(tmp_path / ("%s.wav" % u), natural_buf(110 + 40 * i, seed=i, dur=1.0))
         rows.append((u, "s%d" % i, "bonafide", "-", "-", str(tmp_path / ("%s.wav" % u))))
     write_manifest(tmp_path / "m.tsv", rows)
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    env.pop("SPOOFSENSE_CONFIG", None)
-    p = subprocess.Popen([sys.executable, "-c", FORK_SCRIPT, str(tmp_path / "m.tsv"),
-                          str(tmp_path / "out")], env=env, stdout=subprocess.PIPE,
-                         stderr=subprocess.PIPE, text=True, start_new_session=True)
-    try:
-        _, err = p.communicate(timeout=120)
-    except subprocess.TimeoutExpired:  # a hung pool worker too, not just the script
-        os.killpg(p.pid, signal.SIGKILL)
-        p.communicate()
-        pytest.fail("extract --jobs 2 after block helpers did not finish in 120 s")
-    assert p.returncode == 0, err
+    _run_child(FORK_SCRIPT, tmp_path / "m.tsv", tmp_path / "out", timeout=120)
     names = sorted(os.listdir(tmp_path / "out1"))
     assert len(names) == 9 and names == sorted(os.listdir(tmp_path / "out2"))
     for name in names:
         assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+
+
+NESTED_SCRIPT = """
+import time
+import numpy as np
+from spoofsense import audio
+from spoofsense.audio import BLOCK_ROWS, by_row_blocks, run_tasks
+
+audio._helpers = audio.helper_pool(1)  # one helper, however many cores
+rows = np.arange(3 * BLOCK_ROWS, dtype=np.float64)  # three blocks
+got = {}
+
+def task(i):
+    time.sleep(0.05)  # so that the helper is inside a task too
+    got[i] = by_row_blocks(lambda r: np.sqrt(r + i)[:, None] * [1.0, -1.0], rows)
+
+run_tasks(task, range(4))
+for i in range(4):
+    assert got[i].tobytes() == (np.sqrt(rows + i)[:, None] * [1.0, -1.0]).tobytes(), i
+"""
+
+
+def test_tasks_may_run_tasks():
+    """A task that calls by_row_blocks, on the caller and on the one helper:
+    each inner run_tasks submits a drain that queues behind the helper's
+    own task, and must not wait for it once the caller's drain has run
+    every block."""
+    _run_child(NESTED_SCRIPT, timeout=60)

@@ -155,6 +155,21 @@ def test_written_files_take_the_umask(tmp_path, umask, mode):
     assert load_model(tmp_path / "m.bin").weights[0].tobytes() == model.weights[0].tobytes()
 
 
+def test_taken_temp_name_is_skipped(tmp_path, monkeypatch):
+    """A temp name that is already a file is left as it is: the write draws
+    another name and leaves no temp file behind."""
+    taken = tmp_path / ("f.ssft." + "00" * 6)
+    taken.write_bytes(b"not ours")
+    draws = iter([b"\0" * 6, b"\1" * 6])
+    monkeypatch.setattr(store.os, "urandom", lambda n: next(draws))
+    store.atomic_write_bytes(tmp_path / "f.ssft", b"ab", memoryview(b"cd"))
+    monkeypatch.undo()
+    assert next(draws, None) is None  # both names were drawn
+    assert taken.read_bytes() == b"not ours"
+    assert (tmp_path / "f.ssft").read_bytes() == b"abcd"
+    assert sorted(os.listdir(tmp_path)) == ["f.ssft", taken.name]
+
+
 def test_column_major_data_is_written_row_major(tmp_path):
     data = np.asfortranarray(np.arange(12.0).reshape(3, 4))
     p, back = roundtrip(tmp_path, FeatureMatrix(kind="stft", data=data, hop=0.01))
