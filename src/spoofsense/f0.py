@@ -14,6 +14,13 @@ the calling thread and a ThreadPoolExecutor of one helper thread per extra
 core.  Each block's frames, their energy residue included, are treated on
 their own, so the contour is the same bits as from one whole-utterance
 array on one thread.
+
+The FFTs and most ufunc loops release the GIL, but the row cumsum of the
+energies, the interpreter and each numpy call's own overhead hold it, and
+while one thread holds it the other waits.  So a block makes few numpy
+calls: it takes its frame means with np.add.reduce rather than through
+ndarray.mean's Python wrapper, squares with np.square, forms the power
+spectrum in place, and correlates and picks peaks on its live rows only.
 """
 
 from dataclasses import dataclass
@@ -82,7 +89,9 @@ def _nccf(frames, squares, kmin, kmax):
     w = frames.shape[1]
     nfft = next_fast_len(w + kmax + 1)
     spec = np.fft.rfft(frames, nfft, axis=1)
-    corr = np.fft.irfft(spec.real**2 + spec.imag**2, nfft, axis=1)[:, kmin - 1 : kmax + 2]
+    power = np.square(spec.real)
+    power += np.square(spec.imag, out=spec.imag)
+    corr = np.fft.irfft(power, nfft, axis=1)[:, kmin - 1 : kmax + 2]
 
     cs = np.cumsum(squares, axis=1, out=squares)
     e_head = cs[:, w - kmax - 2 : w - kmin + 1][:, ::-1]  # E(x[:W-k]), k ascending
@@ -101,12 +110,14 @@ def _pick_peak(lags, nccf):
     max over it.
     """
     interior = nccf[:, 1:-1]  # lags kmin .. kmax, inside the padded range
-    is_max = (interior >= nccf[:, :-2]) & (interior >= nccf[:, 2:])
-    best = np.max(interior, axis=1, keepdims=True)
-    cand = is_max & (interior >= SUBHARMONIC_RATIO * best)
-    fallback = interior == best
-    first = np.where(cand.any(axis=1), cand.argmax(axis=1), fallback.argmax(axis=1))
+    best = np.maximum.reduce(interior, axis=1, keepdims=True)  # an empty band raises here
+    is_max = interior >= nccf[:, :-2]
+    is_max &= interior >= nccf[:, 2:]
+    is_max &= interior >= SUBHARMONIC_RATIO * best
     rows = np.arange(len(nccf))
+    first = is_max.argmax(axis=1)
+    # no candidate: the first lag at the best, which argmax picks too
+    first = np.where(is_max[rows, first], first, interior.argmax(axis=1))
     i = first + 1  # back to padded-row indexing
     a, b, c = nccf[rows, i - 1], nccf[rows, i], nccf[rows, i + 1]
     den = a + c - 2.0 * b
@@ -133,20 +144,24 @@ def estimate_f0(buf, cfg=None):
     rounding = (frame_len * np.finfo(float).eps) ** 2
 
     def track(raw):
-        residue = np.sum(raw**2, axis=1) * rounding
-        frames = raw - raw.mean(axis=1, keepdims=True)
-        squares = frames**2
-        energy = np.sum(squares, axis=1)
+        # np.add.reduce and the division by the width are ndarray.mean's own
+        # operations, without its Python wrapper
+        residue = np.add.reduce(np.square(raw), axis=1) * rounding
+        frames = raw - np.add.reduce(raw, axis=1, keepdims=True) / frame_len
+        squares = np.square(frames)
+        energy = np.add.reduce(squares, axis=1)
         values = np.zeros(len(frames))
         # silent frames stay unvoiced: zero energy, or a constant frame's rounding
         # residue, which is near-constant too and so has an NCCF of 1 at every lag
         live = np.flatnonzero(energy > residue)
-        if len(live):  # all silent: nothing to pick, even from an empty lag band
-            lags, nccf = _nccf(frames, squares, kmin, kmax)
-            lag, peak = _pick_peak(lags, nccf[live])
-            values[live] = np.where(
-                peak < cfg.voicing_threshold, 0.0, np.clip(sr / lag, cfg.floor, cfg.ceil)
-            )
+        if len(live) == 0:  # all silent: nothing to pick, even from an empty lag band
+            return values
+        if len(live) < len(frames):  # each row on its own: only the live ones
+            frames, squares = frames[live], squares[live]
+        lag, peak = _pick_peak(*_nccf(frames, squares, kmin, kmax))
+        values[live] = np.where(
+            peak < cfg.voicing_threshold, 0.0, np.clip(sr / lag, cfg.floor, cfg.ceil)
+        )
         return values
 
     values = by_row_blocks(track, raw)

@@ -8,8 +8,15 @@ reproducing it bit-for-bit.
 
 The "local" variants are implemented: mean absolute difference of
 consecutive periods (amplitudes) over the mean period (amplitude).
+
+The tracker walks one cycle at a time in Python.  Per cycle, only the
+argmax over its window and the three samples the peak test reads are numpy
+calls; the window bounds, the frame of each mark and the peak tests run on
+Python ints and floats, and the cycle amplitudes come from one
+np.maximum.reduceat per run.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,31 +47,35 @@ class PerturbationFeatures:
     num_cycles: int
 
 
-def _frame_of(sample, frame_len, hop, lo, hi):
-    # the contour value for a sample is taken from the analysis frame whose
-    # center is nearest, clamped into the voiced run
-    j = int(round((sample - frame_len / 2) / hop))
-    return min(max(j, lo), hi)
-
-
-def _is_peak(x, q):
-    # strict on the left so runs of zeros or window-edge picks never count
-    return 0 < q < len(x) - 1 and x[q] > x[q - 1] and x[q] >= x[q + 1]
+def _peak_value(x, q):
+    """x[q] as a float if q is a waveform peak, else None.  Strict on the left
+    so runs of zeros or window-edge picks never count."""
+    if 0 < q < len(x) - 1:
+        before, here, after = x[q - 1 : q + 2].tolist()
+        if here > before and here >= after:
+            return here
+    return None
 
 
 def _region_cycles(x, sr, contour, run):
-    """Peak-picked cycles inside one maximal voiced run of the contour."""
+    """Peak-picked cycles inside one maximal voiced run of the contour.
+
+    Python ints and floats, the run's contour values from one tolist(), go
+    through the same IEEE operations as numpy scalars would, so they mark
+    the same cycles."""
     frame_len, hop = contour_framing(sr, contour)
-    lo, hi = run[0], run[1] - 1
+    lo, hi = int(run[0]), int(run[1]) - 1
     stop = min(len(x), hi * hop + frame_len)
+    f0 = contour.values[lo : hi + 1].tolist()
 
     # first boundary: earliest window holding a genuine waveform peak
     # (voiced frames can start before the periodic part of the signal does)
-    t0 = int(round(sr / contour.values[lo]))
+    t0 = round(sr / f0[0])
     s, p = lo * hop, None
     while s + t0 <= stop:
-        q = s + int(np.argmax(x[s : s + t0]))
-        if _is_peak(x, q):
+        q = s + int(x[s : s + t0].argmax())
+        xp = _peak_value(x, q)
+        if xp is not None:
             p = q
             break
         s += t0
@@ -73,18 +84,22 @@ def _region_cycles(x, sr, contour, run):
 
     peaks = [p]
     while True:
-        t = sr / contour.values[_frame_of(p, frame_len, hop, lo, hi)]
-        a = p + int(np.floor(0.7 * t))
-        b = min(stop, p + int(np.ceil(1.3 * t)) + 1)
+        # the contour value for a sample is taken from the analysis frame
+        # whose center is nearest, clamped into the voiced run
+        j = min(max(round((p - frame_len / 2) / hop), lo), hi)
+        t = sr / f0[j - lo]
+        a = p + math.floor(0.7 * t)
+        b = min(stop, p + math.ceil(1.3 * t) + 1)
         if a >= b:
             break
-        q = a + int(np.argmax(x[a:b]))
+        q = a + int(x[a:b].argmax())
+        xq = _peak_value(x, q)
         # the 0.1 floor drops silence-boundary picks (a leading zero of a
         # gap passes the peak test) without touching real shimmer swings
-        if not _is_peak(x, q) or x[q] < 0.1 * x[p]:
+        if xq is None or xq < 0.1 * xp:
             break
         peaks.append(q)
-        p = q
+        p, xp = q, xq
 
     if len(peaks) < 2:
         return None

@@ -14,10 +14,15 @@ F0 contour built on either must have the same voicing and values within
 1e-12 relative.
 
 estimate_f0_whole and spectral_envelope_whole are the whole-utterance
-versions of today's kernels, verbatim: one (frames x n_fft) array per step
+versions of the kernels, verbatim: one (frames x n_fft) array per step
 instead of audio.BLOCK_ROWS rows at a time.  Every step treats each frame on
 its own, so the blocked kernels must match them exactly, across block
-boundaries, silent blocks and the empty-lag-band error included.
+boundaries, silent and constant rows and blocks and the empty-lag-band
+error included.  _nccf_ref and _pick_peak_ref are the module's _nccf and
+_pick_peak, verbatim, from before they were cut to the live rows and their
+in-place steps; estimate_f0_loop and estimate_f0_whole use them, so that a
+change to the module's two functions cannot change the oracles along with
+it.
 
 _windowed_frames and _contour_frames are the earlier framing of the
 envelope and aperiodicity, verbatim: the whole utterance windowed at once,
@@ -101,6 +106,54 @@ def _contour_frames(buf, contour, n_fft):
     return frames, frame_len, hop
 
 
+def _nccf_ref(frames, squares, kmin, kmax):
+    """Normalized cross-correlation for lags kmin-1 .. kmax+1 (per frame).
+
+    nccf[k] = sum(x[n] x[n+k]) / sqrt(E(x[:W-k]) E(x[k:])), so any exactly
+    periodic frame scores 1.0 at its period regardless of amplitude.
+    squares is frames**2; it is overwritten with its running sums.  The
+    FFT has N = next_fast_len(W + kmax + 1) points: at a lag k <= kmax + 1
+    every product x[n] x[n+k] of the frame has n + k < W + kmax + 1 <= N, so
+    none wraps and the circular correlation equals the linear one.
+    """
+    from scipy.fft import next_fast_len  # on first use, so commands that track no F0 never load scipy
+
+    w = frames.shape[1]
+    nfft = next_fast_len(w + kmax + 1)
+    spec = np.fft.rfft(frames, nfft, axis=1)
+    corr = np.fft.irfft(spec.real**2 + spec.imag**2, nfft, axis=1)[:, kmin - 1 : kmax + 2]
+
+    cs = np.cumsum(squares, axis=1, out=squares)
+    e_head = cs[:, w - kmax - 2 : w - kmin + 1][:, ::-1]  # E(x[:W-k]), k ascending
+    e_tail = cs[:, -1:] - cs[:, kmin - 2 : kmax + 1]      # E(x[k:])
+    denom = np.sqrt(e_head * e_tail)
+    out = np.divide(corr, denom, out=np.zeros_like(denom), where=denom > 0)
+    return np.arange(kmin - 1, kmax + 2), out
+
+
+def _pick_peak_ref(lags, nccf):
+    """Per row: smallest-lag local maximum within SUBHARMONIC_RATIO of the row's best.
+
+    lags and nccf are _nccf_ref's, for lags kmin-1 .. kmax+1.  Returns (lag,
+    peak) arrays with the parabolically refined lag of the chosen peak and
+    its NCCF value.  An empty [kmin, kmax] band raises ValueError from the
+    max over it.
+    """
+    interior = nccf[:, 1:-1]  # lags kmin .. kmax, inside the padded range
+    is_max = (interior >= nccf[:, :-2]) & (interior >= nccf[:, 2:])
+    best = np.max(interior, axis=1, keepdims=True)
+    cand = is_max & (interior >= SUBHARMONIC_RATIO * best)
+    fallback = interior == best
+    first = np.where(cand.any(axis=1), cand.argmax(axis=1), fallback.argmax(axis=1))
+    rows = np.arange(len(nccf))
+    i = first + 1  # back to padded-row indexing
+    a, b, c = nccf[rows, i - 1], nccf[rows, i], nccf[rows, i + 1]
+    den = a + c - 2.0 * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(den == 0.0, 0.0, np.clip((a - c) / (2.0 * den), -0.5, 0.5))
+    return lags[i] + delta, b
+
+
 def _nccf_2w(frames, kmin, kmax):
     """Normalized cross-correlation for lags kmin-1 .. kmax+1 (per frame).
 
@@ -165,7 +218,7 @@ def estimate_f0_loop(buf, cfg=None):
     if kmin < 2:
         raise ValueError("ceil too close to the sample rate")
 
-    lags, nccf = _nccf(frames, frames**2, kmin, kmax)
+    lags, nccf = _nccf_ref(frames, frames**2, kmin, kmax)
     energy = np.sum(frames**2, axis=1)
 
     values = np.zeros(len(series))
@@ -256,7 +309,7 @@ def estimate_f0_whole(buf, cfg=None):
 
     squares = frames**2
     energy = np.sum(squares, axis=1)
-    lags, nccf = _nccf(frames, squares, kmin, kmax)
+    lags, nccf = _nccf_ref(frames, squares, kmin, kmax)
     raw_energy = np.sum(frame_signal(AudioBuffer(buf.samples**2, sr), frame_len, hop), axis=1)
 
     values = np.zeros(len(frames))
@@ -264,7 +317,7 @@ def estimate_f0_whole(buf, cfg=None):
     # residue, which is near-constant too and so has an NCCF of 1 at every lag
     live = np.flatnonzero(energy > raw_energy * (frame_len * np.finfo(float).eps) ** 2)
     if len(live):  # all silent: nothing to pick, even from an empty lag band
-        lag, peak = _pick_peak(lags, nccf[live])
+        lag, peak = _pick_peak_ref(lags, nccf[live])
         values[live] = np.where(
             peak < cfg.voicing_threshold, 0.0, np.clip(sr / lag, cfg.floor, cfg.ceil)
         )
@@ -379,6 +432,7 @@ def test_nccf_matches_2w(sr, floor, ceil):
     ])
     frames -= frames.mean(axis=1, keepdims=True)
     lags, got = _nccf(frames, frames**2, kmin, kmax)
+    assert np.array_equal(got, _nccf_ref(frames, frames**2, kmin, kmax)[1])
     want_lags, want = _nccf_2w(frames, kmin, kmax)
     assert np.array_equal(lags, want_lags)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -635,6 +689,81 @@ def test_blocks_match_whole_property(sr, floor, span, hop, n_frames, f0, seed, g
     frame_len = contour_framing(sr, cfg)[0]
     env_cfgs = [EnvelopeConfig(n_fft=2048)] + ([None] if frame_len <= 1024 else [])
     _assert_blocks_match_whole(buf, cfg, env_cfgs)
+
+
+def _block_cuts(n):
+    """The row cuts of audio.by_row_blocks for n rows."""
+    count = -(-n // BLOCK_ROWS)
+    return [j * n // count for j in range(count + 1)]
+
+
+EMPTY_BAND = F0Config(floor=485.0, ceil=490.0)  # kmin 33 > kmax 32 at 16 kHz
+
+
+@given(
+    n_frames=st.integers(1, 3 * BLOCK_ROWS + 5),
+    where=st.sampled_from(["first", "last", "every", "block", "none"]),
+    block=st.integers(0, 3),
+    extra=st.lists(st.integers(0, 3 * BLOCK_ROWS + 4), max_size=5),
+    level=st.sampled_from([0.0, 0.25, -1.0, 1e-3]),
+    cfg=st.sampled_from(F0_CONFIGS + [EMPTY_BAND]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_silent_and_constant_rows_match_whole(n_frames, where, block, extra, level, cfg, seed):
+    """Rows that hold one value (0: silent, else DC) as the first or the last
+    row of every block, as every row, as one whole block, or nowhere, plus
+    some rows anywhere: the tracker drops them before the NCCF, the whole
+    oracle after it, and the contours must be the same bits.  With an empty
+    lag band both raise the same error, unless no row is live."""
+    frame_len, hop = contour_framing(SR, cfg)
+    cuts = _block_cuts(n_frames)
+    block %= len(cuts) - 1
+    rows = {
+        "first": cuts[:-1],
+        "last": [c - 1 for c in cuts[1:]],
+        "every": range(n_frames),
+        "block": range(cuts[block], cuts[block + 1]),
+        "none": [],
+    }[where]
+    x = _framed_buf(n_frames, cfg, f0=140.0, seed=seed).samples.copy()
+    for k in [*rows, *(e for e in extra if e < n_frames)]:
+        x[k * hop : k * hop + frame_len] = level
+    buf = AudioBuffer(x, SR)
+    try:
+        want = estimate_f0_whole(buf, cfg).values
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            estimate_f0(buf, cfg)
+        assert str(got.value) == str(e)
+        return
+    got = estimate_f0(buf, cfg).values
+    assert np.array_equal(got, want)
+    if where == "every":
+        assert np.all(got == 0.0)
+
+
+@given(
+    rows=st.integers(1, 12),
+    width=st.integers(2, 40),
+    levels=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_pick_peak_matches_ref(rows, width, levels, seed):
+    """NCCF rows of a few distinct values, so ties and rows with no
+    candidate peak are common; width 2 is an empty lag band."""
+    nccf = np.random.default_rng(seed).integers(-levels, levels + 1, (rows, width)) / levels
+    lags = np.arange(31, 31 + width)
+    if width == 2:
+        with pytest.raises(ValueError) as want:
+            _pick_peak_ref(lags, nccf)
+        with pytest.raises(ValueError) as got:
+            _pick_peak(lags, nccf)
+        assert str(got.value) == str(want.value)
+        return
+    got, want = _pick_peak(lags, nccf), _pick_peak_ref(lags, nccf)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def _peak_mb(fn, *args):
