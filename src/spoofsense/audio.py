@@ -146,20 +146,49 @@ def write_wav(path, buf):
         w.writeframes(q.tobytes())
 
 
+# fewest output samples in one of resample's parts: each part pays the set-up
+# of one upfirdn call, under the GIL, so a short signal is not cut up
+RESAMPLE_PART = 4096
+
+
 def resample(buf, target_rate):
     """Polyphase rational resampling with a Kaiser windowed-sinc filter.
 
     Cutoff sits at 0.45x the smaller Nyquist so the transition band stays
     clear of the band edge on both up- and downsampling.
+
+    The result is scipy.signal.resample_poly's with this filter, bit for bit,
+    cut into parts that run_tasks shares between the calling thread and this
+    process's helper threads: one part per thread, of at least RESAMPLE_PART
+    output samples.  A part runs upfirdn on the stretch of input its outputs
+    read, starting at a multiple of `down` samples so that the filter's
+    phases line up; each output sums the same products in the same order as
+    in the whole-signal call.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == buf.sample_rate:
         return buf
-    from scipy.signal import resample_poly  # slow to import: load it only for a rate change
+    from scipy.signal import upfirdn  # slow to import: load it only for a rate change
 
-    up, down, taps = _resample_filter(buf.sample_rate, target_rate)
-    y = resample_poly(buf.samples, up, down, window=taps)
+    up, down, h, skip = _resample_filter(buf.sample_rate, target_rate)
+    x = buf.samples
+    n_out = -(-len(x) * up // down)
+    y = np.empty(n_out)
+    count = max(1, min(_block_helpers()[1] + 1, n_out // RESAMPLE_PART))
+    cuts = [j * n_out // count for j in range(count + 1)]
+    reach = -(-len(h) // up)  # input samples per output: the taps of one phase
+
+    def part(j):
+        # outputs lo..hi-1 of upfirdn over all of x; output i reads the
+        # inputs up to (i * down) // up, reach of them
+        lo, hi = cuts[j] + skip, cuts[j + 1] + skip
+        start = max(0, lo * down // up - reach + 1) // down * down
+        stop = min(len(x), (hi - 1) * down // up + 1)
+        shift = start * up // down
+        y[cuts[j] : cuts[j + 1]] = upfirdn(h, x[start:stop], up, down)[lo - shift : hi - shift]
+
+    run_tasks(part, range(count))
     # the filter can overshoot near sharp edges; keep the buffer contract
     np.clip(y, -1.0, 1.0, out=y)
     return AudioBuffer(samples=y, sample_rate=target_rate)
@@ -167,8 +196,12 @@ def resample(buf, target_rate):
 
 @functools.lru_cache(maxsize=4)
 def _resample_filter(rate, target_rate):
-    """(up, down, read-only taps) for rate -> target_rate, designed once per
-    process: a rate sharing few factors with the target needs ~10^6 taps."""
+    """(up, down, h, skip) for rate -> target_rate, designed once per
+    process (a rate sharing few factors with the target needs ~10^6 taps):
+    h is the filter as resample_poly applies it, scaled by up and zero-padded
+    in front so that output `skip` of upfirdn is the first resampled sample,
+    and read-only.  resample_poly would pad h behind too if upfirdn's output
+    were short; with half_len >= up it never is."""
     from scipy.signal import firwin
 
     g = gcd(rate, target_rate)
@@ -181,8 +214,10 @@ def _resample_filter(rate, target_rate):
         fs=rate * up,
         window=("kaiser", 5.0),
     )
-    taps.flags.writeable = False
-    return up, down, taps
+    pad = down - half_len % down
+    h = np.concatenate((np.zeros(pad), taps * up))
+    h.flags.writeable = False
+    return up, down, h, (half_len + pad) // down
 
 
 def frame_signal(buf, frame_len, hop):
@@ -196,9 +231,11 @@ def frame_signal(buf, frame_len, hop):
     return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
 
 
-# rows per block of the frame kernels: a block's temporaries stay in cache
-# (at the 16 kHz defaults, its 864-point F0 buffers take ~440 KB)
-BLOCK_ROWS = 64
+# rows per block of the frame kernels.  Each block makes tens of numpy calls,
+# each a hand-off of the GIL between the threads, so fewer, larger blocks
+# pay; at the 16 kHz defaults a block's 864-point F0 buffers take ~880 KB,
+# and estimate_f0 timed alike from 128 to 256 rows
+BLOCK_ROWS = 128
 
 
 def by_row_blocks(fn, *arrays):
@@ -208,8 +245,8 @@ def by_row_blocks(fn, *arrays):
 
     fn of the empty arrays fixes the result's trailing shape and dtype.  The
     rows are cut into the fewest blocks of at most BLOCK_ROWS rows, with
-    sizes that differ by at most one (a 193-row utterance is 48/48/48/49
-    rows, not 64/64/64/1), and run_tasks shares the blocks between the
+    sizes that differ by at most one (a 257-row utterance is 85/86/86
+    rows, not 128/128/1), and run_tasks shares the blocks between the
     calling thread and this process's helper threads from the first block
     on.  Each block writes its own rows of the result, so every row comes
     from the same operations as in a serial loop; if blocks raise, the one

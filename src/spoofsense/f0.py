@@ -8,8 +8,8 @@ The correlation of a w-sample frame is taken through an FFT of
 next_fast_len(w + kmax + 1) points, the shortest length at which the
 circular correlation has no wrapped term at any lag read (864 points for
 the 640-sample frames of the 16 kHz defaults).  Frames are tracked in
-blocks of at most audio.BLOCK_ROWS, so that the spectra and correlations of
-one block stay in cache, and audio.by_row_blocks shares the blocks between
+blocks of at most audio.BLOCK_ROWS, so that no whole-utterance spectra and
+correlations are built, and audio.by_row_blocks shares the blocks between
 the calling thread and a ThreadPoolExecutor of one helper thread per extra
 core.  Each block's frames, their energy residue included, are treated on
 their own, so the contour is the same bits as from one whole-utterance
@@ -17,10 +17,17 @@ array on one thread.
 
 The FFTs and most ufunc loops release the GIL, but the row cumsum of the
 energies, the interpreter and each numpy call's own overhead hold it, and
-while one thread holds it the other waits.  So a block makes few numpy
-calls: it takes its frame means with np.add.reduce rather than through
-ndarray.mean's Python wrapper, squares with np.square, forms the power
-spectrum in place, and correlates and picks peaks on its live rows only.
+while one thread holds it the other waits.  So blocks are few (a block
+makes about 60 numpy calls whatever its size; see audio.BLOCK_ROWS), and
+each makes as few calls as it can: it takes its frame means with
+np.add.reduce rather than through ndarray.mean's Python wrapper, squares
+with np.square, forms the power spectrum in place, and correlates and
+picks peaks on its live rows only.
+Where a call that holds the GIL has a GIL-free equivalent with the same
+bits, the block makes that one: the NCCF divides plainly and then zeros
+the lags without energy, rather than dividing with where=, and irfft
+transforms the power spectrum in the rfft's own complex array rather than
+copying a real one into a new complex array.
 """
 
 from dataclasses import dataclass
@@ -89,15 +96,22 @@ def _nccf(frames, squares, kmin, kmax):
     w = frames.shape[1]
     nfft = next_fast_len(w + kmax + 1)
     spec = np.fft.rfft(frames, nfft, axis=1)
-    power = np.square(spec.real)
-    power += np.square(spec.imag, out=spec.imag)
-    corr = np.fft.irfft(power, nfft, axis=1)[:, kmin - 1 : kmax + 2]
+    # the power spectrum in spec itself, so that irfft transforms it without
+    # first copying a real array into a new complex one
+    power, imag = spec.real, spec.imag
+    np.square(power, out=power)
+    power += np.square(imag, out=imag)
+    imag[...] = 0.0
+    corr = np.fft.irfft(spec, nfft, axis=1)[:, kmin - 1 : kmax + 2]
 
     cs = np.cumsum(squares, axis=1, out=squares)
     e_head = cs[:, w - kmax - 2 : w - kmin + 1][:, ::-1]  # E(x[:W-k]), k ascending
     e_tail = cs[:, -1:] - cs[:, kmin - 2 : kmax + 1]      # E(x[k:])
     denom = np.sqrt(e_head * e_tail)
-    out = np.divide(corr, denom, out=np.zeros_like(denom), where=denom > 0)
+    # the bits of a divide with where=, which scaled worse on two threads
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(corr, denom)
+    np.copyto(out, 0.0, where=~(denom > 0))  # no energy on one side: 0
     return np.arange(kmin - 1, kmax + 2), out
 
 

@@ -3,7 +3,11 @@ and band aperiodicity; and KINDS, the one table of all seven feature kinds.
 
 The envelope and aperiodicity are contour-guided: their framing is derived
 from the F0 contour's hop and floor so that frame i of the feature matrix
-describes the same stretch of signal as contour value i.
+describes the same stretch of signal as contour value i.  Their row blocks
+and bands run on the calling thread and audio's helper threads, so their
+steps avoid numpy calls that hold the GIL: the envelope's lifter mask
+compares a float64 quefrency index with the float64 cut, where an int64
+index would be cast inside the comparison, under the GIL.
 """
 
 from collections import namedtuple
@@ -250,7 +254,8 @@ def spectral_envelope(buf, contour, cfg=None):
         q_sec = np.where(f0 > 0, cfg.voiced_fraction / f0, cfg.unvoiced_quefrency)
     # np.round, like round(), takes halves to even
     cut = np.clip(np.round(q_sec * sr), 1, cfg.n_fft // 2)
-    q = np.arange(cfg.n_fft)
+    # float64 like cut, so that the mask's comparisons cast nothing
+    q = np.arange(cfg.n_fft, dtype=np.float64)
 
     def envelope(frames, cut):
         logp = np.log(_power(frames * window, cfg.n_fft) + LOG_EPS)

@@ -34,6 +34,7 @@ blocks and bands run on two threads.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -766,6 +767,58 @@ def test_pick_peak_matches_ref(rows, width, levels, seed):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(["head", "tail", "both", "zero", "none"]),
+                            st.integers(0, 640)), min_size=1, max_size=8),
+    cfg=st.sampled_from(F0_CONFIGS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_nccf_zero_denominators_match_ref(rows, cfg, seed):
+    """Frames whose first or last samples are all zeros: at a lag k, the
+    energy of x[:W-k] or of x[k:] is 0 once W - k of them are, so some lags
+    divide by zero.  The bits must be _nccf_ref's, and no RuntimeWarning may
+    escape."""
+    kmin, kmax = int(np.ceil(SR / cfg.ceil)), int(np.floor(SR / cfg.floor))
+    w = contour_framing(SR, cfg)[0]
+    r = np.random.default_rng(seed)
+    frames = r.normal(size=(len(rows), w)) * r.choice([1e-3, 1.0], (len(rows), 1))
+    for i, (zeros, n) in enumerate(rows):
+        # most runs long enough to empty one side at the longest lags: W - k >= W - kmax - 1
+        n = w - kmax - 1 + n % (kmax + 2) if n % 4 else n % (w + 1)
+        if zeros in ("head", "both", "zero"):
+            frames[i, : w if zeros == "zero" else n] = 0.0
+        if zeros in ("tail", "both"):
+            frames[i, w - n :] = 0.0
+    want = _nccf_ref(frames, frames**2, kmin, kmax)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _nccf(frames, frames**2, kmin, kmax)
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("n_fft", [1023, 1024, 2048])
+@pytest.mark.parametrize("unvoiced_cut", ["one", "half"])
+def test_envelope_lifter_ties_match_whole(n_fft, unvoiced_cut):
+    """Rows whose lifter cut is 1 or n_fft // 2, exactly or clipped to it,
+    where the mask's comparisons q >= cut and q <= n_fft - cut tie."""
+    half = n_fft // 2
+    cfg = EnvelopeConfig(n_fft=n_fft, unvoiced_quefrency=(1 if unvoiced_cut == "one" else half) / SR)
+    buf = natural_buf(130, seed=3, dur=2.0)
+    n = len(estimate_f0(buf))
+    # cut = round(0.8 SR / f0): f0s for cuts 1, 1 (0.5, to even: 0), half, half (clipped), 40
+    f0s = [0.0, 0.8 * SR, 1.6 * SR, 0.8 * SR / half, 0.4 * SR / half, 320.0]
+    c = F0Contour(np.resize(f0s, n), hop=0.005, floor=75.0, ceil=500.0)
+    with np.errstate(divide="ignore"):
+        q_sec = np.where(c.values > 0, cfg.voiced_fraction / c.values, cfg.unvoiced_quefrency)
+    assert set(np.clip(np.round(q_sec * SR), 1, half)) == {1, half, 40}
+    got = spectral_envelope(buf, c, cfg).data
+    assert np.array_equal(got, spectral_envelope_whole(buf, c, cfg).data)
+    assert np.array_equal(got, spectral_envelope_loop(buf, c, cfg))
+    assert n > 2 * BLOCK_ROWS
+
+
 def _peak_mb(fn, *args):
     tracemalloc.start()
     try:
@@ -777,8 +830,8 @@ def _peak_mb(fn, *args):
 
 def test_blocked_kernels_memory_bound():
     """On an 8 s voice the whole-array kernels peak at ~55 MB of temporaries;
-    block by block, estimate_f0 needs ~2 MB and the envelope ~17 MB (the
-    windowed frames and the result)."""
+    block by block, with two blocks in flight, estimate_f0 needs ~7 MB and
+    the envelope ~12 MB (the windowed frames and the result)."""
     buf = natural_buf(110, seed=5, dur=8.0)
     c = estimate_f0(buf)
     assert _peak_mb(estimate_f0, buf) < 8.0
