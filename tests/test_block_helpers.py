@@ -503,8 +503,13 @@ class Overlap:
 
 
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("n", [B + 1, 2 * B, 5 * B])
-def test_helper_starts_with_the_callers_first_block(k, n):
+@pytest.mark.parametrize(
+    "n, rows",
+    [pytest.param(n, rows, id=str(n)) for rows in (B // 2, B) for n in (rows + 1, 2 * rows, 5 * rows)],
+)
+def test_helper_starts_with_the_callers_first_block(k, n, rows, monkeypatch):
+    """With blocks of BLOCK_ROWS rows and of half that, in 2 to 5 blocks."""
+    monkeypatch.setattr(audio, "BLOCK_ROWS", rows)
     overlap = Overlap()
 
     def fn(r):

@@ -627,7 +627,8 @@ B = BLOCK_ROWS
 
 
 @pytest.mark.parametrize(
-    "n_frames", [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 1597],
+    "n_frames",
+    [1, B // 2 - 1, B // 2, B // 2 + 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 1597],
     ids=lambda n: "%d-frames" % n,
 )
 def test_blocks_match_whole_at_block_edges(n_frames):
