@@ -146,49 +146,20 @@ def write_wav(path, buf):
         w.writeframes(q.tobytes())
 
 
-# fewest output samples in one of resample's parts: each part pays the set-up
-# of one upfirdn call, under the GIL, so a short signal is not cut up
-RESAMPLE_PART = 4096
-
-
 def resample(buf, target_rate):
     """Polyphase rational resampling with a Kaiser windowed-sinc filter.
 
     Cutoff sits at 0.45x the smaller Nyquist so the transition band stays
     clear of the band edge on both up- and downsampling.
-
-    The result is scipy.signal.resample_poly's with this filter, bit for bit,
-    cut into parts that run_tasks shares between the calling thread and this
-    process's helper threads: one part per thread, of at least RESAMPLE_PART
-    output samples.  A part runs upfirdn on the stretch of input its outputs
-    read, starting at a multiple of `down` samples so that the filter's
-    phases line up; each output sums the same products in the same order as
-    in the whole-signal call.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == buf.sample_rate:
         return buf
-    from scipy.signal import upfirdn  # slow to import: load it only for a rate change
+    from scipy.signal import resample_poly  # slow to import: load it only for a rate change
 
-    up, down, h, skip = _resample_filter(buf.sample_rate, target_rate)
-    x = buf.samples
-    n_out = -(-len(x) * up // down)
-    y = np.empty(n_out)
-    count = max(1, min(_block_helpers()[1] + 1, n_out // RESAMPLE_PART))
-    cuts = [j * n_out // count for j in range(count + 1)]
-    reach = -(-len(h) // up)  # input samples per output: the taps of one phase
-
-    def part(j):
-        # outputs lo..hi-1 of upfirdn over all of x; output i reads the
-        # inputs up to (i * down) // up, reach of them
-        lo, hi = cuts[j] + skip, cuts[j + 1] + skip
-        start = max(0, lo * down // up - reach + 1) // down * down
-        stop = min(len(x), (hi - 1) * down // up + 1)
-        shift = start * up // down
-        y[cuts[j] : cuts[j + 1]] = upfirdn(h, x[start:stop], up, down)[lo - shift : hi - shift]
-
-    run_tasks(part, range(count))
+    up, down, taps = _resample_filter(buf.sample_rate, target_rate)
+    y = resample_poly(buf.samples, up, down, window=taps)
     # the filter can overshoot near sharp edges; keep the buffer contract
     np.clip(y, -1.0, 1.0, out=y)
     return AudioBuffer(samples=y, sample_rate=target_rate)
@@ -196,12 +167,8 @@ def resample(buf, target_rate):
 
 @functools.lru_cache(maxsize=4)
 def _resample_filter(rate, target_rate):
-    """(up, down, h, skip) for rate -> target_rate, designed once per
-    process (a rate sharing few factors with the target needs ~10^6 taps):
-    h is the filter as resample_poly applies it, scaled by up and zero-padded
-    in front so that output `skip` of upfirdn is the first resampled sample,
-    and read-only.  resample_poly would pad h behind too if upfirdn's output
-    were short; with half_len >= up it never is."""
+    """(up, down, read-only taps) for rate -> target_rate, designed once per
+    process: a rate sharing few factors with the target needs ~10^6 taps."""
     from scipy.signal import firwin
 
     g = gcd(rate, target_rate)
@@ -214,10 +181,8 @@ def _resample_filter(rate, target_rate):
         fs=rate * up,
         window=("kaiser", 5.0),
     )
-    pad = down - half_len % down
-    h = np.concatenate((np.zeros(pad), taps * up))
-    h.flags.writeable = False
-    return up, down, h, (half_len + pad) // down
+    taps.flags.writeable = False
+    return up, down, taps
 
 
 def frame_signal(buf, frame_len, hop):

@@ -9,22 +9,16 @@ band runs once, the first failing one raises, and only once no helper runs
 a task any more, and an np.errstate of the caller holds on every thread.
 A helper starts on a task while the caller is still on its first, and a
 task may run tasks of its own.
-
-resample_ref is an earlier audio.resample, verbatim: scipy's resample_poly
-over the whole signal on the calling thread.  audio.resample, whose parts
-run_tasks shares, must give its bits with 0, 1 or 3 helpers.
 """
 
 import concurrent.futures
 import contextlib
-import functools
 import os
 import signal
 import subprocess
 import sys
 import threading
 import time
-from math import gcd
 
 import numpy as np
 import pytest
@@ -32,15 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import natural_buf, write_manifest
 from spoofsense import audio, f0 as f0_module, spectral
-from spoofsense.audio import (
-    BLOCK_ROWS,
-    RESAMPLE_PART,
-    AudioBuffer,
-    by_row_blocks,
-    helper_pool,
-    resample,
-    write_wav,
-)
+from spoofsense.audio import BLOCK_ROWS, by_row_blocks, helper_pool, write_wav
 from spoofsense.errors import InputTooShort
 from spoofsense.f0 import F0Config, F0Contour, estimate_f0
 from spoofsense.spectral import (
@@ -163,90 +149,6 @@ def test_empty_lag_band_raises_from_last_block(k):
     with helpers(k):
         assert _outcome(estimate_f0, buf, cfg) == want
     assert want[0] is ValueError
-
-
-# ------------------------------------------------------- resample, in parts
-
-
-def resample_ref(buf, target_rate):
-    """Polyphase rational resampling with a Kaiser windowed-sinc filter.
-
-    Cutoff sits at 0.45x the smaller Nyquist so the transition band stays
-    clear of the band edge on both up- and downsampling.
-    """
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
-    if target_rate == buf.sample_rate:
-        return buf
-    from scipy.signal import resample_poly  # slow to import: load it only for a rate change
-
-    up, down, taps = _resample_filter_ref(buf.sample_rate, target_rate)
-    y = resample_poly(buf.samples, up, down, window=taps)
-    # the filter can overshoot near sharp edges; keep the buffer contract
-    np.clip(y, -1.0, 1.0, out=y)
-    return AudioBuffer(samples=y, sample_rate=target_rate)
-
-
-@functools.lru_cache(maxsize=4)
-def _resample_filter_ref(rate, target_rate):
-    """(up, down, read-only taps) for rate -> target_rate, designed once per
-    process: a rate sharing few factors with the target needs ~10^6 taps."""
-    from scipy.signal import firwin
-
-    g = gcd(rate, target_rate)
-    up, down = target_rate // g, rate // g
-    cutoff_hz = 0.45 * (min(rate, target_rate) / 2.0)
-    half_len = 10 * max(up, down)
-    taps = firwin(
-        2 * half_len + 1,
-        cutoff_hz,
-        fs=rate * up,
-        window=("kaiser", 5.0),
-    )
-    taps.flags.writeable = False
-    return up, down, taps
-
-
-def _resample_length(rate, length, seed):
-    """(input samples, output samples at 16 kHz) for a length named by the
-    test: with one helper, 'below' is the longest input resampled in one
-    part and 'at' the shortest in two."""
-    g = gcd(rate, 16000)
-    up, down = 16000 // g, rate // g
-    below = (2 * RESAMPLE_PART - 1) * down // up  # ceil(n up / down) < 2 RESAMPLE_PART
-    n = {"empty": 0, "one": 1, "below": below, "at": below + 1,
-         "seconds": 3 * rate + seed % rate}[length]
-    return n, -(-n * up // down)
-
-
-@given(
-    rate=st.sampled_from([8000, 11025, 22050, 32000, 44100, 48000, 44101]),
-    length=st.sampled_from(["empty", "one", "below", "at", "seconds"]),
-    k=st.sampled_from([0, 1, 3]),
-    seed=st.integers(0, 2**16),
-    amp=st.sampled_from([0.3, 1.0]),
-)
-@settings(max_examples=60, deadline=None)
-def test_resample_matches_resample_poly(rate, length, k, seed, amp):
-    """Bit for bit, in 1 to 4 parts.  The square wave's edges make the
-    filter overshoot, so at full scale the clip acts too."""
-    n, n_out = _resample_length(rate, length, seed)
-    r = np.random.default_rng(seed)
-    t = np.arange(n) / rate
-    square = np.sign(np.sin(2 * np.pi * r.uniform(50.0, 400.0) * t + r.uniform(0, 6.3)))
-    buf = AudioBuffer(np.clip(amp * square + 0.05 * r.normal(size=n), -1.0, 1.0), rate)
-    want = resample_ref(buf, 16000).samples
-    parts = []
-    with helpers(k), pytest.MonkeyPatch.context() as m:
-        real = audio.run_tasks
-        m.setattr(audio, "run_tasks", lambda task, items: parts.append(len(items)) or real(task, items))
-        got = resample(buf, 16000).samples
-    assert got.dtype == want.dtype and got.shape == want.shape == (n_out,)
-    assert got.tobytes() == want.tobytes()
-    # one part per thread, each of at least RESAMPLE_PART samples
-    assert parts == [max(1, min(k + 1, n_out // RESAMPLE_PART))]
-    if k == 1 and length in ("below", "at"):
-        assert parts == [1 if length == "below" else 2]
 
 
 # ------------------------------------------------------------- the hand-out

@@ -839,6 +839,22 @@ def test_blocked_kernels_memory_bound():
     assert _peak_mb(spectral_envelope, buf, c) < 30.0
 
 
+def test_blocked_kernels_memory_per_helper():
+    """Each helper thread keeps one more block in flight, ~3 MB of F0
+    buffers: with three helpers, as on a 4-core machine, estimate_f0 needs
+    ~13 MB and the envelope ~17 MB on the same 8 s voice."""
+    buf = natural_buf(110, seed=5, dur=8.0)
+    c = estimate_f0(buf)
+    saved = audio._helpers
+    audio._helpers = helper_pool(3)
+    try:
+        assert _peak_mb(estimate_f0, buf) < 16.0
+        assert _peak_mb(spectral_envelope, buf, c) < 30.0
+    finally:
+        audio._helpers[2].shutdown()
+        audio._helpers = saved
+
+
 # ------------------------------------------------- aperiodicity mask edge
 
 
