@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 data/runtime error, 2 usage error.
 """
 
 import argparse
-import concurrent.futures
 import os
 import sys
 
@@ -73,10 +72,11 @@ def _extract_all(rows, feature, cfg, out_dir=None, jobs=1):
     work = (rows, [feature] * len(rows), [cfg] * len(rows), [out_dir] * len(rows))
     jobs = min(jobs, len(rows))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import: only for --jobs > 1
+
         # each worker runs its frame kernels' blocks itself, with no
         # ThreadPoolExecutor of block helpers: the workers share the cores
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
-                                                    initializer=serial_blocks) as ex:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=serial_blocks) as ex:
             results = list(ex.map(_extract_one, *work))
     else:
         results = list(map(_extract_one, *work))

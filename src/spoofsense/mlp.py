@@ -7,6 +7,15 @@ differences in the tests.
 Class convention: output index 0 = bonafide, 1 = spoof.  Labels follow the
 same indexing (y=0 bonafide, y=1 spoof).  The countermeasure score is
 ln p(bonafide) - ln p(spoof), so higher means more genuine.
+
+`train` keeps the parameters in one float64 buffer in model-file order
+(W0, b0, W1, b1, W2, b2; see `_flat`), with the model's weights and biases
+as views into it, and the gradients in a second buffer of the same layout,
+which `loss_and_grad` writes in place.  Each SGD step's update is then two
+numpy calls on the whole buffers, `grads *= lr` and `params -= grads`,
+instead of a multiply and a subtract per array.  `train` still calls
+`loss_and_grad` by its module-level name once per step, so a tracer that
+wraps it sees every step.
 """
 
 import math
@@ -62,6 +71,26 @@ def _file_order(layers):
     return [x for layer in layers for x in layer]
 
 
+def _size(dims):
+    """The number of weights and biases; Python ints, which a crafted model
+    header cannot overflow."""
+    return sum(math.prod(s) for s in _file_order(_layer_shapes(dims)))
+
+
+def _flat(dims, buf=None):
+    """A float64 buffer of _size(dims) values in model-file order (W0, b0,
+    W1, b1, W2, b2) and its weight and bias views; a new buffer unless one
+    is given."""
+    if buf is None:
+        buf = np.empty(_size(dims))
+    views, lo = [], 0
+    for s in _file_order(_layer_shapes(dims)):
+        hi = lo + math.prod(s)
+        views.append(buf[lo:hi].reshape(s))
+        lo = hi
+    return buf, views[0::2], views[1::2]
+
+
 def init_model(layer_dims, activation="tanh", seed=0):
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) != 4 or dims[-1] != 2 or any(d < 1 for d in dims):
@@ -77,25 +106,31 @@ def init_model(layer_dims, activation="tanh", seed=0):
     return MlpModel(dims=dims, weights=weights, biases=biases, activation=activation, seed=seed)
 
 
-def _act(z, kind):
-    return np.tanh(z) if kind == "tanh" else np.maximum(z, 0.0)
+def _act(z, kind, out=None):
+    return np.tanh(z, out=out) if kind == "tanh" else np.maximum(z, 0.0, out=out)
 
 
 def _layers(m, x):
     """Per-layer activations, the input first and the logits last."""
     acts = [x]
     for k in range(3):
-        z = acts[-1] @ m.weights[k] + m.biases[k]
-        acts.append(_act(z, m.activation) if k < 2 else z)
+        z = acts[-1] @ m.weights[k]
+        z += m.biases[k]
+        acts.append(_act(z, m.activation, z) if k < 2 else z)
     return acts
 
 
 def _softmax(logits):
-    """Softmax probs and the log-sum-exp of each row, from one exp-sum."""
-    top = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - top)
-    e_sum = e.sum(axis=1, keepdims=True)
-    return e / e_sum, np.log(e_sum[:, 0]) + top[:, 0]
+    """Softmax probs and the log-sum-exp of each row, from one exp-sum.
+
+    With two classes, the row max and row sum are one np.maximum and one
+    add of the two columns: the same bits as their reductions."""
+    top = np.maximum(logits[:, 0], logits[:, 1])
+    e = np.exp(logits - top[:, None])
+    e_sum = e[:, 0] + e[:, 1]
+    lse = np.log(e_sum) + top
+    e /= e_sum[:, None]
+    return e, lse
 
 
 def _check_input(m, x):
@@ -114,8 +149,11 @@ def score(m, x):
     return float(logits[0, BONAFIDE] - logits[0, SPOOF])
 
 
-def loss_and_grad(m, x, y, l2=0.0):
-    """Mean cross-entropy (+ l2/2 * ||W||^2) and its exact gradients."""
+def loss_and_grad(m, x, y, l2=0.0, out=None):
+    """Mean cross-entropy (+ l2/2 * ||W||^2) and its exact gradients.
+
+    out: an optional (weight grads, bias grads) pair of arrays shaped like
+    m's, into which the gradients are written and which are returned."""
     x = _check_input(m, x)
     y = np.asarray(y, dtype=int)
     if len(y) != x.shape[0] or len(y) == 0:
@@ -131,12 +169,12 @@ def loss_and_grad(m, x, y, l2=0.0):
 
     delta[rows, y] -= 1.0
     delta /= n
-    gw, gb = [None] * 3, [None] * 3
+    gw, gb = out if out is not None else _flat(m.dims)[1:]
     for k in (2, 1, 0):
-        gw[k] = acts[k].T @ delta
+        np.matmul(acts[k].T, delta, out=gw[k])
         if l2:
             gw[k] += l2 * m.weights[k]
-        gb[k] = delta.sum(axis=0)
+        np.add.reduce(delta, 0, out=gb[k])
         if k > 0:
             # the activation's derivative from its stored output a = act(z)
             a = acts[k]
@@ -154,8 +192,10 @@ def train(model, x, y, cfg=None):
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 (bonafide) or 1 (spoof)")
 
-    m = replace(model, weights=[w.copy() for w in model.weights],
-                biases=[b.copy() for b in model.biases])
+    params, weights, biases = _flat(model.dims, np.concatenate(
+        [a.ravel() for a in _file_order(zip(model.weights, model.biases))]))
+    m = replace(model, weights=weights, biases=biases)
+    grads, gw, gb = _flat(model.dims)
     rng = np.random.default_rng(cfg.seed)
     n = x.shape[0]
     history = []
@@ -164,10 +204,9 @@ def train(model, x, y, cfg=None):
         total = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            loss, gw, gb = loss_and_grad(m, x[idx], y[idx], cfg.l2)
-            for k in range(3):
-                m.weights[k] -= cfg.learning_rate * gw[k]
-                m.biases[k] -= cfg.learning_rate * gb[k]
+            loss = loss_and_grad(m, x[idx], y[idx], cfg.l2, (gw, gb))[0]
+            grads *= cfg.learning_rate  # lr * g and g * lr are the same bits
+            params -= grads
             total += loss * len(idx)
         history.append(total / n)
     return m, history
@@ -195,15 +234,12 @@ def load_model(path):
     if dims[-1] != 2 or 0 in dims:  # u32 dims: never negative
         raise BadMagic("corrupt layer dims %r" % (dims,))
 
-    shapes = _file_order(_layer_shapes(dims))
-    sizes = [math.prod(s) for s in shapes]  # Python ints: a crafted header cannot overflow them
     start = len(MODEL_MAGIC) + _HEADER.size
-    extra = len(raw) - start - 8 * sum(sizes)
+    extra = len(raw) - start - 8 * _size(dims)
     if extra < 0:
         raise TruncatedPayload("model payload incomplete")
     if extra:
         raise TruncatedPayload("%d trailing bytes" % extra)
-    payload = np.frombuffer(raw, dtype="<f8", offset=start).copy()
-    arrays = [a.reshape(s) for a, s in zip(np.split(payload, np.cumsum(sizes[:-1])), shapes)]
-    return MlpModel(dims=dims, weights=arrays[0::2], biases=arrays[1::2],
+    _, weights, biases = _flat(dims, np.frombuffer(raw, dtype="<f8", offset=start).copy())
+    return MlpModel(dims=dims, weights=weights, biases=biases,
                     activation=_ACTIVATIONS[act_idx], seed=seed)

@@ -84,7 +84,7 @@ def test_extract_asks_for_at_most_one_worker_per_row(workspace, tmp_path, monkey
     (tmp_path / "m.tsv").write_text("".join(lines[: 1 + n_rows]))
     args = ["extract", "--manifest", tmp_path / "m.tsv", "--feature", "f0", "--out-dir"]
     assert run(*args, tmp_path / "serial") == 0
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     assert run(*args, tmp_path / "pooled", "--jobs", jobs) == 0
     assert made == ([min(jobs, n_rows)] if n_rows > 1 else [])
     names = sorted(os.listdir(tmp_path / "serial"))

@@ -1,10 +1,13 @@
-"""scipy is loaded only by the DSP that calls it.
+"""scipy, concurrent.futures and logging are loaded only by the code that
+calls them.
 
 `audio.resample` (on a rate change), `estimate_f0` and `mfcc` import scipy
-when first called.  Importing the package, or running a command that calls
-none of them, loads no scipy module, so those commands start without
-scipy.signal's import time.  Each case runs in a fresh interpreter, because
-this test process has loaded scipy long since.
+when first called; `audio.helper_pool` imports concurrent.futures for the
+block helpers, and `extract --jobs N` for its worker processes
+(concurrent.futures imports logging).  Importing the package, or running a
+command that calls none of them, loads no module of the three packages, so
+those commands start without their import time.  Each case runs in a fresh
+interpreter, because this test process has loaded them long since.
 """
 
 import json
@@ -23,18 +26,20 @@ from spoofsense.store import write_feature
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TDCF_CONF = os.path.join(ROOT, "configs", "tdcf_example.conf")
+LAZY = ("scipy", "concurrent", "logging")
 
 
 def probe(argv=None, module="spoofsense.cli"):
     """Import `module` and run cli.main(argv) in a fresh interpreter.
 
-    Returns (exit code or None, sorted names of the scipy modules loaded).
+    Returns (exit code or None, sorted names of the modules loaded from the
+    LAZY packages).
     """
     script = "import json, sys\nimport %s\nrc = None\n" % module
     if argv is not None:
         script += "from spoofsense.cli import main\nrc = main(%r)\n" % [str(a) for a in argv]
     script += ("print(json.dumps([rc, sorted(m for m in sys.modules"
-               " if m.partition('.')[0] == 'scipy')]))\n")
+               " if m.partition('.')[0] in %r)]))\n" % (LAZY,))
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     env.pop("SPOOFSENSE_CONFIG", None)
     p = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -102,11 +107,12 @@ def test_command_without_dsp_loads_no_scipy(inputs, tmp_path, name):
 
 
 def test_extract_mfcc_with_rate_change_loads_scipy(tmp_path):
-    # not vacuous: the probe does see scipy once the DSP that needs it runs
+    # not vacuous: the probe does see scipy once the DSP that needs it runs,
+    # and concurrent.futures (with logging) once the block helpers start
     write_wav(tmp_path / "t.wav", tone(150, sr=22050))
     write_manifest(tmp_path / "m.tsv",
                    [("u1", "s1", "bonafide", "-", "-", str(tmp_path / "t.wav"))])
     rc, modules = probe(["extract", "--manifest", tmp_path / "m.tsv", "--feature", "mfcc",
                          "--out-dir", tmp_path / "f"])
-    assert rc == 0 and {"scipy.signal", "scipy.fft"} <= set(modules)
+    assert rc == 0 and {"scipy.signal", "scipy.fft", "concurrent.futures", "logging"} <= set(modules)
     assert (tmp_path / "f" / "u1.mfcc.ssft").exists()

@@ -114,6 +114,28 @@ def test_training_is_deterministic(tmp_path):
     assert outs[0][1] == outs[1][1]
 
 
+def test_train_neither_mutates_nor_aliases_its_input():
+    """train returns a trained copy: the input model's arrays keep their
+    values, and no array of a result shares memory with them or with the
+    result of another call."""
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(20, 3))
+    y = rng.integers(0, 2, size=20)
+    m = init_model((3, 5, 4, 2), seed=6)
+    m.biases = [rng.normal(size=b.size) for b in m.biases]  # off the zero init
+    before = [a.copy() for a in m.weights + m.biases]
+    runs = [train(m, x, y, TrainConfig(epochs=3))[0] for _ in range(2)]
+    for a, b in zip(m.weights + m.biases, before):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    first, second = [t.weights + t.biases for t in runs]
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+    assert not any(np.array_equal(a, b) for a, b in zip(first, before))  # it did train
+    for a in first:
+        for b in m.weights + m.biases + second:
+            assert not np.shares_memory(a, b)
+
+
 def test_model_roundtrip(tmp_path):
     m = init_model((5, 7, 3, 2), activation="relu", seed=4)
     save_model(tmp_path / "m.bin", m)

@@ -135,6 +135,13 @@ def test_train_matches_oracle(activation, l2, batch_size):
     _assert_train_matches((11, 9, 5, 2), activation, 17, 90, batch_size, l2, epochs=6)
 
 
+@pytest.mark.parametrize("l2", [0.0, 0.01])
+def test_train_matches_oracle_at_benchmark_shape(l2):
+    # the cm-train-score model: 305 pooled dims into 32 and 16 tanh units;
+    # 1000 rows in batches of 32 leave a last batch of 8
+    _assert_train_matches((305, 32, 16, 2), "tanh", 23, 1000, 32, l2, epochs=3)
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("l2", [0.0, 0.01])
 def test_loss_and_grad_matches_oracle(activation, l2):
