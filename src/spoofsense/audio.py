@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import CorruptPayload, MalformedRiff, TruncatedData, UnsupportedEncoding
 
+# held while what is made on first use is made: the block helpers, and each scipy
+# module, which two threads importing two of them at once can see half-initialised
+FIRST_USE = threading.Lock()
+
 PCM16_SCALE = 32768.0
 PCM24_SCALE = 8388608.0  # 2**23
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
@@ -156,7 +160,8 @@ def resample(buf, target_rate):
         raise ValueError("target_rate must be positive")
     if target_rate == buf.sample_rate:
         return buf
-    from scipy.signal import resample_poly  # slow to import: load it only for a rate change
+    with FIRST_USE:  # scipy.signal is slow to import: load it only for a rate change
+        from scipy.signal import resample_poly
 
     up, down, taps = _resample_filter(buf.sample_rate, target_rate)
     y = resample_poly(buf.samples, up, down, window=taps)
@@ -169,7 +174,8 @@ def resample(buf, target_rate):
 def _resample_filter(rate, target_rate):
     """(up, down, read-only taps) for rate -> target_rate, designed once per
     process: a rate sharing few factors with the target needs ~10^6 taps."""
-    from scipy.signal import firwin
+    with FIRST_USE:
+        from scipy.signal import firwin
 
     g = gcd(rate, target_rate)
     up, down = target_rate // g, rate // g
@@ -233,9 +239,9 @@ def by_row_blocks(fn, *arrays):
     return out
 
 
-def run_tasks(task, items):
+def run_tasks(task, items, threads=None):
     """task(item) for each of the items, shared between the calling thread
-    and this process's helper threads.
+    and this process's helper threads, at most `threads` at once if given.
 
     The helpers are submitted first, so that they work from the first item
     on; then every thread takes items in order from one iterator, so each
@@ -245,8 +251,9 @@ def run_tasks(task, items):
     that comes first among the items raises, as in a serial loop: every
     item before it was handed out.
 
-    A task must not call a function that perfbench's tracer wraps, whose
-    spans nest only on the calling thread.
+    A task that can run on a helper must not call a function that
+    perfbench's tracer wraps, whose spans nest only on the calling thread;
+    with threads=1, every task runs on the calling thread.
     """
     pending, lock, errors = iter(enumerate(items)), threading.Lock(), []
 
@@ -263,7 +270,9 @@ def run_tasks(task, items):
                 with lock:
                     errors.append((j, e))
 
-    _pid, count, pool = _block_helpers()
+    count, pool = _block_helpers()
+    if threads is not None:
+        count = min(count, threads - 1)
     helpers = [pool.submit(contextvars.copy_context().run, drain)
                for _ in range(min(count, len(items) - 1))]
     drain()
@@ -274,15 +283,15 @@ def run_tasks(task, items):
 
 
 def helper_pool(count):
-    """(pid, count, pool): a ThreadPoolExecutor of `count` threads, or None
-    for 0, that run_tasks shares tasks with beside this process's calling
-    thread.  numpy's FFTs and ufunc loops release the GIL, so a helper on
-    another core computes while the caller does.  The threads start on the
-    first call with tasks to share and then wait, idle, for the next one."""
+    """(count, pool): a ThreadPoolExecutor of `count` threads, or None
+    for 0, that run_tasks shares tasks with beside its calling thread.
+    numpy's FFTs and ufunc loops release the GIL, so a helper on another
+    core computes while the caller does.  The threads start on the first
+    call with tasks to share and then wait, idle, for the next one."""
     from concurrent.futures import ThreadPoolExecutor  # slow to import: not with this module
 
     pool = ThreadPoolExecutor(count, thread_name_prefix="spoofsense-blocks") if count else None
-    return os.getpid(), count, pool
+    return count, pool
 
 
 def _cores():
@@ -295,20 +304,13 @@ _helpers = None  # this process's helper_pool, made on first use
 
 
 def _block_helpers():
-    """This process's helper_pool, one thread per core beyond the caller's.
-    A forked child never reuses its parent's: their threads did not fork."""
+    """This process's helper_pool, one thread per core beyond the caller's,
+    made once however many threads ask for it at once."""
     global _helpers
-    if _helpers is None or _helpers[0] != os.getpid():
-        _helpers = helper_pool(_cores() - 1)
+    with FIRST_USE:
+        if _helpers is None:
+            _helpers = helper_pool(_cores() - 1)
     return _helpers
-
-
-def serial_blocks():
-    """Run every task of this process on the calling thread: the
-    ProcessPoolExecutor initializer of `extract --jobs N`, whose worker
-    processes already share the cores."""
-    global _helpers
-    _helpers = helper_pool(0)
 
 
 _WINDOWS = {

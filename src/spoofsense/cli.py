@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .audio import read_wav, resample, serial_blocks
+from .audio import read_wav, resample, run_tasks
 from .config import load_config
 from .entropy import write_pse_report
 from .errors import (
@@ -67,19 +67,13 @@ def _extract_one(row, feature, cfg, out_dir=None):
 
 
 def _extract_all(rows, feature, cfg, out_dir=None, jobs=1):
-    """_extract_one over rows, sorted by utt_id, on at most one worker
-    process per row: a pool forks all its workers on the first submit."""
-    work = (rows, [feature] * len(rows), [cfg] * len(rows), [out_dir] * len(rows))
-    jobs = min(jobs, len(rows))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # slow to import: only for --jobs > 1
-
-        # each worker runs its frame kernels' blocks itself, with no
-        # ThreadPoolExecutor of block helpers: the workers share the cores
-        with ProcessPoolExecutor(max_workers=jobs, initializer=serial_blocks) as ex:
-            results = list(ex.map(_extract_one, *work))
-    else:
-        results = list(map(_extract_one, *work))
+    """_extract_one over rows, sorted by utt_id.  run_tasks shares the rows
+    between the calling thread and the block helpers, at most `jobs` at
+    once; a row's kernels share their blocks with any helper left idle.
+    perfbench's tracer nests spans on one thread only, so a traced run
+    passes jobs=1, which runs every row on the calling thread."""
+    results = []  # list.append is atomic: each row appends its own result
+    run_tasks(lambda row: results.append(_extract_one(row, feature, cfg, out_dir)), rows, jobs)
     return sorted(results, key=lambda r: r[0])
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import by_row_blocks, frame_signal
+from .audio import FIRST_USE, by_row_blocks, frame_signal
 from .errors import EmptyAfterTrim, InputTooShort
 
 # a shorter-lag peak this close to the global best wins; guards against
@@ -91,7 +91,8 @@ def _nccf(frames, squares, kmin, kmax):
     every product x[n] x[n+k] of the frame has n + k < W + kmax + 1 <= N, so
     none wraps and the circular correlation equals the linear one.
     """
-    from scipy.fft import next_fast_len  # on first use, so commands that track no F0 never load scipy
+    with FIRST_USE:  # on first use, so commands that track no F0 never load scipy
+        from scipy.fft import next_fast_len
 
     w = frames.shape[1]
     nfft = next_fast_len(w + kmax + 1)

@@ -158,6 +158,8 @@ def loss_and_grad(m, x, y, l2=0.0, out=None):
     y = np.asarray(y, dtype=int)
     if len(y) != x.shape[0] or len(y) == 0:
         raise ValueError("labels must parallel a nonempty batch")
+    if np.bitwise_or.reduce(y) not in (0, 1):  # any other label sets another bit, or the sign
+        raise ValueError("labels must be 0 (bonafide) or 1 (spoof)")
     acts = _layers(m, x)
     delta, lse = _softmax(acts[-1])
     n = x.shape[0]
@@ -167,7 +169,7 @@ def loss_and_grad(m, x, y, l2=0.0, out=None):
     if l2:  # not at l2 = 0, where 0 * sum(w*w) is nan once w*w overflows
         loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in m.weights)
 
-    delta[rows, y] -= 1.0
+    delta.ravel()[2 * rows + y] -= 1.0  # delta[rows, y], in the C-order (n, 2) array itself
     delta /= n
     gw, gb = out if out is not None else _flat(m.dims)[1:]
     for k in (2, 1, 0):
@@ -189,8 +191,6 @@ def train(model, x, y, cfg=None):
     y = np.asarray(y, dtype=int)
     if x.shape[0] == 0:
         raise EmptyDataset("no training rows")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 (bonafide) or 1 (spoof)")
 
     params, weights, biases = _flat(model.dims, np.concatenate(
         [a.ravel() for a in _file_order(zip(model.weights, model.biases))]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import by_row_blocks, frame_signal, run_tasks, window_coeffs
+from .audio import FIRST_USE, by_row_blocks, frame_signal, run_tasks, window_coeffs
 from .entropy import utterance_pse
 from .errors import AlignmentMismatch, InputTooShort, KindDimsMismatch
 from .f0 import contour_framing, estimate_f0
@@ -212,7 +212,8 @@ def delta(m, window=2):
 def mfcc(buf, cfg=None, stft=None):
     """13 cepstra (DCT-II of log mel energies) + deltas + delta-deltas = 39,
     framed by the stft config as the log-STFT is, but always Hann-windowed."""
-    from scipy.fft import dct  # on first use, so commands that compute no MFCC never load scipy
+    with FIRST_USE:  # on first use, so commands that compute no MFCC never load scipy
+        from scipy.fft import dct
 
     cfg = cfg or MfccConfig()
     stft = stft or StftConfig()

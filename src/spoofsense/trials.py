@@ -141,6 +141,7 @@ def load_manifest(path):
 
 
 TrialPair = namedtuple("TrialPair", "utt_a utt_b label category")  # label: positive | negative
+CodedRows = namedtuple("CodedRows", "utt_id speaker_id role mimicked_target_id")  # what RULES read
 
 
 @dataclass(frozen=True)
@@ -164,15 +165,14 @@ def _columns(ts):
 
 
 def _coded_rows(manifest):
-    """The manifest's columns as arrays for RULES, one entry per row, as a
-    ManifestRow, and its utt_ids in sorted order as an object array.
+    """The manifest's columns as CodedRows arrays, one entry per row, and
+    its utt_ids in sorted order as an object array.
 
     utt_id holds each id's rank in that order, which orders pairs as the
     ids do, since a manifest's ids are unique; speaker_id and
     mimicked_target_id hold codes from one table, so that two entries of
     either column have equal codes iff they are equal (an absent target,
-    None, has a code of its own).  role holds the role strings; path and
-    attack_id, which no rule reads, are None.
+    None, has a code of its own).  role holds the role strings.
     """
     rows = manifest.rows
     ids = Column.of([r.utt_id for r in rows])  # codes in sorted order: the ranks
@@ -180,14 +180,14 @@ def _coded_rows(manifest):
     speaker = np.array([code.setdefault(r.speaker_id, len(code)) for r in rows], np.intp)
     target = np.array([code.setdefault(r.mimicked_target_id, len(code)) for r in rows], np.intp)
     role = np.array([r.role for r in rows], dtype=object)
-    return ManifestRow(ids.codes, speaker, role, None, target), np.array(ids.names, dtype=object)
+    return CodedRows(ids.codes, speaker, role, target), np.array(ids.names, dtype=object)
 
 
 def _role_grid(coded, role, shape):
     """coded's rows of one role, each column reshaped to shape, so that a
     rule on two such grids broadcasts."""
     keep = np.flatnonzero(coded.role == role)
-    return ManifestRow._make(None if col is None else col[keep].reshape(shape) for col in coded)
+    return CodedRows._make(col[keep].reshape(shape) for col in coded)
 
 
 def _ranked_pairs(coded, category):

@@ -8,13 +8,13 @@ same bytes with 0, 1 or 3 helpers, each row block and each aperiodicity
 band runs once, the first failing one raises, and only once no helper runs
 a task any more, and an np.errstate of the caller holds on every thread.
 A helper starts on a task while the caller is still on its first, and a
-task may run tasks of its own.
+task may run tasks of its own; `extract --jobs 2`, whose rows are such
+tasks, writes the bytes of --jobs 1 in an interpreter that loads scipy
+on two threads at once.
 """
 
-import concurrent.futures
 import contextlib
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import natural_buf, write_manifest
 from spoofsense import audio, f0 as f0_module, spectral
 from spoofsense.audio import BLOCK_ROWS, by_row_blocks, helper_pool, write_wav
+from spoofsense.cli import main
 from spoofsense.errors import InputTooShort
 from spoofsense.f0 import F0Config, F0Contour, estimate_f0
 from spoofsense.spectral import (
@@ -442,20 +443,32 @@ def test_helper_starts_with_the_callers_first_band(k, n_bands):
     assert overlap.waits == [True]
 
 
-def test_helpers_belong_to_their_process(monkeypatch):
-    mine = helper_pool(1)
-    monkeypatch.setattr(audio, "_helpers", mine)
-    assert audio._block_helpers() is mine
-    monkeypatch.setattr(audio, "_helpers", (-1,) + mine[1:])  # as a forked child sees its parent's
-    pid, count, pool = audio._block_helpers()
-    assert pid == os.getpid() and pool is not mine[2]
-    assert count == len(os.sched_getaffinity(0)) - 1
+def test_helpers_are_made_once(monkeypatch):
+    """Threads that ask for the helpers at once, as a program that runs the
+    kernels on threads of its own may, all get the one pool."""
+    made, barrier = [], threading.Barrier(4)
 
+    def slow_pool(count):
+        made.append(count)
+        time.sleep(0.05)  # so that every thread asks while the pool is made
+        return count, None
 
-def test_pool_workers_run_blocks_serially():
-    with concurrent.futures.ProcessPoolExecutor(1, initializer=audio.serial_blocks) as ex:
-        pid, count, pool = ex.submit(audio._block_helpers).result()
-    assert count == 0 and pool is None and pid != os.getpid()
+    monkeypatch.setattr(audio, "helper_pool", slow_pool)
+    monkeypatch.setattr(audio, "_helpers", None)
+    got = []
+
+    def ask():
+        barrier.wait(10.0)
+        got.append(audio._block_helpers())
+
+    threads = [threading.Thread(target=ask) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10.0)
+    assert not any(t.is_alive() for t in threads)
+    assert made == [audio._cores() - 1] and len(got) == 4
+    assert all(g is got[0] for g in got)
 
 
 def _threads():
@@ -483,7 +496,7 @@ def test_repeated_calls_start_no_new_threads(monkeypatch):
     for _ in range(20):
         assert by_row_blocks(np.sqrt, rows).tobytes() == np.sqrt(rows).tobytes()
     assert _threads() == after_first
-    audio._helpers[2].shutdown()
+    audio._helpers[1].shutdown()
 
 
 def test_one_core_starts_no_thread(monkeypatch):
@@ -500,62 +513,56 @@ def test_one_core_starts_no_thread(monkeypatch):
     got = _outcome(by_row_blocks, fn, rows)
     assert got == _outcome(serial_by_row_blocks, fn, rows)
     assert _threads() == before and callers == {threading.get_ident()}
-    assert audio._helpers[1:] == (0, None)
+    assert audio._helpers == (0, None)
 
 
-# ------------------------------------------------------------ fork safety
+# ------------------------------------------------------------ a cold start
 
-FORK_SCRIPT = """
+COLD_SCRIPT = """
 import sys, threading
 import numpy as np
 from spoofsense import audio
-from spoofsense.audio import AudioBuffer, BLOCK_ROWS
+from spoofsense.audio import BLOCK_ROWS, by_row_blocks
 from spoofsense.cli import main
-from spoofsense.f0 import estimate_f0
 
 audio._helpers = audio.helper_pool(1)  # one helper, however many cores
-c = estimate_f0(AudioBuffer(np.sin(np.arange(32000) * 0.05) * 0.5, 16000))
-assert len(c) > 2 * BLOCK_ROWS and threading.active_count() > 1
-manifest, out = sys.argv[1:]
-for kind in ("f0", "sp", "ap"):
-    for jobs in ("2", "1"):
-        args = ["extract", "--manifest", manifest, "--feature", kind,
-                "--out-dir", out + jobs, "--jobs", jobs]
-        assert main(args) == 0, args
+rows = np.arange(3 * BLOCK_ROWS, dtype=np.float64)
+assert by_row_blocks(np.sqrt, rows).tobytes() == np.sqrt(rows).tobytes()
+assert threading.active_count() > 1 and "scipy" not in sys.modules
+manifest, kind, out = sys.argv[1:]
+args = ["extract", "--manifest", manifest, "--feature", kind, "--out-dir", out, "--jobs", "2"]
+assert main(args) == 0, args
 """
 
 
 def _run_child(script, *args, timeout):
-    """Run script in a new interpreter, in a session of its own; its stderr.
-    A child that has not ended after timeout seconds is killed, with every
-    process it started, and the test fails."""
+    """Run script in a new interpreter; one that has not ended after timeout
+    seconds is killed, and the test fails with TimeoutExpired."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     env.pop("SPOOFSENSE_CONFIG", None)
-    p = subprocess.Popen([sys.executable, "-c", script, *map(str, args)], env=env,
-                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                         start_new_session=True)
-    try:
-        _, err = p.communicate(timeout=timeout)
-    except subprocess.TimeoutExpired:  # a hung pool worker too, not just the script
-        os.killpg(p.pid, signal.SIGKILL)
-        p.communicate()
-        pytest.fail("the child did not finish in %d s" % timeout)
-    assert p.returncode == 0, err
-    return err
+    p = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                       capture_output=True, text=True, timeout=timeout)
+    assert p.returncode == 0, p.stderr
 
 
 def test_extract_jobs_after_helpers_started(tmp_path):
-    """Helpers running in the parent, then `extract --jobs 2`: its forked
-    workers must not wait on threads that did not fork with them."""
+    """Helpers running, then `extract --jobs 2` in an interpreter that has
+    not yet loaded scipy, once per kind: the calling thread and the helper
+    run a row each and load scipy's modules at once (scipy.signal to
+    resample a row, scipy.fft to track F0 or take the MFCC's DCT of
+    another), and must write the bytes of --jobs 1."""
     rows = []
-    for i in range(3):
+    for i, sr in enumerate((16000, 22050, 44100, 16000)):
         u = "u%d" % i
-        write_wav(tmp_path / ("%s.wav" % u), natural_buf(110 + 40 * i, seed=i, dur=1.0))
+        write_wav(tmp_path / ("%s.wav" % u), natural_buf(110 + 40 * i, seed=i, dur=0.5, sr=sr))
         rows.append((u, "s%d" % i, "bonafide", "-", "-", str(tmp_path / ("%s.wav" % u))))
     write_manifest(tmp_path / "m.tsv", rows)
-    _run_child(FORK_SCRIPT, tmp_path / "m.tsv", tmp_path / "out", timeout=120)
+    for kind in spectral.KINDS:
+        _run_child(COLD_SCRIPT, tmp_path / "m.tsv", kind, tmp_path / "out2", timeout=120)
+        assert main(["extract", "--manifest", str(tmp_path / "m.tsv"), "--feature", kind,
+                     "--out-dir", str(tmp_path / "out1"), "--jobs", "1"]) == 0
     names = sorted(os.listdir(tmp_path / "out1"))
-    assert len(names) == 9 and names == sorted(os.listdir(tmp_path / "out2"))
+    assert len(names) == 4 * len(spectral.KINDS) and names == sorted(os.listdir(tmp_path / "out2"))
     for name in names:
         assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 

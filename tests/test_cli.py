@@ -1,4 +1,5 @@
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import machine_buf, natural_buf, tone, wav_bytes, write_manifest
 from spoofsense.audio import write_wav
-from spoofsense import cli
+from spoofsense import audio, cli
 from spoofsense.cli import _kind_table, _pooled_vector, main
 from spoofsense.errors import MissingFeatureFile
 from spoofsense.metrics import parse_scorefile
@@ -59,34 +60,38 @@ def test_extract_jobs_deterministic(workspace):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+HELPERS = audio.helper_pool(3)  # made once: its threads, once started, stay for the process
+
+
 @pytest.mark.parametrize("jobs, n_rows", [(2, 6), (6, 6), (7, 6), (5000, 6), (5000, 1)])
 def test_extract_asks_for_at_most_one_worker_per_row(workspace, tmp_path, monkeypatch,
                                                      jobs, n_rows):
-    """A process pool forks all its workers on the first submit, so extract
-    asks for no more workers than rows, and runs one row in-process.  The
-    recording pool maps in-process: no worker is ever forked."""
-    made = []
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
+    """extract runs at most `jobs` rows at once, on the calling thread and
+    the block helpers, one thread per row, and runs one row on the calling
+    thread.  With three helpers, each of the first rows waits until
+    min(jobs, rows, 4) rows run at once, so the cap is reached, and no
+    further thread takes a row: --jobs 2 runs two rows at once."""
     lines = (workspace / "manifest.tsv").read_text().splitlines(keepends=True)
     (tmp_path / "m.tsv").write_text("".join(lines[: 1 + n_rows]))
     args = ["extract", "--manifest", tmp_path / "m.tsv", "--feature", "f0", "--out-dir"]
     assert run(*args, tmp_path / "serial") == 0
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+
+    at_once = min(jobs, n_rows, 1 + HELPERS[0])
+    first = {line.split("\t")[0] for line in lines[1 : 1 + at_once]}
+    barrier, threads, real = threading.Barrier(at_once), [], cli._extract_one
+
+    def one(row, *rest):
+        threads.append(threading.get_ident())
+        if row.utt_id in first:
+            barrier.wait(10.0)
+        return real(row, *rest)
+
+    monkeypatch.setattr(audio, "_helpers", HELPERS)
+    monkeypatch.setattr(cli, "_extract_one", one)
     assert run(*args, tmp_path / "pooled", "--jobs", jobs) == 0
-    assert made == ([min(jobs, n_rows)] if n_rows > 1 else [])
+    assert len(threads) == n_rows and len(set(threads)) == at_once
+    if n_rows == 1:
+        assert threads == [threading.get_ident()]
     names = sorted(os.listdir(tmp_path / "serial"))
     assert len(names) == n_rows and names == sorted(os.listdir(tmp_path / "pooled"))
     for name in names:

@@ -1,15 +1,21 @@
 """scipy, concurrent.futures and logging are loaded only by the code that
-calls them.
+calls them, and scipy's modules one at a time.
 
 `audio.resample` (on a rate change), `estimate_f0` and `mfcc` import scipy
-when first called; `audio.helper_pool` imports concurrent.futures for the
-block helpers, and `extract --jobs N` for its worker processes
-(concurrent.futures imports logging).  Importing the package, or running a
+when first called; `audio.helper_pool` imports concurrent.futures (which
+imports logging) for the block helpers, the threads that also share the
+rows of `extract --jobs N`.  Importing the package, or running a
 command that calls none of them, loads no module of the three packages, so
 those commands start without their import time.  Each case runs in a fresh
 interpreter, because this test process has loaded them long since.
+
+Two threads running rows of `extract --jobs N` that import two scipy
+modules at once can see a module of scipy's half-initialised and fail.
+So every import of scipy in the package is made holding the one lock
+`audio.FIRST_USE`, which an AST scan of the source checks.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -25,6 +31,7 @@ from spoofsense.spectral import FeatureMatrix
 from spoofsense.store import write_feature
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "spoofsense")
 TDCF_CONF = os.path.join(ROOT, "configs", "tdcf_example.conf")
 LAZY = ("scipy", "concurrent", "logging")
 
@@ -116,3 +123,40 @@ def test_extract_mfcc_with_rate_change_loads_scipy(tmp_path):
                          "--out-dir", tmp_path / "f"])
     assert rc == 0 and {"scipy.signal", "scipy.fft", "concurrent.futures", "logging"} <= set(modules)
     assert (tmp_path / "f" / "u1.mfcc.ssft").exists()
+
+
+def _imported_packages(node):
+    if isinstance(node, ast.Import):
+        return [a.name.partition(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.partition(".")[0]]
+    return []
+
+
+def _unlocked_imports(node, lock_name, locked=False):
+    """(line, package) of each import of scipy under node that no enclosing
+    `with <lock_name>:` holds."""
+    if isinstance(node, ast.With):
+        locked = locked or any(isinstance(item.context_expr, ast.Name)
+                               and item.context_expr.id == lock_name for item in node.items)
+    found = [(node.lineno, pkg) for pkg in _imported_packages(node)
+             if pkg == "scipy" and not locked]
+    for child in ast.iter_child_nodes(node):
+        found += _unlocked_imports(child, lock_name, locked)
+    return found
+
+
+def test_every_scipy_import_holds_the_lock():
+    unlocked, seen = [], 0
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        seen += sum("scipy" in _imported_packages(n) for n in ast.walk(tree))
+        bound = name == "audio.py" or any(  # the lock is audio's own, not another
+            isinstance(n, ast.ImportFrom) and n.module == "audio" and n.level == 1
+            and "FIRST_USE" in [a.name for a in n.names] for n in tree.body)
+        unlocked += ["%s:%d %s" % (name, line, pkg)
+                     for line, pkg in _unlocked_imports(tree, "FIRST_USE" if bound else None)]
+    assert unlocked == [] and seen >= 4  # resample, _resample_filter, _nccf, mfcc

@@ -82,7 +82,7 @@ def one_helper():
     try:
         yield
     finally:
-        audio._helpers[2].shutdown()
+        audio._helpers[1].shutdown()
         audio._helpers = saved
 
 
@@ -851,7 +851,7 @@ def test_blocked_kernels_memory_per_helper():
         assert _peak_mb(estimate_f0, buf) < 16.0
         assert _peak_mb(spectral_envelope, buf, c) < 30.0
     finally:
-        audio._helpers[2].shutdown()
+        audio._helpers[1].shutdown()
         audio._helpers = saved
 
 

@@ -183,6 +183,23 @@ def test_train_validation():
         score(m, np.zeros(5))
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 3, -2, np.iinfo(np.int64).min])
+def test_labels_outside_0_1_are_refused(bad):
+    """-1 would index the spoof column and 2 past the last one; each batch
+    that holds such a label is refused, in train too, where every row is in
+    some batch of the first epoch."""
+    m = init_model((3, 4, 3, 2), seed=0)
+    x = np.ones((4, 3))
+    message = "^labels must be 0 \\(bonafide\\) or 1 \\(spoof\\)$"
+    for y in ([bad, 0], [1, 0, 1, bad]):
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad(m, x[: len(y)], y)
+    with pytest.raises(ValueError, match=message):
+        train(m, x, [0, 1, 1, bad], TrainConfig(epochs=1, batch_size=1))
+    for y in ([0, 0], [1, 1], [0, 1]):  # each accepted label
+        assert np.isfinite(loss_and_grad(m, x[:2], y)[0])
+
+
 def test_score_takes_one_row():
     """score returns one number, so it takes one row: a (1, d) row scores as
     the same 1-D vector does, and several rows, or none, are refused."""
