@@ -133,46 +133,33 @@ def _pooled_vector(utt_id, table):
     """Concatenate per-kind vectors: an utterance-level kind's one row, or a
     frame-level kind's frames mean-pooled in float64.
 
-    Finiteness is checked once for the whole vector.  A float64 sum of
-    float32 values cannot overflow, so a part is finite exactly when every
-    entry of its file is; a non-finite part is still reported before any
-    fault of a later file, as a check file by file would.
+    Each part is checked as it is made, so the first faulty file is the one
+    reported.  A float64 sum of float32 values cannot overflow, so a part is
+    finite exactly when every entry of its file is.
     """
     parts = []
-    try:
-        for kind, prefix, suffix, utterance_level in table:
-            path = prefix + utt_id + suffix
-            try:
-                tag, _, data = read_payload(path)
-            except FileNotFoundError:
-                raise MissingFeatureFile(path) from None
-            if tag != kind:
-                raise KindDimsMismatch("%s holds kind %r, not %r" % (path, tag, kind))
-            n = len(data)
-            if n == 0:
-                raise InputTooShort("0-frame feature file %s" % path)
-            if not utterance_level:  # mean(axis=0) of the widened frames
-                parts.append(np.add.reduce(data.astype(np.float64), 0) / n)
-            elif n == 1:
-                parts.append(data[0].astype(np.float64))
-            else:
-                raise KindDimsMismatch("%s holds %d rows, utterance-level kind %r holds 1"
-                                       % (path, n, kind))
-    except (SpoofsenseError, OSError):  # what main reports; an earlier part's fault first
-        _check_finite(parts, utt_id, table)
-        raise
-    vector = np.concatenate(parts)
-    if not np.isfinite(vector).all():
-        _check_finite(parts, utt_id, table)
-    return vector
-
-
-def _check_finite(parts, utt_id, table):
-    """Raise CorruptPayload for the file of the first non-finite part."""
-    for part, (_, prefix, suffix, _) in zip(parts, table):
+    for kind, prefix, suffix, utterance_level in table:
+        path = prefix + utt_id + suffix
+        try:
+            tag, _, data = read_payload(path)
+        except FileNotFoundError:
+            raise MissingFeatureFile(path) from None
+        if tag != kind:
+            raise KindDimsMismatch("%s holds kind %r, not %r" % (path, tag, kind))
+        n = len(data)
+        if n == 0:
+            raise InputTooShort("0-frame feature file %s" % path)
+        if not utterance_level:  # mean(axis=0) of the widened frames
+            part = np.add.reduce(data.astype(np.float64), 0) / n
+        elif n == 1:
+            part = data[0].astype(np.float64)
+        else:
+            raise KindDimsMismatch("%s holds %d rows, utterance-level kind %r holds 1"
+                                   % (path, n, kind))
         if not np.isfinite(part).all():
-            raise CorruptPayload("feature data contains non-finite entries: %s"
-                                 % (prefix + utt_id + suffix)) from None
+            raise CorruptPayload("feature data contains non-finite entries: %s" % path)
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 def _parse_kinds(parser, spec_str):

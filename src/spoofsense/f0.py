@@ -81,21 +81,18 @@ def contour_framing(sample_rate, c):
     return int(round(frame_len)), int(round(hop))
 
 
-def _nccf(frames, squares, kmin, kmax):
+def _nccf(frames, squares, kmin, kmax, nfft):
     """Normalized cross-correlation for lags kmin-1 .. kmax+1 (per frame).
 
     nccf[k] = sum(x[n] x[n+k]) / sqrt(E(x[:W-k]) E(x[k:])), so any exactly
     periodic frame scores 1.0 at its period regardless of amplitude.
     squares is frames**2; it is overwritten with its running sums.  The
-    FFT has N = next_fast_len(W + kmax + 1) points: at a lag k <= kmax + 1
-    every product x[n] x[n+k] of the frame has n + k < W + kmax + 1 <= N, so
+    FFT has nfft points, at least W + kmax + 1 (estimate_f0 passes
+    next_fast_len of that, once per call): at a lag k <= kmax + 1 every
+    product x[n] x[n+k] of the frame has n + k < W + kmax + 1 <= nfft, so
     none wraps and the circular correlation equals the linear one.
     """
-    with FIRST_USE:  # on first use, so commands that track no F0 never load scipy
-        from scipy.fft import next_fast_len
-
     w = frames.shape[1]
-    nfft = next_fast_len(w + kmax + 1)
     spec = np.fft.rfft(frames, nfft, axis=1)
     # the power spectrum in spec itself, so that irfft transforms it without
     # first copying a real array into a new complex one
@@ -157,6 +154,9 @@ def estimate_f0(buf, cfg=None):
     if kmin < 2:
         raise ValueError("ceil too close to the sample rate")
     rounding = (frame_len * np.finfo(float).eps) ** 2
+    with FIRST_USE:  # on first use, so commands that track no F0 never load scipy
+        from scipy.fft import next_fast_len
+    nfft = next_fast_len(frame_len + kmax + 1)  # sized here, so no block imports
 
     def track(raw):
         # np.add.reduce and the division by the width are ndarray.mean's own
@@ -173,7 +173,7 @@ def estimate_f0(buf, cfg=None):
             return values
         if len(live) < len(frames):  # each row on its own: only the live ones
             frames, squares = frames[live], squares[live]
-        lag, peak = _pick_peak(*_nccf(frames, squares, kmin, kmax))
+        lag, peak = _pick_peak(*_nccf(frames, squares, kmin, kmax, nfft))
         values[live] = np.where(
             peak < cfg.voicing_threshold, 0.0, np.clip(sr / lag, cfg.floor, cfg.ceil)
         )

@@ -1,4 +1,4 @@
-"""Frame-level spectral features: log-STFT, 39-dim MFCC, spectral envelope,
+"""Frame-level spectral features: log-STFT, MFCC, spectral envelope,
 and band aperiodicity; and KINDS, the one table of all seven feature kinds.
 
 The envelope and aperiodicity are contour-guided: their framing is derived
@@ -32,7 +32,7 @@ LOG_EPS = 1e-10
 Kind = namedtuple("Kind", "dims utterance_level compute")
 KINDS = {
     "stft": Kind(None, False, lambda buf, cfg: stft_spectrogram(buf, cfg.stft)),
-    "mfcc": Kind(39, False, lambda buf, cfg: mfcc(buf, cfg.mfcc, cfg.stft)),
+    "mfcc": Kind(None, False, lambda buf, cfg: mfcc(buf, cfg.mfcc, cfg.stft)),
     "sp": Kind(None, False, lambda buf, cfg: spectral_envelope(
         buf, estimate_f0(buf, cfg.f0), cfg.envelope)),
     "ap": Kind(None, False, lambda buf, cfg: band_aperiodicity(
@@ -210,8 +210,9 @@ def delta(m, window=2):
 
 
 def mfcc(buf, cfg=None, stft=None):
-    """13 cepstra (DCT-II of log mel energies) + deltas + delta-deltas = 39,
-    framed by the stft config as the log-STFT is, but always Hann-windowed."""
+    """n_ceps cepstra (DCT-II of log mel energies) + deltas + delta-deltas,
+    3 x n_ceps columns (39 by default), framed by the stft config as the
+    log-STFT is, but always Hann-windowed."""
     with FIRST_USE:  # on first use, so commands that compute no MFCC never load scipy
         from scipy.fft import dct
 

@@ -48,8 +48,7 @@ def write_feature(path, m):
     if not np.all(np.isfinite(payload)):
         raise ValueError("feature values overflow float32")
     kind = m.kind.encode("ascii")
-    head = MAGIC + struct.pack("<B", len(kind)) + kind
-    head += struct.pack("<IId", m.dims, m.num_frames, m.hop)
+    head = MAGIC + bytes((len(kind),)) + kind + _SHAPE.pack(m.dims, m.num_frames, m.hop)
     atomic_write_bytes(path, head, payload)  # the payload's own buffer, not a copy
 
 
@@ -81,8 +80,8 @@ def read_payload(path):
     (num_frames, dims) float32 view of its payload.
 
     Checks the layout, the kind's dims and the hop, not the values:
-    read_feature checks those through FeatureMatrix, and cli._dataset
-    on the pooled vectors.
+    read_feature checks those through FeatureMatrix, and
+    cli._pooled_vector on each file's pooled part.
     """
     raw = _read_file(path)
     if raw[: len(MAGIC)] != MAGIC:

@@ -178,6 +178,34 @@ def test_train_score_eval_pipeline(workspace, tmp_path):
     assert report2.read_text().splitlines()[0].endswith(",min_tdcf")
 
 
+WIDTHS_CONF = "n_fft = 1024\nn_ceps = 12\nenv_n_fft = 2048\nap_bands = 4\n"
+
+
+def test_every_configurable_width_end_to_end(workspace, tmp_path):
+    """Each kind whose width the config sets writes files of that width,
+    and train-cm and score-cm pool them: mfcc is 3 x n_ceps wide."""
+    conf = tmp_path / "widths.conf"
+    conf.write_text(WIDTHS_CONF + FAST_CONF)
+    widths = {"stft": 513, "mfcc": 36, "sp": 1025, "ap": 4, "f0": 1, "jitter-shimmer": 2, "pse": 1}
+    assert list(widths) == list(KINDS)
+    feats = tmp_path / "feats"
+    for kind, dims in widths.items():
+        assert run("extract", "--manifest", workspace / "manifest.tsv", "--feature", kind,
+                   "--out-dir", feats, "--config", conf) == 0
+        for name in ("bona0", "bona1", "bona2", "spoof0", "spoof1", "spoof2"):
+            m = read_feature(feats / ("%s.%s.ssft" % (name, kind)))
+            assert m.kind == kind and m.dims == dims
+
+    features = ",".join(widths)
+    model = tmp_path / "cm.mdl"
+    assert run("train-cm", "--features", features, "--manifest", workspace / "manifest.tsv",
+               "--feature-dir", feats, "--out-model", model, "--config", conf) == 0
+    scores = tmp_path / "cm.scores"
+    assert run("score-cm", "--model", model, "--manifest", workspace / "manifest.tsv",
+               "--features", features, "--feature-dir", feats, "--out-scores", scores) == 0
+    assert len(parse_scorefile(scores)) == 6
+
+
 def test_eval_tdcf_requires_cost_config(workspace, tmp_path):
     p = tmp_path / "s.tsv"
     p.write_text("t\t-\ttarget\t1\nu\t-\tnontarget\t0\n")

@@ -159,4 +159,4 @@ def test_every_scipy_import_holds_the_lock():
             and "FIRST_USE" in [a.name for a in n.names] for n in tree.body)
         unlocked += ["%s:%d %s" % (name, line, pkg)
                      for line, pkg in _unlocked_imports(tree, "FIRST_USE" if bound else None)]
-    assert unlocked == [] and seen >= 4  # resample, _resample_filter, _nccf, mfcc
+    assert unlocked == [] and seen >= 4  # resample, _resample_filter, estimate_f0, mfcc

@@ -432,7 +432,7 @@ def test_nccf_matches_2w(sr, floor, ceil):
         np.zeros((1, w)),  # zero energy: nccf 0
     ])
     frames -= frames.mean(axis=1, keepdims=True)
-    lags, got = _nccf(frames, frames**2, kmin, kmax)
+    lags, got = _nccf(frames, frames**2, kmin, kmax, next_fast_len(w + kmax + 1))
     assert np.array_equal(got, _nccf_ref(frames, frames**2, kmin, kmax)[1])
     want_lags, want = _nccf_2w(frames, kmin, kmax)
     assert np.array_equal(lags, want_lags)
@@ -452,7 +452,7 @@ def test_nccf_matches_2w(sr, floor, ceil):
 def test_estimate_f0_matches_2w_contour(name, f0_cfg, monkeypatch):
     buf = CORPUS[name]
     got = estimate_f0(buf, f0_cfg).values
-    monkeypatch.setattr(f0_module, "_nccf", lambda frames, sq, kmin, kmax: _nccf_2w(frames, kmin, kmax))
+    monkeypatch.setattr(f0_module, "_nccf", lambda frames, sq, kmin, kmax, nfft: _nccf_2w(frames, kmin, kmax))
     want = estimate_f0(buf, f0_cfg).values
     assert np.array_equal(got > 0, want > 0)
     assert np.all(np.abs(got - want) <= 1e-12 * want)
@@ -780,6 +780,8 @@ def test_nccf_zero_denominators_match_ref(rows, cfg, seed):
     energy of x[:W-k] or of x[k:] is 0 once W - k of them are, so some lags
     divide by zero.  The bits must be _nccf_ref's, and no RuntimeWarning may
     escape."""
+    from scipy.fft import next_fast_len
+
     kmin, kmax = int(np.ceil(SR / cfg.ceil)), int(np.floor(SR / cfg.floor))
     w = contour_framing(SR, cfg)[0]
     r = np.random.default_rng(seed)
@@ -794,7 +796,7 @@ def test_nccf_zero_denominators_match_ref(rows, cfg, seed):
     want = _nccf_ref(frames, frames**2, kmin, kmax)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _nccf(frames, frames**2, kmin, kmax)
+        got = _nccf(frames, frames**2, kmin, kmax, next_fast_len(w + kmax + 1))
     assert np.array_equal(got[0], want[0])
     assert got[1].tobytes() == want[1].tobytes()
 

@@ -270,8 +270,9 @@ def test_single_fault_fails_like_the_oracle(tmp_path, capsys, fault):
 
 
 def test_non_finite_file_fails_before_a_later_files_fault(tmp_path):
-    """Finiteness is checked once per pooled vector, but a non-finite file
-    still fails before any fault of a later file of its utterance."""
+    """Each file's part is checked for finiteness before the next file is
+    read, so a non-finite file fails before any fault of a later file of
+    its utterance."""
     assert len(NON_FINITE) == 18
     for first in NON_FINITE:
         for second in sorted(FAULTS):

@@ -212,10 +212,11 @@ def test_feature_matrix_validation():
 
 
 def test_kind_dims_rules():
-    check_kind_dims("mfcc", 39)
-    check_kind_dims("stft", 257)  # free-dim kind
+    check_kind_dims("f0", 1)
+    check_kind_dims("stft", 257)  # free-dim kinds
+    check_kind_dims("mfcc", 36)  # 3 x n_ceps, for n_ceps = 12
     with pytest.raises(KindDimsMismatch):
-        check_kind_dims("mfcc", 40)
+        check_kind_dims("f0", 2)
     with pytest.raises(KindDimsMismatch):
         check_kind_dims("nope", 3)
     with pytest.raises(KindDimsMismatch):

@@ -55,7 +55,7 @@ def test_byte_determinism(tmp_path):
 
 def test_kind_dims_gate_before_write(tmp_path):
     with pytest.raises(KindDimsMismatch):
-        write_feature(tmp_path / "x.ssft", FeatureMatrix(kind="mfcc", data=np.zeros((2, 40)), hop=0.01))
+        write_feature(tmp_path / "x.ssft", FeatureMatrix(kind="f0", data=np.zeros((2, 2)), hop=0.005))
     assert not (tmp_path / "x.ssft").exists()
 
 
