@@ -23,6 +23,11 @@ from .errors import CorruptPayload, MalformedRiff, TruncatedData, UnsupportedEnc
 # module, which two threads importing two of them at once can see half-initialised
 FIRST_USE = threading.Lock()
 
+# the sample rates read_wav accepts, and the highest sample_rate RunConfig
+# accepts: far above or below them, resample's filter or its output would
+# not fit in memory
+RATES = range(1000, 768001)
+
 PCM16_SCALE = 32768.0
 PCM24_SCALE = 8388608.0  # 2**23
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
@@ -53,10 +58,11 @@ def read_wav(path):
     """Parse a RIFF/WAVE file into a mono AudioBuffer.
 
     Accepts PCM16 and PCM24 (format code 1) and IEEE float32 (code 3), 1 or
-    2 channels; stereo is averaged.  WAVE_FORMAT_EXTENSIBLE (0xFFFE) is read
-    as the PCM or float code its sub-format GUID names.  PCM samples are
-    scaled by 1/2**15 or 1/2**23; float samples are clipped to [-1, 1], and a
-    NaN or inf among them raises CorruptPayload.
+    2 channels, at a rate in RATES; stereo is averaged.
+    WAVE_FORMAT_EXTENSIBLE (0xFFFE) is read as the PCM or float code its
+    sub-format GUID names.  PCM samples are scaled by 1/2**15 or 1/2**23;
+    float samples are clipped to [-1, 1], and a NaN or inf among them raises
+    CorruptPayload.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -105,6 +111,9 @@ def read_wav(path):
         raise UnsupportedEncoding("%d channels" % channels)
     if rate <= 0:
         raise MalformedRiff("nonpositive sample rate")
+    if rate not in RATES:
+        raise UnsupportedEncoding("sample rate %d Hz, outside %d-%d Hz"
+                                  % (rate, RATES[0], RATES[-1]))
 
     data = data[: len(data) - len(data) % (channels * bits // 8)]
     x = _int24(data) if bits == 24 else np.frombuffer(data, dtype=dtype)

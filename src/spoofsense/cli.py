@@ -41,7 +41,7 @@ from .trials import (
     score_trials,
     write_scorefile,
 )
-from .tsv import plain
+from .tsv import plain, write_rows
 
 CLASS_NAMES = ("bonafide", "spoof")
 
@@ -50,37 +50,27 @@ def _feature_path(out_dir, utt_id, feature):
     return os.path.join(out_dir, "%s.%s.ssft" % (utt_id, feature))
 
 
-def _extract_one(row, feature, cfg, out_dir=None):
-    """Worker for one utterance: decode, resample and compute `feature`, then
-    write it under out_dir or, with no out_dir, return it.
+def _extract_all(rows, feature, cfg, keep, jobs=1):
+    """Decode, resample and compute `feature` for each row, and pass each
+    FeatureMatrix to keep(utt_id, m).  Returns the (utt_id, message) of each
+    failed row, sorted by utt_id, and prints each to stderr as a FAIL line.
 
-    Returns (utt_id, FeatureMatrix or None, error message or None).
-    """
-    try:
-        m = KINDS[feature].compute(resample(read_wav(row.path), cfg.sample_rate), cfg)
-        if out_dir is None:
-            return row.utt_id, m, None
-        write_feature(_feature_path(out_dir, row.utt_id, feature), m)
-        return row.utt_id, None, None
-    except (SpoofsenseError, OSError, ValueError) as e:
-        return row.utt_id, None, "%s: %s" % (type(e).__name__, e)
+    run_tasks shares the rows between the calling thread and the block
+    helpers, at most `jobs` at once; a row's kernels share their blocks with
+    any helper left idle.  perfbench's tracer nests spans on one thread
+    only, so a traced run passes jobs=1, which runs every row on the
+    calling thread."""
+    failures = []  # list.append is atomic: each failed row appends its own
 
+    def one(row):
+        try:
+            m = KINDS[feature].compute(resample(read_wav(row.path), cfg.sample_rate), cfg)
+            keep(row.utt_id, m)
+        except (SpoofsenseError, OSError, ValueError) as e:
+            failures.append((row.utt_id, "%s: %s" % (type(e).__name__, e)))
 
-def _extract_all(rows, feature, cfg, out_dir=None, jobs=1):
-    """_extract_one over rows, sorted by utt_id.  run_tasks shares the rows
-    between the calling thread and the block helpers, at most `jobs` at
-    once; a row's kernels share their blocks with any helper left idle.
-    perfbench's tracer nests spans on one thread only, so a traced run
-    passes jobs=1, which runs every row on the calling thread."""
-    results = []  # list.append is atomic: each row appends its own result
-    run_tasks(lambda row: results.append(_extract_one(row, feature, cfg, out_dir)), rows, jobs)
-    return sorted(results, key=lambda r: r[0])
-
-
-def _failures(results):
-    """(utt_id, message) of each failed result of _extract_all, each also
-    printed to stderr as a FAIL line."""
-    failures = [(utt, msg) for utt, _, msg in results if msg is not None]
+    run_tasks(one, rows, jobs)
+    failures.sort()  # utt_ids are unique
     for utt, msg in failures:
         print("FAIL %s: %s" % (utt, msg), file=sys.stderr)
     return failures
@@ -93,12 +83,10 @@ def cmd_extract(args, parser):
     manifest = load_manifest(args.manifest)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    results = _extract_all(manifest.rows, args.feature, cfg, args.out_dir, args.jobs)
-    failures = _failures(results)
-    print(
-        "extract %s: %d ok, %d failed"
-        % (args.feature, len(results) - len(failures), len(failures))
-    )
+    failures = _extract_all(manifest.rows, args.feature, cfg, lambda utt, m: write_feature(
+        _feature_path(args.out_dir, utt, args.feature), m), args.jobs)
+    print("extract %s: %d ok, %d failed"
+          % (args.feature, len(manifest) - len(failures), len(failures)))
     if failures and not args.keep_going:
         return 1
     return 0
@@ -202,9 +190,7 @@ def cmd_train_cm(args, parser):
     )
     trained, history = train(model, x, y, cfg.train)
     save_model(args.out_model, trained)
-    with open(args.out_model + ".losses.txt", "w") as fh:
-        for loss in history:
-            fh.write("%.12g\n" % loss)
+    write_rows(args.out_model + ".losses.txt", (["%.12g" % loss for loss in history],))
     print(
         "train-cm: %d utts, dims %s, final loss %.6g"
         % (len(y), "x".join(str(d) for d in trained.dims), history[-1])
@@ -267,9 +253,9 @@ def cmd_eval(args, parser):
 def cmd_pse_report(args, parser):
     cfg = load_config(args.config)
     manifest = load_manifest(args.manifest)
-    results = _extract_all(manifest.rows, "pse", cfg)
-    values = {utt: float(m.data[0, 0]) for utt, m, msg in results if msg is None}
-    failures = _failures(results)
+    values = {}
+    failures = _extract_all(manifest.rows, "pse", cfg,
+                            lambda utt, m: values.__setitem__(utt, float(m.data[0, 0])))
     with open(args.out, "w", newline="") as fh:
         write_pse_report(values, {r.utt_id: r.role for r in manifest.rows}, fh)
     print("pse-report: %d ok, %d errors" % (len(values), len(failures)))

@@ -11,6 +11,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
+from .audio import RATES
 from .errors import ConfigError, ParseError
 from .f0 import F0Config
 from .metrics import CostModel
@@ -40,6 +41,8 @@ class RunConfig:
     def __post_init__(self):
         if self.sample_rate < 1:
             raise ValueError("sample_rate must be >= 1")
+        if self.sample_rate > RATES[-1]:
+            raise ValueError("sample_rate must be <= %d" % RATES[-1])
         if self.activation not in ("relu", "tanh"):
             raise ValueError("activation must be relu or tanh")
         if self.hidden1 < 1 or self.hidden2 < 1:

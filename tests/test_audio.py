@@ -101,6 +101,31 @@ def test_unsupported_encoding(tmp_path):
         read_wav(p)
 
 
+def wav_at_rate(rate):
+    """A two-sample PCM16 file whose header says rate Hz, which wav_bytes's
+    byte rate field could not hold for every rate."""
+    wav = bytearray(wav_bytes(np.array([1, 2], dtype=np.int16)))
+    struct.pack_into("<I", wav, 24, rate)  # the fmt chunk's sample rate
+    return bytes(wav)
+
+
+@pytest.mark.parametrize("rate", [1000, 16000, 22050, 44100, 44101, 768000])
+def test_plausible_rates_read(tmp_path, rate):
+    p = tmp_path / "r.wav"
+    p.write_bytes(wav_at_rate(rate))
+    assert read_wav(p).sample_rate == rate
+
+
+@pytest.mark.parametrize("rate, exc", [(0, MalformedRiff), (1, UnsupportedEncoding),
+                                       (999, UnsupportedEncoding), (768001, UnsupportedEncoding),
+                                       (2**32 - 1, UnsupportedEncoding)])
+def test_implausible_rates_rejected(tmp_path, rate, exc):
+    p = tmp_path / "r.wav"
+    p.write_bytes(wav_at_rate(rate))
+    with pytest.raises(exc):
+        read_wav(p)
+
+
 def test_three_channels_rejected(tmp_path):
     p = tmp_path / "3ch.wav"
     p.write_bytes(wav_bytes(np.array([1, 2, 3], dtype=np.int16), channels=3))

@@ -14,6 +14,7 @@ from spoofsense.metrics import parse_scorefile
 from spoofsense.spectral import KINDS, FeatureMatrix
 from spoofsense.store import read_feature, write_feature
 from spoofsense.trials import write_scorefile
+from test_audio import wav_at_rate
 from test_trial_oracles import write_scorefile_rows
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -77,17 +78,17 @@ def test_extract_asks_for_at_most_one_worker_per_row(workspace, tmp_path, monkey
     assert run(*args, tmp_path / "serial") == 0
 
     at_once = min(jobs, n_rows, 1 + HELPERS[0])
-    first = {line.split("\t")[0] for line in lines[1 : 1 + at_once]}
-    barrier, threads, real = threading.Barrier(at_once), [], cli._extract_one
+    first = {line.rstrip("\n").split("\t")[-1] for line in lines[1 : 1 + at_once]}
+    barrier, threads, real = threading.Barrier(at_once), [], cli.read_wav
 
-    def one(row, *rest):
+    def one(path):  # read once per row, on the row's thread
         threads.append(threading.get_ident())
-        if row.utt_id in first:
+        if path in first:
             barrier.wait(10.0)
-        return real(row, *rest)
+        return real(path)
 
     monkeypatch.setattr(audio, "_helpers", HELPERS)
-    monkeypatch.setattr(cli, "_extract_one", one)
+    monkeypatch.setattr(cli, "read_wav", one)
     assert run(*args, tmp_path / "pooled", "--jobs", jobs) == 0
     assert len(threads) == n_rows and len(set(threads)) == at_once
     if n_rows == 1:
@@ -735,9 +736,10 @@ def test_pse_report_flags_errors(tmp_path, capsys):
     assert any(l.startswith("#histogram,bonafide") for l in lines)
 
 
-def test_pse_report_prints_failure_reasons(tmp_path, capsys):
+def test_pse_report_prints_failure_reasons(tmp_path, capsys, monkeypatch):
     """Each failed utterance's reason goes to stderr, in the FAIL line that
-    extract prints; stdout, the CSV and the exit code stay as they were."""
+    extract prints; stdout, the CSV and the exit code stay as they were.
+    Failures collected on two threads are printed in utt_id order too."""
     write_wav(tmp_path / "good.wav", tone(150))
     (tmp_path / "bad.wav").write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
     write_manifest(tmp_path / "m.tsv", [
@@ -757,6 +759,55 @@ def test_pse_report_prints_failure_reasons(tmp_path, capsys):
     assert capsys.readouterr() == ("pse-report: 1 ok, 2 errors\n", fails)
     lines = out.read_text().splitlines()
     assert lines[2:4] == ["u2,spoof,error", "u3,spoof,error"]
+
+    # two more failures, the rows out of utt_id order, and two rows at once
+    (tmp_path / "text.wav").write_bytes(b"not a RIFF file")
+    write_manifest(tmp_path / "m2.tsv", [
+        ("u3", "s1", "spoof", "-", "-", str(tmp_path / "missing.wav")),
+        ("u4", "s1", "spoof", "-", "-", str(tmp_path / "text.wav")),
+        ("u1", "s1", "bonafide", "-", "-", str(tmp_path / "good.wav")),
+        ("u0", "s1", "spoof", "-", "-", str(tmp_path / "missing.wav")),
+        ("u2", "s1", "spoof", "-", "-", str(tmp_path / "bad.wav")),
+    ])
+    monkeypatch.setattr(audio, "_helpers", HELPERS)
+    runs = []
+    for jobs in (1, 2):
+        assert run("extract", "--manifest", tmp_path / "m2.tsv", "--feature", "pse",
+                   "--out-dir", tmp_path / ("f%d" % jobs), "--keep-going", "--jobs", jobs) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0] == runs[1]
+    assert runs[0].out == "extract pse: 1 ok, 4 failed\n"
+    assert [line.split(":")[0] for line in runs[0].err.splitlines()] == [
+        "FAIL u0", "FAIL u2", "FAIL u3", "FAIL u4"]
+
+
+@pytest.mark.parametrize("rate", [1, 999, 768001, 2147483647])
+def test_implausible_header_rate_fails_its_row(workspace, tmp_path, capsys, rate):
+    """A header rate outside audio.RATES fails its row with a typed error
+    before resampling asks for more memory than there is: 320 GiB of filter
+    taps from 2147483647 Hz, say.  The good row's file is still written."""
+    (tmp_path / "bad.wav").write_bytes(wav_at_rate(rate))
+    write_manifest(tmp_path / "m.tsv", [
+        ("bad", "s1", "spoof", "-", "-", str(tmp_path / "bad.wav")),
+        ("good", "s1", "bonafide", "-", "-", str(workspace / "bona0.wav")),
+    ])
+    args = ["extract", "--manifest", tmp_path / "m.tsv", "--feature", "f0",
+            "--out-dir", tmp_path / "f"]
+    fail = "FAIL bad: UnsupportedEncoding: sample rate %d Hz, outside 1000-768000 Hz\n" % rate
+    assert run(*args) == 1
+    assert capsys.readouterr() == ("extract f0: 1 ok, 1 failed\n", fail)
+    assert run(*args, "--keep-going") == 0
+    assert capsys.readouterr().err == fail
+    assert sorted(os.listdir(tmp_path / "f")) == ["good.f0.ssft"]
+
+
+def test_implausible_sample_rate_config_fails_before_any_row(workspace, tmp_path, capsys):
+    conf = tmp_path / "rate.conf"
+    conf.write_text("sample_rate = 1000000000\n")
+    assert run("extract", "--manifest", workspace / "manifest.tsv", "--feature", "f0",
+               "--out-dir", tmp_path / "f", "--config", conf, "--keep-going") == 1
+    assert capsys.readouterr() == ("", "error: %s: sample_rate must be <= 768000\n" % conf)
+    assert not (tmp_path / "f").exists()
 
 
 def test_pse_report_bad_f0_band_is_an_error_row(workspace, tmp_path, capsys):
