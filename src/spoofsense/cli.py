@@ -183,18 +183,13 @@ def cmd_train_cm(args, parser):
     if len(set(y.tolist())) < 2:
         raise EmptyDataset("training needs both bonafide and spoof rows")
 
-    model = init_model(
-        (x.shape[1], cfg.hidden1, cfg.hidden2, 2),
-        activation=cfg.activation,
-        seed=cfg.train.seed,
-    )
+    model = init_model((x.shape[1], cfg.hidden1, cfg.hidden2, 2),
+                       activation=cfg.activation, seed=cfg.train.seed)
     trained, history = train(model, x, y, cfg.train)
     save_model(args.out_model, trained)
     write_rows(args.out_model + ".losses.txt", (["%.12g" % loss for loss in history],))
-    print(
-        "train-cm: %d utts, dims %s, final loss %.6g"
-        % (len(y), "x".join(str(d) for d in trained.dims), history[-1])
-    )
+    print("train-cm: %d utts, dims %s, final loss %.6g"
+          % (len(y), "x".join(str(d) for d in trained.dims), history[-1]))
     return 0
 
 
@@ -254,8 +249,11 @@ def cmd_pse_report(args, parser):
     cfg = load_config(args.config)
     manifest = load_manifest(args.manifest)
     values = {}
-    failures = _extract_all(manifest.rows, "pse", cfg,
-                            lambda utt, m: values.__setitem__(utt, float(m.data[0, 0])))
+
+    def keep(utt, m):
+        values[utt] = float(m.data[0, 0])
+
+    failures = _extract_all(manifest.rows, "pse", cfg, keep)
     with open(args.out, "w", newline="") as fh:
         write_pse_report(values, {r.utt_id: r.role for r in manifest.rows}, fh)
     print("pse-report: %d ok, %d errors" % (len(values), len(failures)))

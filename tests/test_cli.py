@@ -781,11 +781,12 @@ def test_pse_report_prints_failure_reasons(tmp_path, capsys, monkeypatch):
         "FAIL u0", "FAIL u2", "FAIL u3", "FAIL u4"]
 
 
-@pytest.mark.parametrize("rate", [1, 999, 768001, 2147483647])
-def test_implausible_header_rate_fails_its_row(workspace, tmp_path, capsys, rate):
+def test_implausible_header_rate_fails_its_row(workspace, tmp_path, capsys):
     """A header rate outside audio.RATES fails its row with a typed error
     before resampling asks for more memory than there is: 320 GiB of filter
-    taps from 2147483647 Hz, say.  The good row's file is still written."""
+    taps from 2147483647 Hz.  The good row's file is still written.  Which
+    rates are rejected is test_audio's to check."""
+    rate = 2147483647
     (tmp_path / "bad.wav").write_bytes(wav_at_rate(rate))
     write_manifest(tmp_path / "m.tsv", [
         ("bad", "s1", "spoof", "-", "-", str(tmp_path / "bad.wav")),
