@@ -7,7 +7,8 @@ sorts its scores once and reads FAR and FRR off exact counts of the labels
 below each distinct score; -0 sorts before 0, so a zero threshold is -0
 when any trial scores -0.
 
-A score file is held as a ScoreTable: the trial ids, the group and label
+A score file is held as a ScoreTable: the trial ids, which parse_scorefile
+packs a block of rows to a string (PackedStrings), the group and label
 columns coded (Column: the distinct names and an int32 code per row), and
 the scores.  evaluate_scorefile sorts the file's scores once and takes
 every group's trials, and the pooled row's, in that order, so that each
@@ -15,8 +16,12 @@ sweep sorts scores that are sorted already.
 """
 
 import csv
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -195,6 +200,44 @@ def _encode(strings, code):
         return np.fromiter(map(code.__getitem__, strings), np.int32, len(strings))
 
 
+class PackedStrings(Sequence):
+    """A read-only column of strings, none of which holds "\n", kept as one
+    "\n"-joined str per block of rows instead of one str object per row.
+
+    Iterating splits one block at a time, in row order; indexing splits the
+    block that holds the row.  Two columns, or a column and a list, are
+    equal when they hold the same strings in the same order.
+    """
+
+    def __init__(self, blocks):
+        """blocks: strs, each the "\n"-joined rows of a block of one or
+        more rows ("" is one empty row)."""
+        self._blocks = list(blocks)
+        # the rows up to the end of each block
+        self._ends = list(accumulate(block.count("\n") + 1 for block in self._blocks))
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k):
+        k = operator.index(k)  # an int: no slices
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("PackedStrings index out of range")
+        b = bisect_right(self._ends, k)
+        return self._blocks[b].split("\n")[k - (self._ends[b - 1] if b else 0)]
+
+    def __iter__(self):
+        for block in self._blocks:
+            yield from block.split("\n")
+
+    def __eq__(self, other):
+        if isinstance(other, (PackedStrings, list)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """A score file as columns, one entry per row in file order.
@@ -202,7 +245,7 @@ class ScoreTable:
     Iterating yields the rows as (trial_id, group, label, score).
     """
 
-    trial_ids: list
+    trial_ids: Sequence  # of str: a list, or PackedStrings as parse_scorefile gives
     groups: Column
     labels: Column  # names from POSITIVE_LABELS | NEGATIVE_LABELS
     scores: np.ndarray  # float64
@@ -222,7 +265,7 @@ def parse_scorefile(path):
     row.  A faulty line raises ParseError for the first such line, checked
     in the order field count, label, score, finiteness, group name.
     """
-    ids, scores = [], [np.zeros(0)]
+    ids, scores = [], [np.zeros(0)]  # ids: each block's trial ids, packed
     group_code, label_code = {}, {}  # name -> code, in the order first seen
     group_codes, label_codes = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
     for linenos, (trial_id, group, label, score_text) in split_columns(
@@ -241,9 +284,10 @@ def parse_scorefile(path):
                 (isin(group, {POOLED}),
                  lambda i: "group name %r is reserved for the pooled row" % POOLED),
             ])
-        ids += trial_id
+        ids.append("\n".join(trial_id))  # a block without rows comes only before a ParseError
         scores.append(values)
-    return ScoreTable(ids, Column(tuple(group_code), np.concatenate(group_codes)),
+    return ScoreTable(PackedStrings(ids),
+                      Column(tuple(group_code), np.concatenate(group_codes)),
                       Column(tuple(label_code), np.concatenate(label_codes)),
                       np.concatenate(scores))
 
