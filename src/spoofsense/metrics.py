@@ -7,21 +7,17 @@ sorts its scores once and reads FAR and FRR off exact counts of the labels
 below each distinct score; -0 sorts before 0, so a zero threshold is -0
 when any trial scores -0.
 
-A score file is held as a ScoreTable: the trial ids, which parse_scorefile
-packs a block of rows to a string (PackedStrings), the group and label
+A score file is held as a ScoreTable: the trial ids, the group and label
 columns coded (Column: the distinct names and an int32 code per row), and
-the scores.  evaluate_scorefile sorts the file's scores once and takes
-every group's trials, and the pooled row's, in that order, so that each
-sweep sorts scores that are sorted already.
+the scores.  parse_scorefile checks each line's trial id field but keeps
+no ids, since no metric reads them.  evaluate_scorefile sorts the file's
+scores once and takes every group's trials, and the pooled row's, in that
+order, so that each sweep sorts scores that are sorted already.
 """
 
 import csv
-import operator
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -34,7 +30,7 @@ LABELS = POSITIVE_LABELS | NEGATIVE_LABELS
 POOLED = "ALL"  # the report row over every trial; no score-file group may take its name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: numpy fields
 class ScoreSet:
     scores: np.ndarray
     labels: np.ndarray  # bool, True = positive class (target / bonafide)
@@ -160,7 +156,7 @@ class GroupReport:
     min_tdcf: float = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: numpy fields
 class Column:
     """A column of strings as its distinct names and one int32 code per row:
     row k holds names[codes[k]]."""
@@ -200,52 +196,11 @@ def _encode(strings, code):
         return np.fromiter(map(code.__getitem__, strings), np.int32, len(strings))
 
 
-class PackedStrings(Sequence):
-    """A read-only column of strings, none of which holds "\n", kept as one
-    "\n"-joined str per block of rows instead of one str object per row.
-
-    Iterating splits one block at a time, in row order; indexing splits the
-    block that holds the row.  Two columns, or a column and a list, are
-    equal when they hold the same strings in the same order.
-    """
-
-    def __init__(self, blocks):
-        """blocks: strs, each the "\n"-joined rows of a block of one or
-        more rows ("" is one empty row)."""
-        self._blocks = list(blocks)
-        # the rows up to the end of each block
-        self._ends = list(accumulate(block.count("\n") + 1 for block in self._blocks))
-
-    def __len__(self):
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, k):
-        k = operator.index(k)  # an int: no slices
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("PackedStrings index out of range")
-        b = bisect_right(self._ends, k)
-        return self._blocks[b].split("\n")[k - (self._ends[b - 1] if b else 0)]
-
-    def __iter__(self):
-        for block in self._blocks:
-            yield from block.split("\n")
-
-    def __eq__(self, other):
-        if isinstance(other, (PackedStrings, list)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: numpy fields
 class ScoreTable:
-    """A score file as columns, one entry per row in file order.
+    """A score file as columns, one entry per row in file order."""
 
-    Iterating yields the rows as (trial_id, group, label, score).
-    """
-
-    trial_ids: Sequence  # of str: a list, or PackedStrings as parse_scorefile gives
+    trial_ids: list  # of str; None from parse_scorefile, which keeps no ids
     groups: Column
     labels: Column  # names from POSITIVE_LABELS | NEGATIVE_LABELS
     scores: np.ndarray  # float64
@@ -253,22 +208,20 @@ class ScoreTable:
     def __len__(self):
         return len(self.scores)
 
-    def __iter__(self):
-        return zip(self.trial_ids, self.groups.tolist(), self.labels.tolist(), self.scores.tolist())
-
 
 @names_file
 def parse_scorefile(path):
-    """ScoreTable of a trial_id<TAB>group<TAB>label<TAB>score file.
+    """ScoreTable of a trial_id<TAB>group<TAB>label<TAB>score file, without
+    its trial ids (trial_ids is None).
 
     Group '-' marks ungrouped rows; 'ALL' is reserved for the pooled report
     row.  A faulty line raises ParseError for the first such line, checked
     in the order field count, label, score, finiteness, group name.
     """
-    ids, scores = [], [np.zeros(0)]  # ids: each block's trial ids, packed
+    scores = [np.zeros(0)]
     group_code, label_code = {}, {}  # name -> code, in the order first seen
     group_codes, label_codes = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
-    for linenos, (trial_id, group, label, score_text) in split_columns(
+    for linenos, (_, group, label, score_text) in split_columns(
         read_lines(path), 4, "expected 4 tab-separated fields"
     ):
         values, rejected = parse_floats(score_text)  # a rejected text parses to NaN
@@ -284,9 +237,8 @@ def parse_scorefile(path):
                 (isin(group, {POOLED}),
                  lambda i: "group name %r is reserved for the pooled row" % POOLED),
             ])
-        ids.append("\n".join(trial_id))  # a block without rows comes only before a ParseError
         scores.append(values)
-    return ScoreTable(PackedStrings(ids),
+    return ScoreTable(None,
                       Column(tuple(group_code), np.concatenate(group_codes)),
                       Column(tuple(label_code), np.concatenate(label_codes)),
                       np.concatenate(scores))
@@ -311,7 +263,7 @@ def evaluate_scorefile(path, cost=None):
     positive = table.labels.mask(POSITIVE_LABELS)[order]
     shared = table.groups.mask({"-"})[order]
     codes = table.groups.codes[order]
-    del table, order  # the trial ids, and the file-order columns
+    del table, order  # the file-order columns
     reports = []
     for group in sorted(set(names) - {"-"}) + [POOLED]:
         if group == POOLED:

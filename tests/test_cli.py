@@ -15,7 +15,8 @@ from spoofsense.spectral import KINDS, FeatureMatrix
 from spoofsense.store import read_feature, write_feature
 from spoofsense.trials import write_scorefile
 from test_audio import wav_at_rate
-from test_trial_oracles import write_scorefile_rows
+from test_eval_oracles import parse_scorefile_loop
+from test_trial_oracles import rows, write_scorefile_rows
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FAST_CONF = "epochs = 8\nhidden1 = 6\nhidden2 = 4\n"
@@ -162,10 +163,10 @@ def test_train_score_eval_pipeline(workspace, tmp_path):
     assert run("score-cm", "--model", model, "--manifest", workspace / "manifest.tsv",
                "--features", "jitter-shimmer,pse", "--feature-dir", feats,
                "--out-scores", scores) == 0
-    rows = parse_scorefile(scores)
-    assert len(rows) == 6
-    groups = {g for _, g, _, _ in rows}
-    assert groups == {"-", "A07", "A08"}
+    table = parse_scorefile(scores)
+    assert len(table) == 6
+    assert rows(table) == [row[1:] for row in parse_scorefile_loop(scores)]
+    assert {g for g, _, _ in rows(table)} == {"-", "A07", "A08"}
 
     report = tmp_path / "eer.csv"
     assert run("eval", "--scores", scores, "--out", report) == 0
@@ -204,7 +205,8 @@ def test_every_configurable_width_end_to_end(workspace, tmp_path):
     scores = tmp_path / "cm.scores"
     assert run("score-cm", "--model", model, "--manifest", workspace / "manifest.tsv",
                "--features", features, "--feature-dir", feats, "--out-scores", scores) == 0
-    assert len(parse_scorefile(scores)) == 6
+    table = parse_scorefile(scores)
+    assert len(table) == 6 and rows(table) == [row[1:] for row in parse_scorefile_loop(scores)]
 
 
 def test_eval_tdcf_requires_cost_config(workspace, tmp_path):
@@ -262,9 +264,9 @@ def test_numbers_only_float_reads_are_rejected(tmp_path, capsys, text):
 
 
 def test_score_tables_round_trip(workspace, tmp_path, monkeypatch):
-    """The tables that score-cm and score-asv build write, parse and iterate
-    as the same rows, and write again as the same bytes; the row writer that
-    write_scorefile replaced writes them as the same bytes too."""
+    """The tables that score-cm and score-asv build write and read back as
+    the same rows, trial ids through the parse loop; the row writer that
+    write_scorefile replaced writes them as the same bytes."""
     tables = []
 
     def write_and_keep(path, table):
@@ -287,12 +289,11 @@ def test_score_tables_round_trip(workspace, tmp_path, monkeypatch):
                "--out-scores", tmp_path / "asv.scores") == 0
     assert [os.path.basename(path) for path, _ in tables] == ["cm.scores", "asv.scores"]
     for path, table in tables:
-        parsed = parse_scorefile(path)
-        assert [(t, g, l, float("%.12g" % s)) for t, g, l, s in table] == list(parsed)
+        parsed, loop = parse_scorefile(path), parse_scorefile_loop(path)
+        assert [(t, g, l, float("%.12g" % s)) for t, g, l, s in rows(table)] == loop
+        assert rows(parsed) == [row[1:] for row in loop]
         assert set(parsed.groups.names) == set(table.groups.names)
         assert set(parsed.labels.names) == set(table.labels.names)
-        write_scorefile(tmp_path / "again.scores", parsed)
-        assert (tmp_path / "again.scores").read_bytes() == Path(path).read_bytes()
         write_scorefile_rows(tmp_path / "rows.scores", table)
         assert (tmp_path / "rows.scores").read_bytes() == Path(path).read_bytes()
 

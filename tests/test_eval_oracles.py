@@ -9,7 +9,8 @@ since a TrialSet is now columns too.  Two checks were added to the loops,
 since the columnar code makes them: the parse loop rejects the reserved
 group name 'ALL', after the score's finiteness, and the trial loop a label
 that contradicts its category, after the category.  The columnar code
-must give equal rows, GroupReports compared with ==, byte-equal
+must give equal rows (a parsed score file's without its trial ids, which
+parse_scorefile does not keep), GroupReports compared with ==, byte-equal
 score, trial and report files, and on a faulty input the same exception
 class, message and line; a ParseError's message now starts with the file's
 path, and the rest of it must equal the loop's.  One message has changed on
@@ -49,6 +50,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PAST_ONE_BLOCK, embeddings, line_start, trial_set
+from test_trial_oracles import rows
 from spoofsense import tsv
 from spoofsense.errors import DegenerateLabels, MissingEmbedding, ParseError, ZeroVector
 from spoofsense.metrics import (
@@ -299,8 +301,9 @@ def outcome(fn, *args, **kwargs):
 
 
 def exact(rows):
-    """Score-file rows with floats as hex, so -0.0 and 0.0 differ."""
-    return [(t, g, p, s.hex()) for t, g, p, s in rows]
+    """Score-file rows, their score last, with floats as hex, so -0.0 and
+    0.0 differ."""
+    return [row[:-1] + (row[-1].hex(),) for row in rows]
 
 
 def report_bytes(reports):
@@ -331,8 +334,9 @@ def check_scorefile(path):
     old = outcome(parse_scorefile_loop, path)
     new = outcome(parse_scorefile, path)
     assert_same_outcome(new, old, path)
-    if old[0] == "ok":
-        assert exact(new[1]) == exact(old[1])
+    if old[0] == "ok":  # the loop's rows without their trial ids
+        assert new[1].trial_ids is None
+        assert exact(rows(new[1])) == exact([row[1:] for row in old[1]])
         assert len(new[1]) == len(old[1])
     for cost in (None, COST):
         old = outcome(evaluate_scorefile_loop, path, mode="tdcf" if cost else "eer", cost=cost)
@@ -345,8 +349,8 @@ def check_scorefile(path):
         assert_same_outcome(new, old, path)
         if old[0] == "ok":
             assert new[1] == old[1]
-            rows = parse_scorefile_loop(path)
-            assert report_bytes(new[1]) == report_bytes(zero_sign_rule(old[1], rows))
+            assert report_bytes(new[1]) == report_bytes(
+                zero_sign_rule(old[1], parse_scorefile_loop(path)))
 
 
 def check_trials(path, tmpdir):
@@ -368,7 +372,7 @@ def check_scoring(ts, vectors, tmpdir):
     assert_same_outcome(new, old)
     if old[0] == "ok":
         assert len(new[1]) == len(old[1])
-        assert list(new[1]) == old[1]
+        assert rows(new[1]) == old[1]
         write_scorefile_loop(os.path.join(tmpdir, "old.scores"), old[1])
         write_scorefile(os.path.join(tmpdir, "new.scores"), new[1])
         assert read_bytes(tmpdir, "new.scores") == read_bytes(tmpdir, "old.scores")
@@ -839,7 +843,29 @@ def test_score_line_longer_than_a_chunk(tmp_path):
     lines[3] = "t" * (2 * BLOCK_CHARS) + lines[3]
     write_text(path, lines, "\r\n", trailing=False)
     check_scorefile(path)
-    assert parse_scorefile(path).trial_ids[3] == lines[3].split("\t")[0]
+
+
+# each a way to replace every trial id of a score file: with empty ids, with
+# non-ASCII ids, and with ids of which one is longer than a read block
+NEW_TRIAL_IDS = {
+    "empty": lambda k: "",
+    "non-ascii": lambda k: "\u00fc%d\u00b7\u03a9" % k,
+    "long": lambda k: "t" * (2 * BLOCK_CHARS) if k == 3 else "u%d" % k,
+}
+
+
+@pytest.mark.parametrize("ids", sorted(NEW_TRIAL_IDS))
+def test_eval_reads_no_trial_ids(tmp_path, ids):
+    """evaluate_scorefile writes the same report bytes, EER and min t-DCF,
+    for a file and for a copy of it with every trial id replaced."""
+    lines = [good_score_line(i) for i in range(40)]
+    renamed = [NEW_TRIAL_IDS[ids](k) + line[line.index("\t"):] for k, line in enumerate(lines)]
+    assert all(a.split("\t")[0] != b.split("\t")[0] for a, b in zip(lines, renamed))
+    write_text(tmp_path / "a.tsv", lines)
+    write_text(tmp_path / "b.tsv", renamed)
+    for cost in (None, COST):
+        report = report_bytes(evaluate_scorefile(tmp_path / "a.tsv", cost))
+        assert report_bytes(evaluate_scorefile(tmp_path / "b.tsv", cost)) == report
 
 
 # one faulty row in the middle of a block of valid rows, for each way a row

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_trial_oracles import rows
 from spoofsense.errors import DegenerateLabels, IllPosedCostModel, ParseError
 from spoofsense.metrics import (
     CostModel,
@@ -218,21 +219,19 @@ def test_score_table_labels_are_shared_strings(tmp_path):
     assert sorted(table.labels.names) == ["spoof", "target"]
     assert table.labels.codes.dtype == np.int32 and len(table.labels.codes) == 50
     assert len({id(label) for label in table.labels.tolist()}) == 2
-    assert len({id(label) for _, _, label, _ in table}) == 2
-    assert list(table)[1] == ("t1", "-", "spoof", 1.0)
+    assert len({id(label) for _, label, _ in rows(table)}) == 2
+    assert rows(table)[1] == ("-", "spoof", 1.0)
 
 
-def test_score_table_packs_trial_ids(tmp_path):
-    """parse_scorefile keeps the trial ids packed, a block of rows to one
-    string, and the column reads as the list of ids it was: len, indexing
-    from either end, iteration in file order and equality.  With one str
-    per id the table held about 80 B per row of 8-character ids."""
+def test_score_table_holds_no_trial_ids(tmp_path):
+    """parse_scorefile keeps no trial ids, however long: its table holds
+    about 16 B per row (a float64 score, two int32 codes).  With the ids
+    kept packed it held about 81 B per row of 64-character ids."""
     n = 20000
-    want = ["t%07d" % k for k in range(n)]
     p = tmp_path / "s.tsv"
-    p.write_text("".join("%s\t%s\t%s\t%d\n" % (t, ("-", "A07")[k % 2],
-                                                 ("bonafide", "spoof")[k % 2], k)
-                         for k, t in enumerate(want)))
+    p.write_text("".join("%064d\t%s\t%s\t%d\n" % (k, ("-", "A07")[k % 2],
+                                                   ("bonafide", "spoof")[k % 2], k)
+                         for k in range(n)))
     gc.collect()
     tracemalloc.start()
     try:
@@ -240,24 +239,30 @@ def test_score_table_packs_trial_ids(tmp_path):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held / n < 40
-    ids = table.trial_ids
-    assert len(ids) == n and list(ids) == want
-    assert [ids[k] for k in range(0, n, 97)] == want[::97]
-    assert [ids[k] for k in range(-1, -n - 1, -89)] == want[::-89]
-    for k in (n, -n - 1):
-        with pytest.raises(IndexError):
-            ids[k]
-    assert ids == want and ids == parse_scorefile(p).trial_ids
-    assert ids != want[:-1] and ids != want[:-1] + ["t"]
-    assert [row[0] for row in table] == want
+    assert held / n < 20
+    assert table.trial_ids is None and len(table) == n
+    assert rows(table)[:2] == [("-", "bonafide", 0.0), ("A07", "spoof", 1.0)]
 
     one = tmp_path / "one.tsv"
     one.write_text("\t-\ttarget\t1\n")  # an empty trial id
-    assert parse_scorefile(one) == parse_scorefile(one)
-    assert len(parse_scorefile(one).trial_ids) == 1 and parse_scorefile(one).trial_ids[0] == ""
+    assert rows(parse_scorefile(one)) == [("-", "target", 1.0)]
     one.write_text("\t-\ttarget\t1\na\t-\tspoof\t0\n\t-\tspoof\t2\n")
-    assert parse_scorefile(one).trial_ids == ["", "a", ""]
+    assert rows(parse_scorefile(one)) == [("-", "target", 1.0), ("-", "spoof", 0.0),
+                                          ("-", "spoof", 2.0)]
+
+
+def test_tables_compare_by_identity(tmp_path):
+    """ScoreTable, Column and ScoreSet hold numpy arrays, so == and hash go
+    by identity; on more than one row the field-wise == would raise."""
+    p = tmp_path / "s.tsv"
+    p.write_text("t1\tA\ttarget\t1.0\nt2\tB\tspoof\t0.5\nt3\tA\tspoof\t0.2\n")
+    a, b = parse_scorefile(p), parse_scorefile(p)
+    s, t = make_set([3, 4], [1, 2]), make_set([3, 4], [1, 2])
+    for x, y in ((a, b), (a.groups, b.groups), (a.labels, b.labels), (s, t)):
+        assert x == x and not x != x
+        assert not x == y and x != y
+        assert len({x, y, x}) == 2
+    assert b.trial_ids is None and a.scores.tolist() == b.scores.tolist()
 
 
 def test_score_table_groups_are_shared_strings(tmp_path):

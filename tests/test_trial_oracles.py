@@ -92,9 +92,18 @@ def save_trials_rows(path, ts):
             fh.write("%s\t%s\t%s\t%s\n" % row)
 
 
+def rows(table):
+    """A ScoreTable's rows in file order: (trial_id, group, label, score),
+    or (group, label, score) for a parsed table, which holds no trial ids."""
+    columns = [table.groups.tolist(), table.labels.tolist(), table.scores.tolist()]
+    if table.trial_ids is not None:
+        columns.insert(0, table.trial_ids)
+    return list(zip(*columns))
+
+
 def write_scorefile_rows(path, table):
     with open(path, "w") as fh:
-        fh.writelines(map("%s\t%s\t%s\t%.12g\n".__mod__, table))
+        fh.writelines(map("%s\t%s\t%s\t%.12g\n".__mod__, rows(table)))
 
 
 # ---------------------------------------------------------------- pair builder

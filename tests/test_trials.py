@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import embeddings, write_embeddings, write_manifest
+from test_trial_oracles import rows
 from spoofsense.errors import (
     DimMismatch,
     DuplicateUttId,
@@ -345,18 +346,17 @@ def test_embeddings_dim_beyond_any_array(tmp_path, dim):
 
 
 def test_score_trials_groups_and_labels():
-    rows = [
+    m = Manifest(rows=[
         ManifestRow("t1", "T", "target-real", "x"),
         ManifestRow("t2", "T", "target-real", "x"),
         ManifestRow("i1", "I", "impersonation", "x", mimicked_target_id="T"),
-    ]
-    m = Manifest(rows=rows)
+    ])
     ts = build_all_pairs(m)  # R pair (t1,t2) + TI pairs (t1,i1), (t2,i1)
     emb = embeddings(
         {"t1": np.array([1.0, 0.0]), "t2": np.array([0.9, 0.1]), "i1": np.array([0.0, 1.0])}
     )
     scored = score_trials(ts, emb)
-    by_id = {trial_id: (group, label) for trial_id, group, label, _ in scored}
+    by_id = {trial_id: (group, label) for trial_id, group, label, _ in rows(scored)}
     assert by_id["t1:t2"] == ("-", "target")
     assert by_id["i1:t1"] == ("TI", "nontarget")
     with pytest.raises(MissingEmbedding):
