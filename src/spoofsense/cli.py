@@ -41,7 +41,7 @@ from .trials import (
     score_trials,
     write_scorefile,
 )
-from .tsv import plain, write_rows
+from .tsv import create_text, plain, write_rows
 
 CLASS_NAMES = ("bonafide", "spoof")
 
@@ -238,7 +238,7 @@ def cmd_eval(args, parser):
         parser.error("--cost-config applies to --metric tdcf only")
     reports = evaluate_scorefile(args.scores, cost)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with create_text(args.out) as fh:
             write_report(reports, fh)
     else:
         write_report(reports, sys.stdout)
@@ -254,7 +254,7 @@ def cmd_pse_report(args, parser):
         values[utt] = float(m.data[0, 0])
 
     failures = _extract_all(manifest.rows, "pse", cfg, keep)
-    with open(args.out, "w", newline="") as fh:
+    with create_text(args.out) as fh:
         write_pse_report(values, {r.utt_id: r.role for r in manifest.rows}, fh)
     print("pse-report: %d ok, %d errors" % (len(values), len(failures)))
     return 0 if values else 1
@@ -341,13 +341,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
         return args.run(args, parser)
-    except SystemExit as e:  # parser.error inside a command handler
+    except SystemExit as e:  # a usage error, in parse_args or a handler's parser.error
         return int(e.code or 0)
-    except (SpoofsenseError, OSError) as e:
+    except (SpoofsenseError, OSError, UnicodeEncodeError) as e:  # or a report stdout cannot encode
         print("error: %s" % e, file=sys.stderr)
         return 1
 

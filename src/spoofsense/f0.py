@@ -151,8 +151,6 @@ def estimate_f0(buf, cfg=None):
 
     kmin = int(np.ceil(sr / cfg.ceil))
     kmax = int(np.floor(sr / cfg.floor))
-    if kmin < 2:
-        raise ValueError("ceil too close to the sample rate")
     rounding = (frame_len * np.finfo(float).eps) ** 2
     with FIRST_USE:  # on first use, so commands that track no F0 never load scipy
         from scipy.fft import next_fast_len

@@ -279,10 +279,6 @@ class Embeddings:
     ids: list
     vectors: np.ndarray
 
-    @property
-    def dim(self):
-        return self.vectors.shape[1]
-
 
 @names_file
 def load_embeddings(path):

@@ -1,11 +1,13 @@
 """Reading and writing of tab-separated text files: manifests, embedding
 files, score files and trial lists all get their lines from one reader,
 read_lines, and trial lists and score files are written by one writer,
-write_rows.
+write_rows.  This module opens every text file, as UTF-8 whatever the
+locale: open_text to read, create_text to write with no newline
+translation (tables end lines with LF, CSV reports with csv's CRLF).
 
-Files are read as text, and a line ends at "\n", "\r\n" or "\r" only, not
-at the other breaks that str.splitlines() knows.  read_lines reads a file
-BLOCK_CHARS characters at a time and yields its lines a block at a time,
+A line read ends at "\n", "\r\n" or "\r" only, not at the other breaks
+that str.splitlines() knows.  read_lines reads BLOCK_CHARS characters at
+a time, completed to a line end, and yields the lines a block at a time,
 numbered; blank and whitespace-only lines are skipped but still counted, so
 a ParseError names the 1-based line of the file; names_file makes it name
 the file too.  A format's header is its line 1, blank or not.  Loaders
@@ -28,8 +30,8 @@ import numpy as np
 
 from .errors import ParseError
 
-# characters read per step: bounds the memory of a block's lines and field
-# strings, apart from a line longer than this, which is read whole
+# characters read per step, then completed to a line end: bounds the memory
+# of a block's lines and field strings, apart from a long line, read whole
 BLOCK_CHARS = 1 << 16
 # rows joined per write: bounds the memory of the text of one write
 WRITE_ROWS = 1 << 12
@@ -43,9 +45,9 @@ def split_lines(text):
 
 @contextmanager
 def open_text(path):
-    """path opened for reading as text; a byte that the text encoding cannot
-    decode raises a ParseError naming path and the byte's line."""
-    with open(path) as fh:
+    """path opened for reading as UTF-8 text; a byte that does not decode
+    raises a ParseError naming path and the byte's line."""
+    with open(path, encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -93,29 +95,22 @@ def read_lines(path, header=False):
             first = fh.readline()
             yield first.rstrip("\n") if first else None
             start = 1
-        tail = []  # the pieces of a line that no chunk has ended yet
         while chunk := fh.read(BLOCK_CHARS):
-            lines = chunk.split("\n")
-            if len(lines) == 1:
-                tail.append(chunk)
-                continue
-            tail.append(lines[0])
-            lines[0] = "".join(tail)
-            tail = [lines.pop()]
-            yield from _numbered(start, lines)
+            # the chunk's last line read to its end, so no line spans two blocks
+            lines = (chunk + fh.readline()).removesuffix("\n").split("\n")
+            if "" in lines or any(map(str.isspace, lines)):
+                keep = list(map(bool, map(str.strip, lines)))
+                if any(keep):
+                    yield list(compress(count(start + 1), keep)), list(compress(lines, keep))
+            else:
+                yield range(start + 1, start + 1 + len(lines)), lines
             start += len(lines)
-        yield from _numbered(start, ["".join(tail)])  # an unterminated last line
 
 
-def _numbered(start, lines):
-    """The block (line numbers, lines) of the non-blank ones of lines, which
-    follow line start, if there are any."""
-    if "" in lines or any(map(str.isspace, lines)):
-        keep = list(map(bool, map(str.strip, lines)))
-        if any(keep):
-            yield list(compress(count(start + 1), keep)), list(compress(lines, keep))
-    else:
-        yield range(start + 1, start + 1 + len(lines)), lines
+def create_text(path):
+    """path opened for writing as UTF-8 text, with no newline translation:
+    "\n" is written as LF and the csv module's "\r\n" as CRLF."""
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def write_rows(path, columns):
@@ -123,7 +118,7 @@ def write_rows(path, columns):
     strings in columns to path, one line per row; a table without rows
     writes an empty file."""
     rows = map("\t".join, zip(*columns))
-    with open(path, "w") as fh:
+    with create_text(path) as fh:
         while chunk := list(islice(rows, WRITE_ROWS)):
             fh.write("\n".join(chunk))
             fh.write("\n")

@@ -59,7 +59,7 @@ def machine_buf(f0_base, dur=1.2, sr=SR):
 
 def write_manifest(path, rows):
     """rows: (utt_id, speaker_id, role, mimicked, attack, path) tuples."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("utt_id\tspeaker_id\trole\tmimicked_target_id\tattack_id\tpath\n")
         for r in rows:
             fh.write("\t".join(r) + "\n")
@@ -72,8 +72,8 @@ def embeddings(vectors):
 
 def write_embeddings(path, emb):
     """An embedding file of emb: the dim= header, then utt_id<TAB>values rows."""
-    with open(path, "w") as fh:
-        fh.write("dim=%d\n" % emb.dim)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("dim=%d\n" % emb.vectors.shape[1])
         for utt, v in zip(emb.ids, emb.vectors):
             fh.write("%s\t%s\n" % (utt, " ".join("%.17g" % x for x in v)))
 

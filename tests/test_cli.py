@@ -1,4 +1,7 @@
+import ast
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -183,11 +186,11 @@ def test_train_score_eval_pipeline(workspace, tmp_path):
 WIDTHS_CONF = "n_fft = 1024\nn_ceps = 12\nenv_n_fft = 2048\nap_bands = 4\n"
 
 
-def test_every_configurable_width_end_to_end(workspace, tmp_path):
+def test_every_configurable_width_end_to_end(workspace, tmp_path, rate=""):
     """Each kind whose width the config sets writes files of that width,
     and train-cm and score-cm pool them: mfcc is 3 x n_ceps wide."""
     conf = tmp_path / "widths.conf"
-    conf.write_text(WIDTHS_CONF + FAST_CONF)
+    conf.write_text(WIDTHS_CONF + FAST_CONF + rate)
     widths = {"stft": 513, "mfcc": 36, "sp": 1025, "ap": 4, "f0": 1, "jitter-shimmer": 2, "pse": 1}
     assert list(widths) == list(KINDS)
     feats = tmp_path / "feats"
@@ -207,6 +210,12 @@ def test_every_configurable_width_end_to_end(workspace, tmp_path):
                "--features", features, "--feature-dir", feats, "--out-scores", scores) == 0
     table = parse_scorefile(scores)
     assert len(table) == 6 and rows(table) == [row[1:] for row in parse_scorefile_loop(scores)]
+
+
+def test_every_configurable_width_at_22050_hz(workspace, tmp_path):
+    """The same widths at a 22.05 kHz target, to which the 16 kHz corpus is
+    resampled: every kind is extracted at a rate other than the default."""
+    test_every_configurable_width_end_to_end(workspace, tmp_path, "sample_rate = 22050\n")
 
 
 def test_eval_tdcf_requires_cost_config(workspace, tmp_path):
@@ -707,6 +716,82 @@ def test_non_utf8_input_exits_one(tmp_path, capsys, bad):
     assert "can't decode byte 0xff" in err
     assert str(tmp_path / bad) in err  # the file at fault, among several inputs
     assert not out.exists()
+
+
+# a locale whose encoding is ASCII, which Python neither coerces nor overrides
+C_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def run_child(env, *argv):
+    """The CLI run in a new interpreter under os.environ updated by env."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **env)
+    env.pop("SPOOFSENSE_CONFIG", None)
+    return subprocess.run([sys.executable, "-m", "spoofsense.cli", *map(str, argv)], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_tables_are_utf8_whatever_the_locale(tmp_path):
+    """pairs, score-asv and eval --out read and write the same bytes under
+    an ASCII locale as in UTF-8 mode: manifests, embeddings, score files and
+    configs are UTF-8 files, and so are the trial lists and reports."""
+    rows = [("zoé%d" % i, "Zoé", "target-real", "-", "-", "x.wav") for i in range(2)]
+    rows += [("jür%d" % i, "Jürgen", "target-real", "-", "-", "x.wav") for i in range(2)]
+    rows.append(("imitación", "Iñaki", "impersonation", "Zoé", "-", "x.wav"))
+    write_manifest(tmp_path / "m.tsv", rows)
+    (tmp_path / "emb.txt").write_text("dim=2\n" + "".join(
+        "%s\t%d %d\n" % (r[0], i % 3, 1 + i) for i, r in enumerate(rows)), encoding="utf-8")
+    (tmp_path / "cm.scores").write_text(
+        "bé0\t-\tbonafide\t1.5\nbé1\t-\tbonafide\t0.5\nsé0\tgré\tspoof\t-1\n"
+        "sé1\tgré\tspoof\t0.7\n", encoding="utf-8")
+    (tmp_path / "cost.conf").write_text(
+        "# coût du système en tandem\n" + (CONFIGS / "tdcf_example.conf").read_text(),
+        encoding="utf-8")
+    outputs = {}
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}), ("c", C_LOCALE)):
+        out = tmp_path / name
+        out.mkdir()
+        for argv in (["pairs", "--manifest", tmp_path / "m.tsv", "--category", "all",
+                      "--out", out / "trials.tsv"],
+                     ["score-asv", "--pairs", out / "trials.tsv", "--embeddings",
+                      tmp_path / "emb.txt", "--out-scores", out / "asv.scores"],
+                     ["eval", "--scores", out / "asv.scores", "--out", out / "asv.csv"],
+                     ["eval", "--scores", tmp_path / "cm.scores", "--out", out / "cm.csv"],
+                     ["eval", "--scores", tmp_path / "cm.scores", "--metric", "tdcf",
+                      "--cost-config", tmp_path / "cost.conf", "--out", out / "tdcf.csv"]):
+            p = run_child(env, *argv)
+            assert (p.returncode, p.stderr) == (0, b""), (name, argv)
+        outputs[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert outputs["c"] == outputs["utf8"]
+    assert "imitación\tzoé0\tnegative\tTI\n".encode() in outputs["c"]["trials.tsv"]
+    assert b"\ngr\xc3\xa9,2,2," in outputs["c"]["tdcf.csv"]  # UTF-8, each row ended by CRLF
+    assert outputs["c"]["tdcf.csv"].count(b"\r\n") == 3
+
+
+def test_report_stdout_cannot_encode_exits_one(tmp_path):
+    """eval without --out writes its report to stdout; a group name that
+    stdout's encoding lacks ends the run with one error line, not a traceback."""
+    scores = tmp_path / "s.scores"
+    scores.write_text("t0\tgré\tbonafide\t1\nt1\tgré\tspoof\t0\n", encoding="utf-8")
+    p = run_child(C_LOCALE, "eval", "--scores", scores)
+    assert p.returncode == 1
+    assert p.stderr.startswith(b"error: ") and p.stderr.count(b"\n") == 1, p.stderr
+    assert b"can't encode character '\\xe9'" in p.stderr  # the file itself was read
+
+
+def test_only_tsv_opens_text_files():
+    """tsv opens every text file, so an open() call of any other module of
+    the package opens its file in binary mode, with no encoding to take."""
+    package = Path(__file__).resolve().parents[1] / "src" / "spoofsense"
+    text, seen = [], 0
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name != "tsv.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "open"):
+                seen += 1
+                mode = node.args[1] if len(node.args) > 1 else None
+                if not (isinstance(mode, ast.Constant) and "b" in mode.value):
+                    text.append("%s:%d" % (path.name, node.lineno))
+    assert text == [] and seen >= 3  # audio.read_wav, mlp.load_model, store's writer
 
 
 def test_pse_report_cli(workspace, tmp_path):

@@ -306,7 +306,7 @@ def test_embeddings_roundtrip_and_errors(tmp_path):
     emb = embeddings({"u2": np.array([0.5, -1.0, 2.5]), "u1": np.array([1.0, 2.0, 3.0])})
     write_embeddings(tmp_path / "e.txt", emb)
     back = load_embeddings(tmp_path / "e.txt")
-    assert back.dim == 3 and back.ids == ["u2", "u1"]  # file order
+    assert back.vectors.shape[1] == 3 and back.ids == ["u2", "u1"]  # file order
     assert back.vectors.dtype == np.float64
     np.testing.assert_array_equal(back.vectors, emb.vectors)
     p = tmp_path / "none.txt"
