@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 data/runtime error, 2 usage error.
 """
 
 import argparse
+import io
 import os
 import sys
 
@@ -211,7 +212,7 @@ def cmd_score_cm(args, parser):
         trial_ids=[r.utt_id for r in manifest.rows],
         groups=Column.of([r.attack_id or "-" for r in manifest.rows]),
         labels=Column.of([CLASS_NAMES[c] for c in y.tolist()]),
-        scores=np.array([score(model, v) for v in x]),
+        scores=score(model, x),
     ))
     print("score-cm: %d utterances scored" % len(manifest))
     return 0
@@ -240,8 +241,16 @@ def cmd_eval(args, parser):
     if args.out:
         with create_text(args.out) as fh:
             write_report(reports, fh)
-    else:
-        write_report(reports, sys.stdout)
+        return 0
+    text = io.StringIO()  # whole, so that a row stdout cannot encode writes none
+    write_report(reports, text)
+    try:
+        sys.stdout.write(text.getvalue())
+    except UnicodeEncodeError as e:
+        bad = e.object[e.start:e.end]
+        group = next(r.group for r in reports if bad in r.group)
+        raise UnicodeEncodeError(e.encoding, e.object, e.start, e.end,
+                                 "stdout cannot encode group %r" % group) from None
     return 0
 
 

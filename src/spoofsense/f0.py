@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import FIRST_USE, by_row_blocks, frame_signal
+from .audio import by_row_blocks, frame_signal
 from .errors import EmptyAfterTrim, InputTooShort
 
 # a shorter-lag peak this close to the global best wins; guards against
@@ -79,6 +79,26 @@ def contour_framing(sample_rate, c):
     if max(frame_len, hop) > np.iinfo(np.intp).max:  # beyond any sample index
         raise InputTooShort("no signal holds frames of %g Hz floor every %g s" % (c.floor, c.hop))
     return int(round(frame_len)), int(round(hop))
+
+
+def next_fast_len(n):
+    """The smallest 2^a 3^b 5^c 7^d 11^e >= n, the FFT length that
+    scipy.fft.next_fast_len(n) gives, found without importing scipy."""
+    best = 1 << (n - 1).bit_length()  # the smallest power of two >= n
+    f11 = 1
+    while f11 < best:
+        f7 = f11
+        while f7 < best:
+            f5 = f7
+            while f5 < best:
+                f3 = f5
+                while f3 < best:  # f3 times the smallest power of two that reaches n
+                    best = min(best, f3 << (-(-n // f3) - 1).bit_length())
+                    f3 *= 3
+                f5 *= 5
+            f7 *= 7
+        f11 *= 11
+    return best
 
 
 def _nccf(frames, squares, kmin, kmax, nfft):
@@ -152,9 +172,7 @@ def estimate_f0(buf, cfg=None):
     kmin = int(np.ceil(sr / cfg.ceil))
     kmax = int(np.floor(sr / cfg.floor))
     rounding = (frame_len * np.finfo(float).eps) ** 2
-    with FIRST_USE:  # on first use, so commands that track no F0 never load scipy
-        from scipy.fft import next_fast_len
-    nfft = next_fast_len(frame_len + kmax + 1)  # sized here, so no block imports
+    nfft = next_fast_len(frame_len + kmax + 1)
 
     def track(raw):
         # np.add.reduce and the division by the width are ndarray.mean's own

@@ -3,16 +3,17 @@
 Acceptance rule everywhere: a trial is accepted iff score >= threshold.
 Candidate thresholds are the distinct observed scores plus +inf (reject
 all); every achievable operating point appears in that sweep.  A sweep
-sorts its scores once and reads FAR and FRR off exact counts of the labels
-below each distinct score; -0 sorts before 0, so a zero threshold is -0
-when any trial scores -0.
+takes its scores in total order, sorting them only if they are not yet,
+and reads FAR and FRR off exact counts of the labels below each distinct
+score; -0 sorts before 0, so a zero threshold is -0 when any trial scores
+-0.
 
 A score file is held as a ScoreTable: the trial ids, the group and label
 columns coded (Column: the distinct names and an int32 code per row), and
 the scores.  parse_scorefile checks each line's trial id field but keeps
 no ids, since no metric reads them.  evaluate_scorefile sorts the file's
-scores once and takes every group's trials, and the pooled row's, in that
-order, so that each sweep sorts scores that are sorted already.
+scores once in total order and takes every group's trials, and the pooled
+row's, in that order, so that no sweep sorts again.
 """
 
 import csv
@@ -50,23 +51,41 @@ class ScoreSet:
         """Thresholds (ascending, +inf last) with FAR/FRR at each; computed
         once per score set, however many metrics read it.
 
-        The scores are sorted once; a threshold is the first of a run of
-        equal scores, and the trials below it are counted from there.  A
-        zero threshold is -0 if any of the trials scores -0, since -0 sorts
-        first.  Already sorted scores sort in a fraction of the time.
+        Scores already in total order are read as they are; others are
+        sorted once.  A threshold is the first of a run of equal scores, and
+        the trials below it are counted from there.  A zero threshold is -0
+        if any of the trials scores -0, since -0 sorts first.  FAR and FRR
+        are exact integer counts divided once by the class sizes.
         """
         n_pos = int(self.labels.sum())
-        n_neg = len(self.labels) - n_pos
+        n = len(self.labels)
+        n_neg = n - n_pos
         if not (n_pos and n_neg):
             raise DegenerateLabels("need at least one positive and one negative trial")
-        order = np.argsort(_total_order(self.scores))
-        scores = self.scores[order]
-        # the first index of each distinct score, then the count of trials
-        ends = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1], [True])))
-        pos_below = np.cumsum(self.labels[order], dtype=np.intp)[ends - 1]
-        pos_below[0] = 0  # the positives below each threshold
-        thresholds = np.append(scores[ends[:-1]], np.inf)
-        far = (n_neg - ends + pos_below) / n_neg
+        scores, labels = self.scores, self.labels
+        keys = _total_order(scores)
+        if not np.greater_equal(keys[1:], keys[:-1]).all():
+            order = np.argsort(keys)
+            scores, labels = scores[order], labels[order]
+            del order
+        del keys
+        starts = np.empty(n + 1, bool)  # where each run of equal scores starts, then the end
+        starts[0] = starts[n] = True
+        np.not_equal(scores[1:], scores[:-1], out=starts[1:n])
+        ends = np.flatnonzero(starts)  # the first index of each distinct score, then n
+        del starts
+        below = np.empty(n + 1, np.intp)  # below[i]: the positives among the first i trials
+        below[0] = 0
+        np.cumsum(labels, out=below[1:])
+        pos_below = below[ends]  # the positives below each threshold
+        del below
+        thresholds = np.empty(len(ends))
+        np.take(scores, ends[:-1], out=thresholds[:-1])
+        thresholds[-1] = np.inf
+        ends -= pos_below  # the negatives below each threshold
+        np.subtract(n_neg, ends, out=ends)  # and at or above it: the false accepts
+        far = ends / n_neg
+        del ends
         frr = pos_below / n_pos
         for a in (thresholds, far, frr):  # shared by every reader
             a.flags.writeable = False
@@ -127,7 +146,8 @@ def eer(s):
     """EER as (FAR+FRR)/2 at the sweep point minimizing |FAR - FRR| (ties:
     smaller threshold)."""
     t, far, frr = s.sweep
-    i = int(np.argmin(np.abs(far - frr)))
+    gap = far - frr
+    i = int(np.argmin(np.abs(gap, out=gap)))
     return EerResult(eer=float((far[i] + frr[i]) / 2.0), threshold=float(t[i]))
 
 
@@ -141,7 +161,9 @@ def min_tdcf(cm, cost):
     """Minimum of (C1 P_miss + C2 P_fa) / min(C1, C2) over all thresholds."""
     c1, c2 = cost.coefficients()
     t, far, frr = cm.sweep  # far = spoof accepted, frr = bonafide rejected
-    tdcf = (c1 * frr + c2 * far) / min(c1, c2)
+    tdcf = c1 * frr  # (c1 * frr + c2 * far) / min(c1, c2), in place
+    tdcf += c2 * far
+    tdcf /= min(c1, c2)
     i = int(np.argmin(tdcf))
     return TdcfResult(min_tdcf_norm=float(tdcf[i]), threshold=float(t[i]))
 
@@ -250,48 +272,49 @@ def evaluate_scorefile(path, cost=None):
 
     Ungrouped rows (group '-') are shared into every named group, mirroring
     protocols where one bonafide set is reused against each attack; the ALL
-    row pools everything.  The file's scores are sorted once, and each
-    group's trials, its own rows and the shared ones, are taken in that
-    order.  A file without trials, or a group whose trials are all positive
-    or all negative, raises DegenerateLabels naming the file, and the group
+    row pools everything.  The file's scores are sorted once in total order
+    (-0 before 0), and each group's trials, its own rows and the shared
+    ones, are taken in that order, so that no sweep sorts again.  A file
+    without trials, or a group whose trials are all positive or all
+    negative, raises DegenerateLabels naming the file, and the group
     with its counts.
     """
     table = parse_scorefile(path)
     names = table.groups.names
-    order = np.argsort(table.scores)  # ties in any order: a sweep sorts them
+    order = np.argsort(_total_order(table.scores))  # each group's sweep reads it as it is
     scores = table.scores[order]
     positive = table.labels.mask(POSITIVE_LABELS)[order]
     shared = table.groups.mask({"-"})[order]
     codes = table.groups.codes[order]
     del table, order  # the file-order columns
     reports = []
-    for group in sorted(set(names) - {"-"}) + [POOLED]:
-        if group == POOLED:
-            members = slice(None)
-        else:
-            members = np.flatnonzero(shared | (codes == names.index(group)))
-        labels = positive[members]
-        n_pos = int(labels.sum())
-        n_neg = len(labels) - n_pos
-        if not len(labels):
-            raise DegenerateLabels("%s: no trials" % path)
-        if not (n_pos and n_neg):
-            raise DegenerateLabels("%s: group %s has %d positive and %d negative trials"
-                                   % (path, group, n_pos, n_neg))
-        s = ScoreSet(scores=scores[members], labels=labels)
-        e = eer(s)
-        td = min_tdcf(s, cost).min_tdcf_norm if cost is not None else None
-        reports.append(
-            GroupReport(
-                group=group,
-                n_pos=n_pos,
-                n_neg=n_neg,
-                eer=e.eer,
-                threshold=e.threshold,
-                min_tdcf=td,
-            )
-        )
+    for group in sorted(set(names) - {"-"}):
+        members = np.flatnonzero(shared | (codes == names.index(group)))
+        reports.append(_group_report(path, group, scores[members], positive[members], cost))
+    del shared, codes  # the pooled row's sweep sets the peak
+    reports.append(_group_report(path, POOLED, scores, positive, cost))
     return reports
+
+
+def _group_report(path, group, scores, labels, cost):
+    """The GroupReport of one group's trials."""
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    if not len(labels):
+        raise DegenerateLabels("%s: no trials" % path)
+    if not (n_pos and n_neg):
+        raise DegenerateLabels("%s: group %s has %d positive and %d negative trials"
+                               % (path, group, n_pos, n_neg))
+    s = ScoreSet(scores=scores, labels=labels)
+    e = eer(s)
+    return GroupReport(
+        group=group,
+        n_pos=n_pos,
+        n_neg=n_neg,
+        eer=e.eer,
+        threshold=e.threshold,
+        min_tdcf=min_tdcf(s, cost).min_tdcf_norm if cost is not None else None,
+    )
 
 
 def write_report(reports, fh):

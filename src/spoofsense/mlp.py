@@ -141,12 +141,13 @@ def _check_input(m, x):
 
 
 def score(m, x):
-    """ln p(bonafide) - ln p(spoof) of one input row; equals the logit difference."""
-    x = _check_input(m, x)
-    if x.shape[0] != 1:
-        raise ValueError("score takes one row, got %d" % x.shape[0])
-    logits = _layers(m, x)[-1]
-    return float(logits[0, BONAFIDE] - logits[0, SPOOF])
+    """ln p(bonafide) - ln p(spoof) of each input row; equals the logit difference.
+
+    The rows go through each layer as one stacked matmul of (1 x d) rows,
+    the kernel a single row runs, so a row scores the same bits whatever
+    rows it is scored with; a plain 2-D batch product rounds differently."""
+    logits = _layers(m, _check_input(m, x)[:, None, :])[-1]
+    return logits[:, 0, BONAFIDE] - logits[:, 0, SPOOF]
 
 
 def loss_and_grad(m, x, y, l2=0.0, out=None):

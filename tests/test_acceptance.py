@@ -361,7 +361,7 @@ def test_criterion_09_mlp(capsys):
     cfg = TrainConfig(learning_rate=0.1, epochs=200, batch_size=16, seed=3)
     m0 = init_model((2, 8, 6, 2), activation="tanh", seed=1)
     m1, hist1 = train(m0, x, y, cfg)
-    preds = np.array([0 if score(m1, row) > 0 else 1 for row in x])
+    preds = np.where(score(m1, x) > 0, 0, 1)
     acc = float(np.mean(preds == y))
     if acc < 0.99:
         problems.append("toy accuracy %.3f after %d epochs" % (acc, cfg.epochs))

@@ -769,13 +769,16 @@ def test_tables_are_utf8_whatever_the_locale(tmp_path):
 
 def test_report_stdout_cannot_encode_exits_one(tmp_path):
     """eval without --out writes its report to stdout; a group name that
-    stdout's encoding lacks ends the run with one error line, not a traceback."""
+    stdout's encoding lacks ends the run with one error line, not a
+    traceback, naming stdout and the group, and no part of the report."""
     scores = tmp_path / "s.scores"
     scores.write_text("t0\tgré\tbonafide\t1\nt1\tgré\tspoof\t0\n", encoding="utf-8")
     p = run_child(C_LOCALE, "eval", "--scores", scores)
     assert p.returncode == 1
+    assert p.stdout == b""
     assert p.stderr.startswith(b"error: ") and p.stderr.count(b"\n") == 1, p.stderr
     assert b"can't encode character '\\xe9'" in p.stderr  # the file itself was read
+    assert b"stdout cannot encode group 'gr\\xe9'" in p.stderr
 
 
 def test_only_tsv_opens_text_files():

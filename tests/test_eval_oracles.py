@@ -38,6 +38,7 @@ where np.unique printed whichever zero its sort put first.
 
 import io
 import itertools
+import math
 import os
 import random
 import tempfile
@@ -47,7 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import PAST_ONE_BLOCK, embeddings, line_start, trial_set
 from test_trial_oracles import rows
@@ -537,12 +538,22 @@ TIED_TEXTS = ZERO_TEXTS + ["1", "-1", "0.5", "2", "1.0", "-1e0"]
     scores=st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.5]) | score_value,
                     min_size=1, max_size=60),
     labels=st.lists(st.booleans(), min_size=60, max_size=60),
+    order=st.sampled_from(["drawn", "value", "total"]),
 )
-@settings(max_examples=200, deadline=None)
-def test_sweep_matches_the_oracle(scores, labels):
+@example(scores=[0.0, -0.0, 1.0], labels=[True, False, True] * 20, order="value")
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_the_oracle(scores, labels, order):
     """The count-based sweep against np.unique + np.searchsorted: the same
     FAR and FRR bits and threshold values, and the same EER and min t-DCF;
-    a zero threshold is -0 when any score is -0."""
+    a zero threshold is -0 when any score is -0.
+
+    The scores come as drawn, sorted by value (ties, 0 and -0 among them, in
+    the drawn order), or in total order (-0 before 0), which the sweep reads
+    without sorting; value order with a 0 before a -0 is not total order,
+    so it is sorted, and its threshold is still -0."""
+    if order != "drawn":
+        sign = order == "total"  # -0 before 0: by value, then by sign
+        scores = sorted(scores, key=lambda v: (v, math.copysign(1.0, v) if sign else 0.0))
     scores, labels = np.array(scores), np.array(labels[:len(scores)])
     new = outcome(lambda: ScoreSet(scores, labels).sweep)
     old = outcome(lambda: OracleScoreSet(scores, labels).sweep)

@@ -59,6 +59,7 @@ from spoofsense.f0 import (
     _pick_peak,
     contour_framing,
     estimate_f0,
+    next_fast_len,
 )
 from spoofsense.spectral import (
     LOG_EPS,
@@ -445,6 +446,16 @@ def test_nccf_matches_2w(sr, floor, ceil):
         spec = np.fft.rfft(frames[0], n - 1)
         short = np.fft.irfft(spec.real**2 + spec.imag**2, n - 1)
         assert abs(short[kmax + 1] - np.dot(frames[0, : -kmax - 1], frames[0, kmax + 1 :])) > 1e-3
+
+
+def test_next_fast_len_matches_scipy():
+    """f0.next_fast_len, a stdlib search, against scipy.fft.next_fast_len:
+    every length up to 20,000 and 2,000 drawn up to 2**21."""
+    from scipy.fft import next_fast_len as oracle
+
+    drawn = np.random.default_rng(0).integers(20_001, 2**21, 2000).tolist()
+    bad = [n for n in list(range(1, 20_001)) + drawn if next_fast_len(n) != oracle(n)]
+    assert bad == []
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -81,7 +81,7 @@ def test_forward_is_a_distribution():
     p = softmax(mlp._layers(m, x[None, :])[-1][0])
     assert len(p) == 2 and abs(sum(p) - 1.0) < 1e-12
     assert all(0 <= v <= 1 for v in p)
-    s = score(m, x)
+    (s,) = score(m, x)
     assert abs(s - (np.log(p[0]) - np.log(p[1]))) < 1e-9
 
 
@@ -94,8 +94,8 @@ def test_separable_toy_converges():
     y = np.array([0] * n + [1] * n)
     m = init_model((2, 8, 4, 2), seed=0)
     trained, history = train(m, x, y, TrainConfig(epochs=200, learning_rate=0.1))
-    preds = [int(score(trained, row) < 0) for row in x]  # p(spoof) > 0.5
-    assert np.mean(np.array(preds) == y) >= 0.99
+    preds = score(trained, x) < 0  # p(spoof) > 0.5
+    assert np.mean(preds == y) >= 0.99
     assert history[-1] < history[0]
 
 
@@ -200,15 +200,17 @@ def test_labels_outside_0_1_are_refused(bad):
         assert np.isfinite(loss_and_grad(m, x[:2], y)[0])
 
 
-def test_score_takes_one_row():
-    """score returns one number, so it takes one row: a (1, d) row scores as
-    the same 1-D vector does, and several rows, or none, are refused."""
+def test_score_takes_rows():
+    """score returns one float64 score per row: a 1-D vector scores as the
+    (1, d) row it is, no rows give no scores, and a row's score does not
+    depend on the rows scored with it."""
     m = init_model((3, 5, 4, 2), seed=2)
     x = np.random.default_rng(4).normal(size=(5, 3))
-    assert score(m, x[1:2]) == score(m, x[1])
-    for rows in (x, x[:2], x[:0]):
-        with pytest.raises(ValueError, match="^score takes one row, got %d$" % len(rows)):
-            score(m, rows)
+    all_rows = score(m, x)
+    assert all_rows.dtype == np.float64 and all_rows.shape == (5,)
+    assert score(m, x[1]).tobytes() == score(m, x[1:2]).tobytes() == all_rows[1:2].tobytes()
+    assert score(m, x[::-1]).tobytes() == all_rows[::-1].tobytes()
+    assert score(m, x[:0]).shape == (0,)
 
 
 def test_l2_shrinks_weights():

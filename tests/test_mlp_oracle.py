@@ -6,7 +6,8 @@ recompute the softmax for the loss, the tanh for its derivative and the L2
 terms at l2 == 0; the current code reuses what the forward pass already has.
 Weights, biases, loss histories and scores must match exactly
 (np.array_equal, no tolerance), because the model file and the score file
-are written from them.
+are written from them.  `mlp.score` takes every row in one stacked pass;
+the oracle's `score` takes one row, as score-cm once called it per row.
 """
 
 import numpy as np
@@ -125,7 +126,7 @@ def _assert_train_matches(dims, activation, seed, n, batch_size, l2, epochs):
     for a, b in zip(want.weights + want.biases, got.weights + got.biases):
         assert np.array_equal(a, b)
     assert np.array_equal(np.array(want_hist), np.array(got_hist))
-    assert np.array_equal([score(want, v) for v in x], [mlp.score(got, v) for v in x])
+    assert np.array([score(want, v) for v in x]).tobytes() == mlp.score(got, x).tobytes()
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -167,6 +168,34 @@ def test_loss_and_grad_matches_oracle(activation, l2):
 @settings(max_examples=30, deadline=None)
 def test_train_matches_oracle_property(d_in, h1, h2, seed, activation, l2, batch_size):
     _assert_train_matches((d_in, h1, h2, 2), activation, seed, 37, batch_size, l2, epochs=3)
+
+
+def _assert_scores_match(dims, activation, seed, n):
+    """mlp.score on n rows at once is the bits of the oracle's one row at a time."""
+    rng = np.random.default_rng(seed)
+    m = mlp.init_model(dims, activation=activation, seed=seed)
+    m.biases = [rng.normal(scale=0.5, size=b.size) for b in m.biases]
+    x = rng.normal(size=(n, dims[0])) * rng.uniform(0.5, 3.0, size=dims[0])
+    assert np.array([score(m, v) for v in x], np.float64).tobytes() == mlp.score(m, x).tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_scores_match_oracle_at_benchmark_shape(activation):
+    # score-cm on the cm-train-score corpus: 1000 pooled 305-dim rows
+    _assert_scores_match((305, 32, 16, 2), activation, 29, 1000)
+
+
+@given(
+    d_in=st.integers(1, 80),
+    h1=st.integers(1, 40),
+    h2=st.integers(1, 20),
+    seed=st.integers(0, 2**31 - 1),
+    activation=st.sampled_from(["tanh", "relu"]),
+    n=st.integers(0, 70),
+)
+@settings(max_examples=40, deadline=None)
+def test_scores_match_oracle_property(d_in, h1, h2, seed, activation, n):
+    _assert_scores_match((d_in, h1, h2, 2), activation, seed, n)
 
 
 def test_unregularised_loss_is_finite_for_huge_weights():
