@@ -65,9 +65,8 @@ KEYS = {
     **{k: ("", k) for k in ("sample_rate", "hidden1", "hidden2", "activation")},
     "f0_floor": ("f0", "floor"), "f0_ceil": ("f0", "ceil"), "f0_hop": ("f0", "hop"),
     "voicing_threshold": ("f0", "voicing_threshold"),
-    "env_n_fft": ("envelope", "n_fft"), "env_voiced_fraction": ("envelope", "voiced_fraction"),
-    "env_unvoiced_quefrency": ("envelope", "unvoiced_quefrency"),
-    "ap_bands": ("ap", "n_bands"), "ap_n_fft": ("ap", "n_fft"),
+    "env_voiced_fraction": ("envelope", "voiced_fraction"),
+    "env_unvoiced_quefrency": ("envelope", "unvoiced_quefrency"), "ap_bands": ("ap", "n_bands"),
     # these stages' fields are set by the keys of the same names
     **{f.name: (stage, f.name) for stage in ("stft", "mfcc", "train", "cost")
        for f in fields(STAGES[stage])},

@@ -83,14 +83,11 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class StftConfig:
-    n_fft: int = 512
     win_seconds: float = 0.025
     hop_seconds: float = 0.010
     window: str = "hann"
 
     def __post_init__(self):
-        if self.n_fft < 2:
-            raise ValueError("n_fft must be >= 2")
         if self.win_seconds <= 0 or self.hop_seconds <= 0:
             raise ValueError("window and hop must be positive durations")
         if self.window not in ("hann", "hamming", "rect"):
@@ -118,14 +115,11 @@ class MfccConfig:
 
 @dataclass(frozen=True)
 class EnvelopeConfig:
-    n_fft: int = 1024
     # keep quefrencies below this fraction of the pitch period when voiced
     voiced_fraction: float = 0.8
     unvoiced_quefrency: float = 0.0025  # seconds
 
     def __post_init__(self):
-        if self.n_fft < 2:
-            raise ValueError("n_fft must be >= 2")
         if not 0 < self.voiced_fraction <= 1:
             raise ValueError("voiced_fraction must be in (0, 1]")
         if self.unvoiced_quefrency <= 0:
@@ -135,27 +129,24 @@ class EnvelopeConfig:
 @dataclass(frozen=True)
 class ApConfig:
     n_bands: int = 5
-    n_fft: int = 1024
 
     def __post_init__(self):
         if self.n_bands < 1:
             raise ValueError("n_bands must be >= 1")
-        if self.n_fft < 2:
-            raise ValueError("n_fft must be >= 2")
 
 
-def _frames(buf, frame_len, hop, n_fft):
-    """The buffer's frames, unwindowed; n_fft must cover a frame."""
-    if n_fft < frame_len:
-        raise ValueError("n_fft must cover the analysis window")
-    return frame_signal(buf, frame_len, hop)
+def fft_len(frame_len):
+    """The FFT size for frames of frame_len samples: the smallest power of
+    two >= frame_len (512 for the 400-sample window and 1024 for the
+    640-sample contour frame at the 16 kHz defaults)."""
+    return 1 << (frame_len - 1).bit_length()
 
 
 def _stft_frames(buf, cfg, window):
     """Windowed frames of an stft config: win_seconds every hop_seconds."""
     win_len = int(round(cfg.win_seconds * buf.sample_rate))
     hop = int(round(cfg.hop_seconds * buf.sample_rate))
-    frames = _frames(buf, win_len, hop, cfg.n_fft) * window_coeffs(window, win_len)
+    frames = frame_signal(buf, win_len, hop) * window_coeffs(window, win_len)
     if len(frames) == 0:
         raise InputTooShort("need at least %d samples" % win_len)
     return frames
@@ -167,10 +158,10 @@ def _power(frames, n_fft):
 
 
 def stft_spectrogram(buf, cfg=None):
-    """log(|X| + eps) of the one-sided FFT per frame; dims n_fft/2+1."""
+    """log(|X| + eps) of the one-sided FFT per frame; dims fft_len(window)/2+1."""
     cfg = cfg or StftConfig()
     frames = _stft_frames(buf, cfg, cfg.window)
-    mag = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1))
+    mag = np.abs(np.fft.rfft(frames, fft_len(frames.shape[1]), axis=1))
     return FeatureMatrix(kind="stft", data=np.log(mag + LOG_EPS), hop=cfg.hop_seconds)
 
 
@@ -188,7 +179,8 @@ def mel_filterbank(n_mels, n_fft, sample_rate, fmin, fmax):
     bins = np.floor((n_fft + 1) * pts / sample_rate)
     # checked as floats: the int cast turns a huge fmax's bin negative
     if bins[-1] > n_fft // 2 + 1:
-        raise ValueError("fmax %g lies beyond the %d-point FFT's top bin" % (fmax, n_fft))
+        raise ValueError("fmax %g lies beyond the %d-point FFT's top bin; sample_rate %g has "
+                         "its Nyquist rate at %g Hz" % (fmax, n_fft, sample_rate, sample_rate / 2))
     bins = bins.astype(int)
     k = np.arange(n_fft // 2 + 1)
     lo, mid, hi = bins[:-2, None], bins[1:-1, None], bins[2:, None]
@@ -219,8 +211,9 @@ def mfcc(buf, cfg=None, stft=None):
     cfg = cfg or MfccConfig()
     stft = stft or StftConfig()
     frames = _stft_frames(buf, stft, "hann")
-    power = _power(frames, stft.n_fft)
-    fb = mel_filterbank(cfg.n_mels, stft.n_fft, buf.sample_rate, cfg.fmin, cfg.fmax)
+    n_fft = fft_len(frames.shape[1])
+    power = _power(frames, n_fft)
+    fb = mel_filterbank(cfg.n_mels, n_fft, buf.sample_rate, cfg.fmin, cfg.fmax)
     logmel = np.log(power @ fb.T + LOG_EPS)
     static = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_ceps]
     d1 = delta(static, cfg.delta_window)
@@ -228,18 +221,18 @@ def mfcc(buf, cfg=None, stft=None):
     return FeatureMatrix(kind="mfcc", data=np.hstack([static, d1, d2]), hop=stft.hop_seconds)
 
 
-def _contour_frames(buf, contour, n_fft):
-    """(frames, Hann window): the read-only view of the buffer framed exactly
-    as the contour was, lengths must agree, and the window for it.  The
-    kernels window their frames a block at a time, so that no windowed copy
-    of the whole utterance is made."""
+def _contour_frames(buf, contour):
+    """(frames, Hann window, FFT size): the read-only view of the buffer
+    framed exactly as the contour was, lengths must agree, the window for
+    it and fft_len of the frame.  The kernels window their frames a block at
+    a time, so that no windowed copy of the whole utterance is made."""
     frame_len, hop = contour_framing(buf.sample_rate, contour)
-    frames = _frames(buf, frame_len, hop, n_fft)
+    frames = frame_signal(buf, frame_len, hop)
     if len(frames) != len(contour):
         raise AlignmentMismatch(
             "contour has %d frames, buffer frames to %d" % (len(contour), len(frames))
         )
-    return frames, window_coeffs("hann", frame_len)
+    return frames, window_coeffs("hann", frame_len), fft_len(frame_len)
 
 
 def spectral_envelope(buf, contour, cfg=None):
@@ -249,20 +242,20 @@ def spectral_envelope(buf, contour, cfg=None):
     (unvoiced), discarding harmonic fine structure but keeping resonances.
     """
     cfg = cfg or EnvelopeConfig()
-    frames, window = _contour_frames(buf, contour, cfg.n_fft)
+    frames, window, n_fft = _contour_frames(buf, contour)
     sr = buf.sample_rate
     f0 = contour.values[:, None]
     with np.errstate(divide="ignore"):
         q_sec = np.where(f0 > 0, cfg.voiced_fraction / f0, cfg.unvoiced_quefrency)
     # np.round, like round(), takes halves to even
-    cut = np.clip(np.round(q_sec * sr), 1, cfg.n_fft // 2)
+    cut = np.clip(np.round(q_sec * sr), 1, n_fft // 2)
     # float64 like cut, so that the mask's comparisons cast nothing
-    q = np.arange(cfg.n_fft, dtype=np.float64)
+    q = np.arange(n_fft, dtype=np.float64)
 
     def envelope(frames, cut):
-        logp = np.log(_power(frames * window, cfg.n_fft) + LOG_EPS)
-        ceps = np.fft.irfft(logp, cfg.n_fft, axis=1)
-        ceps[(q >= cut) & (q <= cfg.n_fft - cut)] = 0.0
+        logp = np.log(_power(frames * window, n_fft) + LOG_EPS)
+        ceps = np.fft.irfft(logp, n_fft, axis=1)
+        ceps[(q >= cut) & (q <= n_fft - cut)] = 0.0
         return np.exp(np.fft.rfft(ceps, axis=1).real)
 
     return FeatureMatrix(kind="sp", data=by_row_blocks(envelope, frames, cut), hop=contour.hop)
@@ -282,10 +275,10 @@ def band_aperiodicity(buf, contour, cfg=None):
     1.0 everywhere by convention.
     """
     cfg = cfg or ApConfig()
-    frames, window = _contour_frames(buf, contour, cfg.n_fft)
+    frames, window, n_fft = _contour_frames(buf, contour)
     sr = buf.sample_rate
-    power = by_row_blocks(lambda frames: _power(frames * window, cfg.n_fft), frames)
-    freqs = np.arange(cfg.n_fft // 2 + 1) * (sr / cfg.n_fft)
+    power = by_row_blocks(lambda frames: _power(frames * window, n_fft), frames)
+    freqs = np.arange(n_fft // 2 + 1) * (sr / n_fft)
     edges = band_edges(cfg.n_bands, sr / 2.0)
     # bands are contiguous bin ranges [lo, hi); only the last one is closed
     lo = np.searchsorted(freqs, edges[:-1], side="left")

@@ -32,7 +32,6 @@ from spoofsense.errors import InputTooShort
 from spoofsense.f0 import F0Config, F0Contour, estimate_f0
 from spoofsense.spectral import (
     ApConfig,
-    EnvelopeConfig,
     band_aperiodicity,
     band_edges,
     spectral_envelope,
@@ -100,13 +99,13 @@ def _outcome(fn, *args):
     return a.dtype, a.shape, a.tobytes()
 
 
-def _kernels(buf, cfg, env_cfg):
+def _kernels(buf, cfg):
     try:
         c = estimate_f0(buf, cfg)
     except Exception:
         c = F0Contour(np.zeros(0), hop=cfg.hop, floor=cfg.floor, ceil=cfg.ceil)
     return [_outcome(estimate_f0, buf, cfg),
-            _outcome(spectral_envelope, buf, c, env_cfg),
+            _outcome(spectral_envelope, buf, c),
             _outcome(band_aperiodicity, buf, c)]
 
 
@@ -117,7 +116,8 @@ def _kernels(buf, cfg, env_cfg):
     n_frames=st.integers(0, 3 * B + 5),
     k=st.sampled_from([0, 1, 3]),
     sr=st.sampled_from([16000, 22050]),
-    floor=st.floats(66.0, 150.0),
+    # below 46.875 Hz a floor frames more than 1024 samples: 2048-point FFTs
+    floor=st.one_of(st.floats(40.0, 46.0), st.floats(66.0, 150.0)),
     f0=st.floats(80.0, 300.0),
     seed=st.integers(0, 2**16),
     gap=st.tuples(st.integers(0, 3 * B), st.integers(0, B + 10)),
@@ -127,11 +127,10 @@ def test_kernels_match_serial_blocks(n_frames, k, sr, floor, f0, seed, gap):
     cfg = F0Config(floor=floor)
     silent = [(gap[0], gap[0] + gap[1])]
     buf = _framed_buf(n_frames, cfg, sr=sr, f0=f0, seed=seed, silent=silent)
-    env_cfg = EnvelopeConfig(n_fft=2048)
     with serial_kernels():
-        want = _kernels(buf, cfg, env_cfg)
+        want = _kernels(buf, cfg)
     with helpers(k):
-        got = _kernels(buf, cfg, env_cfg)
+        got = _kernels(buf, cfg)
     assert got == want
     if n_frames:
         assert want[0][1] == (n_frames,)
@@ -310,7 +309,7 @@ def test_band_tasks_hand_out_each_band_once(n_bands, k, fail, slow):
     with band_tasks(wrap) as orders, helpers(k), switching_often():
         got = _outcome(band_aperiodicity, buf, c, cfg)
     (order,) = orders
-    freqs = np.arange(cfg.n_fft // 2 + 1) * (buf.sample_rate / cfg.n_fft)
+    freqs = np.arange(513) * (buf.sample_rate / 1024)  # 640-sample frames, 1024-point FFTs
     width = np.histogram(freqs, band_edges(n_bands, buf.sample_rate / 2.0))[0]
     assert sorted(order) == list(range(n_bands))
     assert list(width[order]) == sorted(width, reverse=True)

@@ -183,12 +183,15 @@ def test_train_score_eval_pipeline(workspace, tmp_path):
     assert report2.read_text().splitlines()[0].endswith(",min_tdcf")
 
 
-WIDTHS_CONF = "n_fft = 1024\nn_ceps = 12\nenv_n_fft = 2048\nap_bands = 4\n"
+# a 0.04 s window takes 1024-point FFTs and a 40 Hz floor's contour frames
+# 2048-point ones, at 16 and at 22.05 kHz
+WIDTHS_CONF = "win_seconds = 0.04\nn_ceps = 12\nf0_floor = 40\nap_bands = 4\n"
 
 
 def test_every_configurable_width_end_to_end(workspace, tmp_path, rate=""):
     """Each kind whose width the config sets writes files of that width,
-    and train-cm and score-cm pool them: mfcc is 3 x n_ceps wide."""
+    and train-cm and score-cm pool them: mfcc is 3 x n_ceps wide, stft and
+    sp are fft_len(frame) / 2 + 1 wide."""
     conf = tmp_path / "widths.conf"
     conf.write_text(WIDTHS_CONF + FAST_CONF + rate)
     widths = {"stft": 513, "mfcc": 36, "sp": 1025, "ap": 4, "f0": 1, "jitter-shimmer": 2, "pse": 1}
@@ -216,6 +219,60 @@ def test_every_configurable_width_at_22050_hz(workspace, tmp_path):
     """The same widths at a 22.05 kHz target, to which the 16 kHz corpus is
     resampled: every kind is extracted at a rate other than the default."""
     test_every_configurable_width_end_to_end(workspace, tmp_path, "sample_rate = 22050\n")
+
+
+@pytest.fixture(scope="module")
+def mixed_rates(tmp_path_factory):
+    """Voices and tones recorded at 16, 22.05 and 44.1 kHz."""
+    d = tmp_path_factory.mktemp("rates")
+    rows = []
+    for i, sr in enumerate((16000, 22050, 44100)):
+        for u, buf in (("nat%d" % i, natural_buf(100 + 40 * i, seed=60 + i, dur=0.8, sr=sr)),
+                       ("mac%d" % i, machine_buf(120 + 50 * i, dur=0.7, sr=sr))):
+            write_wav(d / ("%s.wav" % u), buf)
+            rows.append((u, "s%d" % i, "bonafide", "-", "-", str(d / ("%s.wav" % u))))
+    write_manifest(d / "manifest.tsv", rows)
+    return d
+
+
+# target rate: (config beyond sample_rate, stft width, sp width); below
+# 16 kHz the default fmax of 8 kHz lies beyond the Nyquist rate
+RATE_WIDTHS = {
+    8000: ("fmax = 4000\n", 129, 257),
+    11025: ("fmax = 5512.5\n", 257, 257),
+    16000: ("", 257, 513),
+    22050: ("", 513, 513),
+    44100: ("", 1025, 1025),
+}
+
+
+@pytest.mark.parametrize("rate", sorted(RATE_WIDTHS))
+def test_every_kind_extracts_at_each_rate(mixed_rates, tmp_path, rate):
+    """Every kind extracts every row at each target rate, its FFTs sized
+    from its frames: stft from the 25 ms window, sp and ap from three
+    periods of the 75 Hz floor."""
+    extra, stft, sp = RATE_WIDTHS[rate]
+    conf = tmp_path / "rate.conf"
+    conf.write_text("sample_rate = %d\n%s" % (rate, extra))
+    widths = {"stft": stft, "mfcc": 39, "sp": sp, "ap": 5, "f0": 1, "jitter-shimmer": 2, "pse": 1}
+    assert list(widths) == list(KINDS)
+    for kind, dims in widths.items():
+        assert run("extract", "--manifest", mixed_rates / "manifest.tsv", "--feature", kind,
+                   "--out-dir", tmp_path, "--config", conf) == 0
+        for name in ("nat0", "mac0", "nat1", "mac1", "nat2", "mac2"):
+            m = read_feature(tmp_path / ("%s.%s.ssft" % (name, kind)))
+            assert m.kind == kind and m.dims == dims
+
+
+@pytest.mark.parametrize("rate", [8000, 11025])
+def test_mfcc_fmax_beyond_nyquist_names_the_rate(mixed_rates, tmp_path, capsys, rate):
+    conf = tmp_path / "rate.conf"
+    conf.write_text("sample_rate = %d\n" % rate)
+    assert run("extract", "--manifest", mixed_rates / "manifest.tsv", "--feature", "mfcc",
+               "--out-dir", tmp_path, "--config", conf) == 1
+    err = capsys.readouterr().err
+    assert err.count("fmax 8000 lies beyond") == 6
+    assert "top bin; sample_rate %d has its Nyquist rate at %g Hz" % (rate, rate / 2) in err
 
 
 def test_eval_tdcf_requires_cost_config(workspace, tmp_path):

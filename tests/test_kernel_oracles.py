@@ -25,9 +25,10 @@ change to the module's two functions cannot change the oracles along with
 it.
 
 _windowed_frames and _contour_frames are the earlier framing of the
-envelope and aperiodicity, verbatim: the whole utterance windowed at once,
-where the kernels now window a block at a time.  The oracles frame with
-them, not with the module's, so that a change to the kernels' framing
+envelope and aperiodicity: the whole utterance windowed at once, where the
+kernels now window a block at a time.  The oracles frame with them, not
+with the module's, and size their FFTs with fft_len_loop, not with
+spectral.fft_len, so that a change to the kernels' framing or FFT size
 cannot change the oracles along with it.  Every test here runs with one
 block helper thread, however many cores there are, so that the kernels'
 blocks and bands run on two threads.
@@ -70,6 +71,7 @@ from spoofsense.spectral import (
     _mel_to_hz,
     band_aperiodicity,
     band_edges,
+    fft_len,
     mel_filterbank,
     spectral_envelope,
 )
@@ -90,17 +92,23 @@ def one_helper():
 # ---------------------------------------------------------------- oracles
 
 
-def _windowed_frames(buf, frame_len, hop, window, n_fft):
-    """The buffer's frames times the window; n_fft must cover a frame."""
-    if n_fft < frame_len:
-        raise ValueError("n_fft must cover the analysis window")
+def fft_len_loop(frame_len):
+    """The smallest power of two >= frame_len, by doubling."""
+    n = 1
+    while n < frame_len:
+        n *= 2
+    return n
+
+
+def _windowed_frames(buf, frame_len, hop, window):
+    """The buffer's frames times the window."""
     return frame_signal(buf, frame_len, hop) * window_coeffs(window, frame_len)
 
 
-def _contour_frames(buf, contour, n_fft):
+def _contour_frames(buf, contour):
     """Frame exactly as the contour was framed; lengths must agree."""
     frame_len, hop = contour_framing(buf.sample_rate, contour)
-    frames = _windowed_frames(buf, frame_len, hop, "hann", n_fft)
+    frames = _windowed_frames(buf, frame_len, hop, "hann")
     if len(frames) != len(contour):
         raise AlignmentMismatch(
             "contour has %d frames, buffer frames to %d" % (len(contour), len(frames))
@@ -236,30 +244,32 @@ def estimate_f0_loop(buf, cfg=None):
 
 def spectral_envelope_loop(buf, contour, cfg=None):
     cfg = cfg or EnvelopeConfig()
-    frames, _, _ = _contour_frames(buf, contour, cfg.n_fft)
+    frames, frame_len, _ = _contour_frames(buf, contour)
+    n_fft = fft_len_loop(frame_len)
     sr = buf.sample_rate
-    power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
+    power = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
     logp = np.log(power + LOG_EPS)
-    ceps = np.fft.irfft(logp, cfg.n_fft, axis=1)
+    ceps = np.fft.irfft(logp, n_fft, axis=1)
 
     out = np.empty_like(logp)
-    half = cfg.n_fft // 2
+    half = n_fft // 2
     for i in range(frames.shape[0]):
         f0 = contour.values[i]
         q_sec = cfg.voiced_fraction / f0 if f0 > 0 else cfg.unvoiced_quefrency
         cut = int(np.clip(round(q_sec * sr), 1, half))
         c = ceps[i].copy()
-        c[cut : cfg.n_fft - cut + 1] = 0.0
+        c[cut : n_fft - cut + 1] = 0.0
         out[i] = np.fft.rfft(c).real
     return np.exp(out)
 
 
 def band_aperiodicity_loop(buf, contour, cfg=None):
     cfg = cfg or ApConfig()
-    frames, frame_len, _ = _contour_frames(buf, contour, cfg.n_fft)
+    frames, frame_len, _ = _contour_frames(buf, contour)
+    n_fft = fft_len_loop(frame_len)
     sr = buf.sample_rate
-    power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
-    freqs = np.arange(cfg.n_fft // 2 + 1) * (sr / cfg.n_fft)
+    power = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
+    freqs = np.arange(n_fft // 2 + 1) * (sr / n_fft)
     edges = band_edges(cfg.n_bands, sr / 2.0)
     bands = []
     for b in range(cfg.n_bands):
@@ -333,19 +343,20 @@ def spectral_envelope_whole(buf, contour, cfg=None):
     (unvoiced), discarding harmonic fine structure but keeping resonances.
     """
     cfg = cfg or EnvelopeConfig()
-    frames, _, _ = _contour_frames(buf, contour, cfg.n_fft)
+    frames, frame_len, _ = _contour_frames(buf, contour)
+    n_fft = fft_len_loop(frame_len)
     sr = buf.sample_rate
-    power = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
+    power = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
     logp = np.log(power + LOG_EPS)
-    ceps = np.fft.irfft(logp, cfg.n_fft, axis=1)
+    ceps = np.fft.irfft(logp, n_fft, axis=1)
 
     f0 = contour.values[:, None]
     with np.errstate(divide="ignore"):
         q_sec = np.where(f0 > 0, cfg.voiced_fraction / f0, cfg.unvoiced_quefrency)
     # np.round, like round(), takes halves to even
-    cut = np.clip(np.round(q_sec * sr), 1, cfg.n_fft // 2)
-    q = np.arange(cfg.n_fft)
-    ceps[(q >= cut) & (q <= cfg.n_fft - cut)] = 0.0
+    cut = np.clip(np.round(q_sec * sr), 1, n_fft // 2)
+    q = np.arange(n_fft)
+    ceps[(q >= cut) & (q <= n_fft - cut)] = 0.0
     out = np.fft.rfft(ceps, axis=1).real
     return FeatureMatrix(kind="sp", data=np.exp(out), hop=contour.hop)
 
@@ -477,20 +488,23 @@ def test_ap_and_sp_match_loop(name, f0_cfg):
     _assert_kernels_match(buf, estimate_f0(buf, f0_cfg))
 
 
+# a 40 Hz floor frames 1200 samples at 16 kHz, so a 2048-point FFT
 @pytest.mark.parametrize(
-    "ap_cfg, env_cfg",
+    "ap_cfg, env_cfg, f0_cfg",
     [
-        (ApConfig(n_bands=1), None),
-        (ApConfig(n_bands=8), None),
-        (ApConfig(n_fft=2048), EnvelopeConfig(n_fft=2048)),
-        (ApConfig(n_bands=8, n_fft=2048), EnvelopeConfig(n_fft=2048, voiced_fraction=0.5)),
+        (ApConfig(n_bands=1), None, F0Config()),
+        (ApConfig(n_bands=8), None, F0Config()),
+        (None, None, F0Config(floor=40.0)),
+        (ApConfig(n_bands=8), EnvelopeConfig(voiced_fraction=0.5), F0Config(floor=40.0)),
     ],
     ids=["1band", "8bands", "nfft2048", "8bands-nfft2048"],
 )
-def test_ap_and_sp_match_loop_non_default(ap_cfg, env_cfg):
+def test_ap_and_sp_match_loop_non_default(ap_cfg, env_cfg, f0_cfg):
     for name in ("nat82", "nat210_gap", "mach260_44k"):
         buf = CORPUS[name]
-        _assert_kernels_match(buf, estimate_f0(buf), ap_cfg, env_cfg)
+        c = estimate_f0(buf, f0_cfg)
+        _assert_kernels_match(buf, c, ap_cfg, env_cfg)
+        assert spectral_envelope(buf, c, env_cfg).dims == (1025 if f0_cfg.floor == 40.0 else 513)
 
 
 def test_all_zero_buffer():
@@ -563,6 +577,17 @@ def test_mel_filterbank_beyond_top_bin():
             mel_filterbank(26, 512, 16000, 0.0, fmax)
 
 
+def test_fft_len_matches_loop():
+    ns = range(1, 2**16 + 1)
+    assert [fft_len(n) for n in ns] == [fft_len_loop(n) for n in ns]
+
+
+@given(n=st.integers(1, 2**24))
+@settings(max_examples=200, deadline=None)
+def test_fft_len_matches_loop_property(n):
+    assert fft_len(n) == fft_len_loop(n)
+
+
 @given(
     n_mels=st.integers(1, 60),
     n_fft=st.integers(8, 1100),
@@ -622,15 +647,13 @@ def _framed_buf(n_frames, cfg=None, sr=SR, f0=140.0, seed=0, silent=()):
     return AudioBuffer(x, sr)
 
 
-def _assert_blocks_match_whole(buf, cfg=None, env_cfgs=(None,)):
+def _assert_blocks_match_whole(buf, cfg=None):
     got = estimate_f0(buf, cfg)
     want = estimate_f0_whole(buf, cfg)
     assert np.array_equal(got.values, want.values)
-    for env_cfg in env_cfgs:
-        assert np.array_equal(
-            spectral_envelope(buf, got, env_cfg).data,
-            spectral_envelope_whole(buf, got, env_cfg).data,
-        )
+    assert np.array_equal(
+        spectral_envelope(buf, got).data, spectral_envelope_whole(buf, got).data
+    )
     return got
 
 
@@ -686,7 +709,7 @@ def test_live_frames_only_in_last_partial_block(cfg):
 
 @given(
     sr=st.sampled_from([8000, 16000, 22050, 44100]),
-    floor=st.floats(66.0, 150.0),
+    floor=st.floats(40.0, 150.0),  # contour frames from 160 to 3308 samples
     span=st.floats(60.0, 500.0),
     hop=st.floats(0.002, 0.012),
     n_frames=st.integers(1, 3 * BLOCK_ROWS + 5),
@@ -699,9 +722,7 @@ def test_blocks_match_whole_property(sr, floor, span, hop, n_frames, f0, seed, g
     cfg = F0Config(floor=floor, ceil=min(floor + span, sr / 2), hop=hop)
     silent = [(gap[0], gap[0] + gap[1])]
     buf = _framed_buf(n_frames, cfg, sr=sr, f0=min(f0, cfg.ceil), seed=seed, silent=silent)
-    frame_len = contour_framing(sr, cfg)[0]
-    env_cfgs = [EnvelopeConfig(n_fft=2048)] + ([None] if frame_len <= 1024 else [])
-    _assert_blocks_match_whole(buf, cfg, env_cfgs)
+    _assert_blocks_match_whole(buf, cfg)
 
 
 def _block_cuts(n):
@@ -812,22 +833,25 @@ def test_nccf_zero_denominators_match_ref(rows, cfg, seed):
     assert got[1].tobytes() == want[1].tobytes()
 
 
-@pytest.mark.parametrize("n_fft", [1023, 1024, 2048])
+@pytest.mark.parametrize("n_fft", [1024, 2048])
 @pytest.mark.parametrize("unvoiced_cut", ["one", "half"])
 def test_envelope_lifter_ties_match_whole(n_fft, unvoiced_cut):
     """Rows whose lifter cut is 1 or n_fft // 2, exactly or clipped to it,
     where the mask's comparisons q >= cut and q <= n_fft - cut tie."""
     half = n_fft // 2
-    cfg = EnvelopeConfig(n_fft=n_fft, unvoiced_quefrency=(1 if unvoiced_cut == "one" else half) / SR)
+    cfg = EnvelopeConfig(unvoiced_quefrency=(1 if unvoiced_cut == "one" else half) / SR)
+    # frames of 640 or 1200 samples, so FFTs of 1024 or 2048 points
+    floor = {1024: 75.0, 2048: 40.0}[n_fft]
     buf = natural_buf(130, seed=3, dur=2.0)
-    n = len(estimate_f0(buf))
+    n = len(estimate_f0(buf, F0Config(floor=floor)))
     # cut = round(0.8 SR / f0): f0s for cuts 1, 1 (0.5, to even: 0), half, half (clipped), 40
     f0s = [0.0, 0.8 * SR, 1.6 * SR, 0.8 * SR / half, 0.4 * SR / half, 320.0]
-    c = F0Contour(np.resize(f0s, n), hop=0.005, floor=75.0, ceil=500.0)
+    c = F0Contour(np.resize(f0s, n), hop=0.005, floor=floor, ceil=500.0)
     with np.errstate(divide="ignore"):
         q_sec = np.where(c.values > 0, cfg.voiced_fraction / c.values, cfg.unvoiced_quefrency)
     assert set(np.clip(np.round(q_sec * SR), 1, half)) == {1, half, 40}
     got = spectral_envelope(buf, c, cfg).data
+    assert got.shape[1] == half + 1
     assert np.array_equal(got, spectral_envelope_whole(buf, c, cfg).data)
     assert np.array_equal(got, spectral_envelope_loop(buf, c, cfg))
     assert n > 2 * BLOCK_ROWS
@@ -904,7 +928,7 @@ def test_ap_mask_rule_at_100hz_and_above_top(floor, f0):
     buf = CORPUS["nat82"]
     n = len(estimate_f0(buf, F0Config(floor=floor)))
     c = F0Contour(np.full(n, f0), hop=0.005, floor=floor, ceil=500.0)
-    freqs = np.arange(ApConfig().n_fft // 2 + 1) * (SR / ApConfig().n_fft)
+    freqs = np.arange(513) * (SR / 1024)  # the 640-sample frame's 1024-point FFT
     above_top = np.round(freqs / f0) > np.floor(8000.0 / f0)
     assert np.any(above_top) == (f0 != 100.0)
     assert np.array_equal(band_aperiodicity(buf, c).data, band_aperiodicity_loop(buf, c))

@@ -37,7 +37,7 @@ def test_stft_shape_and_tone_bin():
     assert m.dims == 257
     assert m.num_frames == (2 * SR - 400) // 160 + 1 == 198
     assert m.hop == 0.010
-    # 1 kHz at n_fft 512 / 16 kHz -> bin 32
+    # 1 kHz on the 400-sample window's 512-point FFT at 16 kHz -> bin 32
     assert np.argmax(m.data.mean(axis=0)) == 32
 
 
@@ -60,10 +60,10 @@ def test_mfcc_dims_and_framing():
 
 def test_mfcc_frames_by_the_stft_config():
     buf = tone(220, dur=2.0)
-    stft = StftConfig(n_fft=1024, win_seconds=0.03, hop_seconds=0.02)
+    stft = StftConfig(win_seconds=0.04, hop_seconds=0.02)  # 640 samples, 1024-point FFTs
     m = KINDS["mfcc"].compute(buf, RunConfig(stft=stft))
     assert m.hop == 0.02
-    assert m.num_frames == (2 * SR - 480) // 320 + 1 == 99
+    assert m.num_frames == (2 * SR - 640) // 320 + 1 == 99
     np.testing.assert_array_equal(m.data, mfcc(buf, stft=stft).data)
 
 
@@ -134,7 +134,7 @@ def test_envelope_shape_and_peak():
     assert m.kind == "sp"
     assert m.dims == 513
     assert np.all(m.data > 0)
-    assert np.argmax(m.data.mean(axis=0)) == 64  # 1 kHz at n_fft 1024 / 16 kHz
+    assert np.argmax(m.data.mean(axis=0)) == 64  # 1 kHz at a 1024-point FFT / 16 kHz
 
 
 def test_envelope_magnitude_only():
