@@ -143,13 +143,14 @@ def fft_len(frame_len):
 
 
 def _stft_frames(buf, cfg, window):
-    """Windowed frames of an stft config: win_seconds every hop_seconds."""
+    """(windowed frames, FFT size) of an stft config: win_seconds every
+    hop_seconds, and fft_len of the window."""
     win_len = int(round(cfg.win_seconds * buf.sample_rate))
     hop = int(round(cfg.hop_seconds * buf.sample_rate))
     frames = frame_signal(buf, win_len, hop) * window_coeffs(window, win_len)
     if len(frames) == 0:
         raise InputTooShort("need at least %d samples" % win_len)
-    return frames
+    return frames, fft_len(win_len)
 
 
 def _power(frames, n_fft):
@@ -160,8 +161,8 @@ def _power(frames, n_fft):
 def stft_spectrogram(buf, cfg=None):
     """log(|X| + eps) of the one-sided FFT per frame; dims fft_len(window)/2+1."""
     cfg = cfg or StftConfig()
-    frames = _stft_frames(buf, cfg, cfg.window)
-    mag = np.abs(np.fft.rfft(frames, fft_len(frames.shape[1]), axis=1))
+    frames, n_fft = _stft_frames(buf, cfg, cfg.window)
+    mag = np.abs(np.fft.rfft(frames, n_fft, axis=1))
     return FeatureMatrix(kind="stft", data=np.log(mag + LOG_EPS), hop=cfg.hop_seconds)
 
 
@@ -210,8 +211,7 @@ def mfcc(buf, cfg=None, stft=None):
 
     cfg = cfg or MfccConfig()
     stft = stft or StftConfig()
-    frames = _stft_frames(buf, stft, "hann")
-    n_fft = fft_len(frames.shape[1])
+    frames, n_fft = _stft_frames(buf, stft, "hann")
     power = _power(frames, n_fft)
     fb = mel_filterbank(cfg.n_mels, n_fft, buf.sample_rate, cfg.fmin, cfg.fmax)
     logmel = np.log(power @ fb.T + LOG_EPS)
