@@ -23,12 +23,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateLabels, IllPosedCostModel
-from .tsv import isin, names_file, parse_floats, raise_first, read_lines, split_columns
+from .tsv import WRITE_ROWS, isin, names_file, parse_floats, raise_first, read_lines, split_columns
 
 POSITIVE_LABELS = frozenset(("target", "bonafide"))
 NEGATIVE_LABELS = frozenset(("nontarget", "spoof"))
 LABELS = POSITIVE_LABELS | NEGATIVE_LABELS
 POOLED = "ALL"  # the report row over every trial; no score-file group may take its name
+# sweep points per slice of eer's and min_tdcf's read-outs: bounds their temporaries
+SWEEP_SLICE = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)  # == and hash by identity: numpy fields
@@ -146,8 +148,12 @@ def eer(s):
     """EER as (FAR+FRR)/2 at the sweep point minimizing |FAR - FRR| (ties:
     smaller threshold)."""
     t, far, frr = s.sweep
-    gap = far - frr
-    i = int(np.argmin(np.abs(gap, out=gap)))
+
+    def gap(part):  # in place, so that one temporary of a slice is live
+        g = far[part] - frr[part]
+        return np.abs(g, out=g)
+
+    i, _ = _first_min(len(t), gap)
     return EerResult(eer=float((far[i] + frr[i]) / 2.0), threshold=float(t[i]))
 
 
@@ -158,14 +164,33 @@ class TdcfResult:
 
 
 def min_tdcf(cm, cost):
-    """Minimum of (C1 P_miss + C2 P_fa) / min(C1, C2) over all thresholds."""
+    """Minimum of (C1 P_miss + C2 P_fa) / min(C1, C2) over all thresholds
+    (ties: smaller threshold)."""
     c1, c2 = cost.coefficients()
     t, far, frr = cm.sweep  # far = spoof accepted, frr = bonafide rejected
-    tdcf = c1 * frr  # (c1 * frr + c2 * far) / min(c1, c2), in place
-    tdcf += c2 * far
-    tdcf /= min(c1, c2)
-    i = int(np.argmin(tdcf))
-    return TdcfResult(min_tdcf_norm=float(tdcf[i]), threshold=float(t[i]))
+
+    def tdcf(part):
+        v = c1 * frr[part]  # (c1 * frr + c2 * far) / min(c1, c2), in place
+        v += c2 * far[part]
+        v /= min(c1, c2)
+        return v
+
+    i, value = _first_min(len(t), tdcf)
+    return TdcfResult(min_tdcf_norm=float(value), threshold=float(t[i]))
+
+
+def _first_min(n, values):
+    """(i, v): the first index of the smallest of n sweep values, and v that
+    value, where values(part) gives the values at the slice part of the
+    sweep.  It is read SWEEP_SLICE points at a time, so that no temporary
+    is as long as the sweep."""
+    i, best = 0, None
+    for lo in range(0, n, SWEEP_SLICE):
+        v = values(slice(lo, lo + SWEEP_SLICE))
+        k = int(np.argmin(v))
+        if best is None or v[k] < best:  # an equal value later is no new minimum
+            i, best = lo + k, v[k]
+    return i, best
 
 
 @dataclass(frozen=True)
@@ -194,13 +219,22 @@ class Column:
         return cls(tuple(code), codes)
 
     def renamed(self, rename):
-        """The Column whose row k holds rename(name of row k)."""
-        new = Column.of([rename(name) for name in self.names])
-        return Column(new.names, new.codes[self.codes])
+        """The Column whose row k holds rename(name of row k); it names only
+        what some row holds."""
+        held = np.zeros(len(self.names), bool)
+        held[self.codes] = True
+        kept = np.flatnonzero(held)
+        new = Column.of([rename(self.names[k]) for k in kept])
+        lookup = np.zeros(len(self.names), np.int32)
+        lookup[kept] = new.codes
+        return Column(new.names, lookup[self.codes])
 
-    def tolist(self):
-        """The rows' strings: one string object per distinct name."""
-        return np.array(self.names, dtype=object)[self.codes].tolist()
+    def __iter__(self):
+        """The rows' strings, one string object per distinct name, looked up
+        WRITE_ROWS rows at a time."""
+        names = np.array(self.names, dtype=object)
+        for start in range(0, len(self.codes), WRITE_ROWS):
+            yield from names[self.codes[start:start + WRITE_ROWS]].tolist()
 
     def mask(self, names):
         """Bool array: which rows hold one of names."""
@@ -222,7 +256,9 @@ def _encode(strings, code):
 class ScoreTable:
     """A score file as columns, one entry per row in file order."""
 
-    trial_ids: list  # of str; None from parse_scorefile, which keeps no ids
+    # an iterable of str with a len, which write_scorefile may read more than
+    # once; None from parse_scorefile, which keeps no ids
+    trial_ids: object
     groups: Column
     labels: Column  # names from POSITIVE_LABELS | NEGATIVE_LABELS
     scores: np.ndarray  # float64

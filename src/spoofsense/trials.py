@@ -348,7 +348,23 @@ def cosine_score(a, b):
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-CHUNK_PAIRS = 4096  # pairs per stacked matmul: bounds the gathered (pairs x dim) copies
+CHUNK_PAIRS = 1024  # pairs per stacked matmul: bounds the gathered (pairs x dim) copies
+
+
+@dataclass(frozen=True)
+class TrialIds:
+    """The trial-id column of a TrialSet's ScoreTable: row k is
+    "utt_a[k]:utt_b[k]", joined as it is read, so that no id string is kept.
+    It can be read any number of times."""
+
+    utt_a: list
+    utt_b: list
+
+    def __len__(self):
+        return len(self.utt_a)
+
+    def __iter__(self):
+        return map(":".join, zip(self.utt_a, self.utt_b))
 
 
 def score_trials(ts, emb):
@@ -366,7 +382,8 @@ def score_trials(ts, emb):
     row = dict(zip(emb.ids, range(len(emb.ids))))
     ia = np.fromiter(map(row.get, ts.utt_a, repeat(-1)), np.intp, len(ts))
     ib = np.fromiter(map(row.get, ts.utt_b, repeat(-1)), np.intp, len(ts))
-    faulty = np.flatnonzero((norms[ia] == 0.0) | (norms[ib] == 0.0))
+    zero = norms == 0.0
+    faulty = np.flatnonzero(zero[ia] | zero[ib])
     if faulty.size:
         k = faulty[0]
         for utt in (ts.utt_a[k], ts.utt_b[k]):
@@ -383,11 +400,16 @@ def score_trials(ts, emb):
         i, j = ia[start:start + CHUNK_PAIRS], ib[start:start + CHUNK_PAIRS]
         dots = np.matmul(vectors[i][:, None, :], vectors[j][:, :, None])[:, 0, 0]
         scores[start:start + CHUNK_PAIRS] = np.clip(dots / (norms[i] * norms[j]), -1.0, 1.0)
+    del ia, ib
 
-    positive = [label == "positive" for label in ts.labels]
-    groups = Column.of(["-" if pos else cat for cat, pos in zip(ts.categories, positive)])
+    # a category's code for a negative trial, one code past them for a
+    # positive one, which renamed names '-'
+    cats = Column.of(ts.categories)
+    cats.codes[isin(ts.labels, {"positive"})] = len(cats.names)
+    groups = Column(cats.names + (None,), cats.codes).renamed(
+        lambda cat: "-" if cat is None else cat)
     return ScoreTable(
-        trial_ids=list(map(":".join, zip(ts.utt_a, ts.utt_b))),
+        trial_ids=TrialIds(ts.utt_a, ts.utt_b),
         groups=groups,
         labels=groups.renamed(lambda group: "target" if group == "-" else "nontarget"),
         scores=scores,
@@ -395,7 +417,15 @@ def score_trials(ts, emb):
 
 
 def write_scorefile(path, table):
-    # the scores are formatted as they are written: a float64 scalar prints
-    # as its Python float does, and no list of the column is made
-    write_rows(path, (table.trial_ids, table.groups.tolist(), table.labels.tolist(),
+    """Write table as a score file; its columns must be of one length.
+
+    The group and label names are looked up a chunk of rows at a time and
+    the scores formatted as they are written: a float64 scalar prints as its
+    Python float does.  No list of a whole column is made."""
+    lengths = (len(table.trial_ids), len(table.groups.codes), len(table.labels.codes),
+               len(table.scores))
+    if len(set(lengths)) > 1:
+        raise ValueError("score table columns differ in length: %d trial ids, %d groups, "
+                         "%d labels, %d scores" % lengths)
+    write_rows(path, (table.trial_ids, table.groups, table.labels,
                       map("%.12g".__mod__, table.scores)))

@@ -34,6 +34,12 @@ np.searchsorted on each group's scores, are kept below as oracles too
 must be equal, apart from one thing the old sweep left to the sort: a zero
 threshold is now -0 when any trial of the group scores -0 and 0 otherwise,
 where np.unique printed whichever zero its sort put first.
+
+eer and min_tdcf read a sweep metrics.SWEEP_SLICE points at a time and
+keep the first minimum; the whole-array read-outs from before are kept as
+oracles (eer_whole, min_tdcf_whole), which the loops above use, and the
+tests of the sweep read-outs hold the slices to them at slice lengths of
+1, 2, 3 and 7.  score_trials is run with CHUNK_PAIRS as low as 1 too.
 """
 
 import io
@@ -42,9 +48,10 @@ import math
 import os
 import random
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import cached_property
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,15 +59,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import PAST_ONE_BLOCK, embeddings, line_start, trial_set
 from test_trial_oracles import rows
-from spoofsense import tsv
+from spoofsense import metrics, trials, tsv
 from spoofsense.errors import DegenerateLabels, MissingEmbedding, ParseError, ZeroVector
 from spoofsense.metrics import (
     NEGATIVE_LABELS,
     POOLED,
     POSITIVE_LABELS,
     CostModel,
+    EerResult,
     GroupReport,
     ScoreSet,
+    TdcfResult,
     eer,
     evaluate_scorefile,
     min_tdcf,
@@ -151,8 +160,8 @@ def evaluate_scorefile_loop(path, mode="eer", cost=None):
                                    % (path, group, labels.sum(), (~labels).sum()))
         scores = np.array([r[3] for r in members], dtype=np.float64)
         s = ScoreSet(scores=scores, labels=labels)
-        e = eer(s)
-        td = min_tdcf(s, cost).min_tdcf_norm if mode == "tdcf" else None
+        e = eer_whole(s)
+        td = min_tdcf_whole(s, cost).min_tdcf_norm if mode == "tdcf" else None
         reports.append(
             GroupReport(
                 group=group,
@@ -237,6 +246,25 @@ class OracleScoreSet(ScoreSet):
         return thresholds, far, frr
 
 
+def eer_whole(s):
+    """eer as it was before it read the sweep a slice at a time."""
+    t, far, frr = s.sweep
+    gap = far - frr
+    i = int(np.argmin(np.abs(gap, out=gap)))
+    return EerResult(eer=float((far[i] + frr[i]) / 2.0), threshold=float(t[i]))
+
+
+def min_tdcf_whole(cm, cost):
+    """min_tdcf as it was before it read the sweep a slice at a time."""
+    c1, c2 = cost.coefficients()
+    t, far, frr = cm.sweep
+    tdcf = c1 * frr
+    tdcf += c2 * far
+    tdcf /= min(c1, c2)
+    i = int(np.argmin(tdcf))
+    return TdcfResult(min_tdcf_norm=float(tdcf[i]), threshold=float(t[i]))
+
+
 def evaluate_scorefile_sorted_per_group(path, cost=None):
     """evaluate_scorefile as it was before the one sort per file, on the
     parse loop's columns and with OracleScoreSet for ScoreSet."""
@@ -262,8 +290,8 @@ def evaluate_scorefile_sorted_per_group(path, cost=None):
             raise DegenerateLabels("%s: group %s has %d positive and %d negative trials"
                                    % (path, group, n_pos, n_neg))
         s = OracleScoreSet(scores=table.scores[members], labels=labels)
-        e = eer(s)
-        td = min_tdcf(s, cost).min_tdcf_norm if cost is not None else None
+        e = eer_whole(s)
+        td = min_tdcf_whole(s, cost).min_tdcf_norm if cost is not None else None
         reports.append(
             GroupReport(
                 group=group,
@@ -571,6 +599,93 @@ def test_sweep_matches_the_oracle(scores, labels, order):
     assert min_tdcf(ScoreSet(scores, labels), COST) == min_tdcf(OracleScoreSet(scores, labels), COST)
 
 
+# ---------------------------------------------------------------- sweep read-outs
+
+SLICES = [1, 2, 3, 7]
+# a cost whose C2 exceeds its C1, so that rejecting every trial (the +inf
+# threshold) can be the min t-DCF; under COST it is never below 3.2
+COST_FA = replace(COST, c_fa_cm=100.0)
+
+
+def bits(result):
+    """An EerResult's or TdcfResult's fields as hex, so -0.0 and 0.0 differ."""
+    return tuple(float(v).hex() for v in astuple(result))
+
+
+def check_read_outs(s, slices=SLICES):
+    """eer and min_tdcf of s at each slice length against the whole-array
+    oracles: the same bits."""
+    for n in slices:
+        with mock.patch.object(metrics, "SWEEP_SLICE", n):
+            assert bits(eer(s)) == bits(eer_whole(s))
+            for cost in (COST, COST_FA):
+                assert bits(min_tdcf(s, cost)) == bits(min_tdcf_whole(s, cost))
+
+
+def sweep_of(values):
+    """A sweep whose |FAR - FRR| and t-DCF rank its points as values do:
+    FAR = values, FRR = 0, thresholds 0, 1, ... and +inf last."""
+    t = np.append(np.arange(len(values) - 1.0), np.inf)
+    return SimpleNamespace(sweep=(t, np.array(values, np.float64), np.zeros(len(values))))
+
+
+SWEEPS = {  # name -> (values, the index of their first minimum)
+    # the minimum at 2, 4, 6 and 8, each in a slice of its own at lengths 1,
+    # 2 and 3, and 8 in the second slice at 7
+    "tie-across-slices": ([0.9, 0.5, 0.25, 0.6, 0.25, 0.75, 0.25, 0.8, 0.25, 1.0], 2),
+    "first": ([0.25, 0.5, 0.75, 0.25, 1.0, 0.25, 0.5, 0.625, 0.25], 0),
+    "first-alone": ([0.125, 0.5, 0.75, 0.25, 1.0, 0.25, 0.5, 0.625, 0.25], 0),
+    "last": ([1.0, 0.875, 0.75, 0.625, 0.5, 0.375, 0.25, 0.125, 0.0625, 0.0], 9),
+    "short": ([0.5, 0.25], 1),  # shorter than a slice of 3 or 7
+    "one": ([0.5], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_read_outs_keep_the_first_minimum(name):
+    values, first = SWEEPS[name]
+    s = sweep_of(values)
+    check_read_outs(s, SLICES + [metrics.SWEEP_SLICE])
+    assert eer(s).threshold == s.sweep[0][first]
+    assert min_tdcf(s, COST).threshold == s.sweep[0][first]
+
+
+@pytest.mark.parametrize("n", SLICES)
+def test_read_outs_tie_at_a_slice_edge(n):
+    """Equal minima at the last point of one slice and the first of the
+    next, and again a slice later: the first wins."""
+    values = [0.5] * (3 * n + 1)
+    values[n - 1] = values[n] = values[2 * n] = 0.25
+    s = sweep_of(values)
+    check_read_outs(s, [n])
+    with mock.patch.object(metrics, "SWEEP_SLICE", n):
+        assert eer(s).threshold == min_tdcf(s, COST).threshold == n - 1
+
+
+def test_read_outs_at_the_sweep_ends():
+    """A positive below a negative: the min t-DCF lies at the first
+    threshold under COST and at +inf under COST_FA."""
+    s = ScoreSet(np.array([0.0, 1.0]), np.array([True, False]))
+    check_read_outs(s)
+    assert min_tdcf(s, COST).threshold == 0.0
+    assert min_tdcf(s, COST_FA).threshold == np.inf
+
+
+@given(
+    scores=st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.5]) | score_value,
+                    min_size=1, max_size=40),
+    labels=st.lists(st.booleans(), min_size=40, max_size=40),
+)
+@example(scores=[0.0, 1.0], labels=[True, False] * 20)
+@settings(max_examples=200, deadline=None)
+def test_read_outs_match_the_whole_sweep(scores, labels):
+    """eer and min_tdcf of score sets, ties and zeros among them, at each
+    slice length: the bits of the whole-array read-outs."""
+    s = ScoreSet(np.array(scores), np.array(labels[:len(scores)]))
+    if outcome(lambda: s.sweep)[0] == "ok":
+        check_read_outs(s)
+
+
 tied_row = st.tuples(
     st.sampled_from(["-", "-", "A", "A", "B", "C"]),  # C is often a one-row group
     st.sampled_from(LABELS),
@@ -729,6 +844,21 @@ def test_scoring_past_one_chunk(tmp_path):
     assert len(ts) > CHUNK_PAIRS
     new = check_scoring(ts, vectors, tmp_path)
     assert new[0] == "ok"
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_scoring_in_small_chunks(tmp_path, monkeypatch, chunk):
+    """Chunks of one pair and of three, the last one short: every score is
+    cosine_score's of its pair, and the file the loop's."""
+    monkeypatch.setattr(trials, "CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng(5)
+    vectors = {"u%02d" % i: rng.normal(size=17) * 10.0 ** rng.integers(-3, 4) for i in range(11)}
+    ts = all_pairs(vectors, 2)
+    assert len(ts) % 3 == 1
+    new = check_scoring(ts, vectors, tmp_path)
+    assert new[0] == "ok"
+    assert new[1].scores.tolist() == [cosine_score(vectors[p.utt_a], vectors[p.utt_b])
+                                      for p in ts]
 
 
 def test_scoring_tiny_vectors(tmp_path):

@@ -215,10 +215,10 @@ def test_score_table_labels_are_shared_strings(tmp_path):
     p.write_text("".join("t%d\t-\t%s\t%d\n" % (i, ("target", "spoof")[i % 2], i)
                          for i in range(50)))
     table = parse_scorefile(p)
-    assert len(table) == 50 and table.labels.tolist()[:2] == ["target", "spoof"]
+    assert len(table) == 50 and list(table.labels)[:2] == ["target", "spoof"]
     assert sorted(table.labels.names) == ["spoof", "target"]
     assert table.labels.codes.dtype == np.int32 and len(table.labels.codes) == 50
-    assert len({id(label) for label in table.labels.tolist()}) == 2
+    assert len({id(label) for label in table.labels}) == 2
     assert len({id(label) for _, label, _ in rows(table)}) == 2
     assert rows(table)[1] == ("-", "spoof", 1.0)
 
@@ -295,10 +295,10 @@ def test_score_table_groups_are_shared_strings(tmp_path):
     p.write_text("".join("t%d\t%s\tspoof\t%d\n" % (i, ("A07", "A08", "-")[i % 3], i)
                          for i in range(60)))
     table = parse_scorefile(p)
-    assert table.groups.tolist()[:3] == ["A07", "A08", "-"]
+    assert list(table.groups)[:3] == ["A07", "A08", "-"]
     assert sorted(table.groups.names) == ["-", "A07", "A08"]
     assert table.groups.codes.dtype == np.int32 and len(table.groups.codes) == 60
-    assert len({id(group) for group in table.groups.tolist()}) == 3
+    assert len({id(group) for group in table.groups}) == 3
 
 
 def test_group_named_all_is_rejected(tmp_path):

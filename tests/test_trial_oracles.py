@@ -95,7 +95,7 @@ def save_trials_rows(path, ts):
 def rows(table):
     """A ScoreTable's rows in file order: (trial_id, group, label, score),
     or (group, label, score) for a parsed table, which holds no trial ids."""
-    columns = [table.groups.tolist(), table.labels.tolist(), table.scores.tolist()]
+    columns = [list(table.groups), list(table.labels), table.scores.tolist()]
     if table.trial_ids is not None:
         columns.insert(0, table.trial_ids)
     return list(zip(*columns))

@@ -18,10 +18,13 @@ from spoofsense.errors import (
     ParseError,
     ZeroVector,
 )
+from spoofsense.metrics import Column, ScoreTable
 from spoofsense.trials import (
     CATEGORIES,
+    Embeddings,
     Manifest,
     ManifestRow,
+    TrialSet,
     build_all_pairs,
     build_pairs,
     cosine_score,
@@ -31,6 +34,7 @@ from spoofsense.trials import (
     sample_pairs,
     save_trials,
     score_trials,
+    write_scorefile,
 )
 
 
@@ -184,6 +188,63 @@ def test_loaded_trials_share_one_string_per_name(tmp_path):
     assert len(ts) == n and held / n < 64
     for column in (ts.utt_a + ts.utt_b, ts.labels, ts.categories):
         assert len({id(name) for name in column}) == len(set(column))
+
+
+def many_trials(n, m, dim):
+    """A TrialSet of n trials drawn over m utterances, one str object per
+    utterance id as load_trials keeps them, with Embeddings of dim values."""
+    rng = np.random.default_rng(1)
+    ids = ["utt%04d" % k for k in range(m)]
+    a = rng.integers(0, m, (n, 2)).tolist()
+    cats = [CATEGORIES[k % len(CATEGORIES)] for k in range(n)]
+    labels = ["positive" if cat in ("R", "IAB") else "negative" for cat in cats]
+    ts = TrialSet([ids[i] for i, _ in a], [ids[j] for _, j in a], labels, cats)
+    return ts, Embeddings(ids, rng.normal(size=(m, dim)))
+
+
+def test_scoring_memory_per_trial(tmp_path):
+    """score_trials plus write_scorefile on 60,000 trials at the benchmark's
+    dim of 64: a bounded peak per trial beyond the trial list and the
+    embeddings.  With one joined id string per trial, gathers of 4096 pairs
+    and whole-column name lists it was about 118 B per trial."""
+    n = 60000
+    ts, emb = many_trials(n, 400, 64)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_scorefile(tmp_path / "s.scores", score_trials(ts, emb))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 64
+    assert (tmp_path / "s.scores").read_bytes().count(b"\n") == n
+
+
+def test_score_table_writes_the_same_twice(tmp_path):
+    """A score_trials table read twice, past one write chunk, gives the same
+    bytes both times: its trial ids can be read more than once."""
+    ts, emb = many_trials(5000, 60, 3)
+    table = score_trials(ts, emb)
+    write_scorefile(tmp_path / "a.scores", table)
+    write_scorefile(tmp_path / "b.scores", table)
+    first = (tmp_path / "a.scores").read_bytes()
+    assert first == (tmp_path / "b.scores").read_bytes()
+    assert first.count(b"\n") == len(ts)
+    assert first.startswith(("%s:%s\t" % (ts.utt_a[0], ts.utt_b[0])).encode())
+
+
+@pytest.mark.parametrize("short", ["trial_ids", "groups", "labels", "scores"])
+def test_write_scorefile_rejects_unequal_columns(tmp_path, short):
+    """A column one row short raises ValueError and writes no file, where
+    zipping the columns would drop the last row."""
+    columns = {"trial_ids": ["a:b", "a:c"], "groups": Column.of(["-", "RI"]),
+               "labels": Column.of(["target", "nontarget"]), "scores": np.array([0.5, -0.25])}
+    column = columns[short]
+    columns[short] = (Column(column.names, column.codes[:1]) if isinstance(column, Column)
+                      else column[:1])
+    with pytest.raises(ValueError, match="differ in length"):
+        write_scorefile(tmp_path / "s.scores", ScoreTable(**columns))
+    assert not (tmp_path / "s.scores").exists()
 
 
 @pytest.mark.parametrize("bad", ["c\td\tpositive\tRI", "c\td\tnegative\tR"],
